@@ -232,15 +232,6 @@ def stack_to_rows(qa_id: int | str, stack: GlimpseStack) -> list[dict]:
     return rows
 
 
-def write_maps(entries: list[tuple[int | str, GlimpseStack]], path: str | Path) -> None:
-    """NDJSON rows {qa_id, glimpse, h, w, mask, values(row-major)}."""
-    with open(path, "w", encoding="utf-8") as fp:
-        for qa_id, stack in entries:
-            for row in stack_to_rows(qa_id, stack):
-                fp.write(json.dumps(row, separators=(", ", ": ")))
-                fp.write("\n")
-
-
 def read_maps(path: str | Path) -> list[dict]:
     """Rows with 'values' reshaped into (h, w) float64 arrays."""
     rows = []

@@ -1,6 +1,10 @@
 """WordNet-backed lexicon: WNDB file parsing, morphy lemmatization, synset
 lookup, alias tables, and the pairwise word-match predicate used by the miner.
 
+Each distinct word is compiled once into a ``WordSignature`` (its lemmas,
+synsets and alias sets), so that matching two words is a few equality and
+set-disjointness tests.
+
 The lexicon is built from the plain-text WNDB database files (``index.noun``,
 ``index.verb``, ``noun.exc``, ``verb.exc``) plus an optional alias file with
 one comma-separated equivalence class per line. After loading, a Lexicon is
@@ -85,6 +89,51 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+class WordSignature:
+    """Everything ``words_match`` compares about one word, computed once.
+
+    ``norm`` is the normalized word; ``noun`` and ``verb`` its morphy
+    lemmas; ``synsets`` the union of its noun and verb synset ids; ``forms``
+    the words looked up in the alias table (``norm`` and its lemmas);
+    ``aliases`` the union of their alias sets.
+    """
+
+    # slot attributes read faster than NamedTuple fields on the match path
+    __slots__ = ("norm", "noun", "verb", "synsets", "forms", "aliases")
+
+    def __init__(self, norm: str, noun: str | None, verb: str | None,
+                 synsets: frozenset[str], forms: tuple[str, ...],
+                 aliases: frozenset[str]) -> None:
+        self.norm = norm
+        self.noun = noun
+        self.verb = verb
+        self.synsets = synsets
+        self.forms = forms
+        self.aliases = aliases
+
+
+_EMPTY: frozenset[str] = frozenset()
+_BLANK = WordSignature("", None, None, _EMPTY, (), _EMPTY)
+_RESULTS = {condition: MatchResult(condition is not MatchCondition.NONE, condition)
+            for condition in MatchCondition}
+
+
+def match_signatures(s1: WordSignature, s2: WordSignature) -> MatchResult:
+    """The first satisfied rule in the order RAW < LEMMA < SYNSET < ALIAS."""
+    if not s1.norm or not s2.norm:
+        return NO_MATCH
+    if s1.norm == s2.norm:
+        return _RESULTS[MatchCondition.RAW]
+    if ((s1.noun is not None and s1.noun == s2.noun)
+            or (s1.verb is not None and s1.verb == s2.verb)):
+        return _RESULTS[MatchCondition.LEMMA]
+    if not s1.synsets.isdisjoint(s2.synsets):
+        return _RESULTS[MatchCondition.SYNSET]
+    if not s1.aliases.isdisjoint(s2.forms):
+        return _RESULTS[MatchCondition.ALIAS]
+    return NO_MATCH
+
+
 @dataclass
 class Lexicon:
     """Parsed WordNet indices, exception maps, and the alias table.
@@ -99,10 +148,8 @@ class Lexicon:
     verb_exceptions: dict[str, str] = field(default_factory=dict)
     aliases: dict[str, set[str]] = field(default_factory=dict)
     skipped_lines: int = 0
-    # memos over the immutable tables; benign to race, never serialized
-    _morphy_cache: dict[tuple[str, Pos], str | None] = field(
-        default_factory=dict, repr=False, compare=False)
-    _synset_cache: dict[tuple[str, Pos], frozenset[str]] = field(
+    # word -> its compiled signature; load_aliases clears it, never serialized
+    _signatures: dict[str, WordSignature] = field(
         default_factory=dict, repr=False, compare=False)
 
     def _index(self, pos: Pos) -> dict[str, list[str]]:
@@ -129,16 +176,9 @@ class Lexicon:
         itself if it is in the index. None when nothing resolves.
         """
         word = normalize_token(word)
-        if not word:
-            return None
-        key = (word, pos)
-        if key in self._morphy_cache:
-            return self._morphy_cache[key]
-        result = self._morphy_uncached(word, pos)
-        self._morphy_cache[key] = result
-        return result
+        return self._base_form(word, pos) if word else None
 
-    def _morphy_uncached(self, word: str, pos: Pos) -> str | None:
+    def _base_form(self, word: str, pos: Pos) -> str | None:
         exc = self._exceptions(pos).get(word)
         if exc is not None:
             return exc
@@ -151,60 +191,71 @@ class Lexicon:
             return word
         return None
 
+    def _lemmas(self, word: str) -> tuple[str | None, str | None]:
+        """Noun and verb base forms of an already normalized word."""
+        if not word:
+            return None, None
+        return self._base_form(word, Pos.NOUN), self._base_form(word, Pos.VERB)
+
     def synsets(self, word: str, pos: Pos) -> frozenset[str]:
         """Synset ids of ``word`` and, when different, of its morphy lemma."""
         word = normalize_token(word)
-        key = (word, pos)
-        cached = self._synset_cache.get(key)
-        if cached is not None:
-            return cached
         ids = set(self._index_ids(word, pos))
         lemma = self.morphy(word, pos)
         if lemma is not None and lemma != word:
             ids.update(self._index_ids(lemma, pos))
-        result = frozenset(ids)
-        self._synset_cache[key] = result
-        return result
+        return frozenset(ids)
+
+    def signature(self, word: str) -> WordSignature:
+        """The compiled signature of ``word``, built on first use."""
+        sig = self._signatures.get(word)
+        if sig is None:
+            sig = self._signatures[word] = self._compile(word)
+        return sig
+
+    def _compile(self, word: str) -> WordSignature:
+        norm = normalize_token(word)
+        if not norm:
+            return _BLANK
+        # Lemmas and synsets are those morphy() and synsets() give for norm.
+        # Both normalize their argument again, and normalize_token is not
+        # idempotent (". ' dog" -> "' dog" -> "dog"): the lemmas come from
+        # ``base``, the lemmas synsets() adds from ``base`` normalized again.
+        base = normalize_token(norm)
+        lemmas = self._lemmas(base)
+        again = base if base == norm else normalize_token(base)
+        synset_lemmas = lemmas if again == base else self._lemmas(again)
+        ids: set[str] = set()
+        for pos, lemma in zip((Pos.NOUN, Pos.VERB), synset_lemmas):
+            ids.update(self._index_ids(base, pos))
+            if lemma is not None and lemma != base:
+                ids.update(self._index_ids(lemma, pos))
+        forms = (norm,) + tuple(lemma for lemma in lemmas if lemma is not None)
+        aliases: set[str] = set()
+        for form in forms:
+            aliases.update(self.aliases.get(form, ()))
+        return WordSignature(norm, lemmas[0], lemmas[1],
+                             frozenset(ids) if ids else _EMPTY, forms,
+                             frozenset(aliases) if aliases else _EMPTY)
 
     def has_entry(self, word: str, pos: Pos | None = None) -> bool:
         """True when the word (directly or via morphy) is in the index."""
-        poses = (pos,) if pos is not None else (Pos.NOUN, Pos.VERB)
-        return any(self.morphy(word, p) is not None for p in poses)
+        sig = self.signature(word)
+        if normalize_token(sig.norm) == sig.norm:
+            noun, verb = sig.noun, sig.verb
+        else:  # morphy sees ``sig.norm`` itself, not its signature's ``base``
+            noun, verb = self._lemmas(sig.norm)
+        if pos is None:
+            return noun is not None or verb is not None
+        return (noun if pos is Pos.NOUN else verb) is not None
 
-    def words_match(self, w1: str, w2: str, pos_hint: Pos | None = None) -> MatchResult:
+    def words_match(self, w1: str, w2: str) -> MatchResult:
         """Match two tokens by raw text, lemma, synset overlap, or alias.
 
         The reported condition is the first satisfied rule in the order
         RAW < LEMMA < SYNSET < ALIAS. Symmetric in its arguments.
         """
-        n1, n2 = normalize_token(w1), normalize_token(w2)
-        if not n1 or not n2:
-            return NO_MATCH
-        if n1 == n2:
-            return MatchResult(True, MatchCondition.RAW)
-
-        poses = (pos_hint,) if pos_hint is not None else (Pos.NOUN, Pos.VERB)
-        lemmas1 = {p: self.morphy(n1, p) for p in poses}
-        lemmas2 = {p: self.morphy(n2, p) for p in poses}
-        for p in poses:
-            if lemmas1[p] is not None and lemmas1[p] == lemmas2[p]:
-                return MatchResult(True, MatchCondition.LEMMA)
-
-        syns1: set[str] = set()
-        syns2: set[str] = set()
-        for p in poses:
-            syns1 |= self.synsets(n1, p)
-            syns2 |= self.synsets(n2, p)
-        if syns1 & syns2:
-            return MatchResult(True, MatchCondition.SYNSET)
-
-        forms1 = {n1} | {l for l in lemmas1.values() if l is not None}
-        forms2 = {n2} | {l for l in lemmas2.values() if l is not None}
-        for a in forms1:
-            others = self.aliases.get(a)
-            if others and not others.isdisjoint(forms2):
-                return MatchResult(True, MatchCondition.ALIAS)
-        return NO_MATCH
+        return match_signatures(self.signature(w1), self.signature(w2))
 
 
 def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
@@ -288,6 +339,7 @@ def load_aliases(lexicon: Lexicon, path: str | Path) -> Lexicon:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LexiconError(f"cannot read alias file {path}: {exc}") from exc
+    lexicon._signatures.clear()  # signatures carry alias sets
     for line in text.splitlines():
         names = [normalize_token(part) for part in line.split(",")]
         names = [n for n in names if n]

@@ -11,6 +11,11 @@ Pipeline per triplet:
      with a greedy IoU filter;
   4. for counting questions, drop the region boxes after the object boxes
      have been extracted under their containment constraint.
+
+Words are compared through their compiled ``WordSignature`` (see
+``vgmine.lexicon``). The informative words of a region phrase are extracted
+once per image, and each distinct annotation word or object name is matched
+against the query words once per triplet.
 """
 
 from __future__ import annotations
@@ -20,7 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
-from .lexicon import Lexicon, MatchCondition, Pos, normalize_token, tokenize
+from .lexicon import (Lexicon, MatchCondition, WordSignature, match_signatures,
+                      normalize_token, tokenize)
 
 DEFAULT_STOPWORDS = frozenset({
     "a", "an", "the", "is", "are", "was", "were", "be", "been", "do", "does",
@@ -31,6 +37,10 @@ DEFAULT_COUNTING_PREFIXES = ("how many", "what number of", "count")
 
 # (query word, annotation word, condition name)
 MatchedWord = tuple[str, str, str]
+# a word with its compiled signature
+_Word = tuple[str, WordSignature]
+
+_CONDITION_NAMES = {condition: condition.name.lower() for condition in MatchCondition}
 
 
 @dataclass(frozen=True)
@@ -59,8 +69,7 @@ class GroundingLabel:
 
 
 def informative_words(text: str, lexicon: Lexicon,
-                      stopwords: frozenset[str] = DEFAULT_STOPWORDS,
-                      pos: Pos | None = None) -> list[str]:
+                      stopwords: frozenset[str] = DEFAULT_STOPWORDS) -> list[str]:
     """Deduplicated tokens that pass the stopword filter and have a noun or
     verb lexicon entry (directly or via morphy); order of first appearance."""
     words: list[str] = []
@@ -70,66 +79,11 @@ def informative_words(text: str, lexicon: Lexicon,
         if not token or token in seen or token in stopwords:
             continue
         seen.add(token)
-        if lexicon.has_entry(token, pos):
+        # a regex token normalizes to itself, so these are morphy's lemmas
+        sig = lexicon.signature(token)
+        if sig.noun is not None or sig.verb is not None:
             words.append(token)
     return words
-
-
-def match_count(annotation_text: str, question: str, answer: str,
-                lexicon: Lexicon, cfg: MinerConfig) -> tuple[int, list[MatchedWord]]:
-    """Count distinct informative annotation words matching any informative
-    word of question or answer; each annotation word counts at most once."""
-    query_words = _query_words(question, answer, lexicon, cfg)
-    return _match_against(annotation_text, query_words, lexicon, cfg)
-
-
-def _query_words(question: str, answer: str, lexicon: Lexicon,
-                 cfg: MinerConfig, pos: Pos | None = None) -> list[str]:
-    words = informative_words(question, lexicon, cfg.stopwords, pos)
-    for w in informative_words(answer, lexicon, cfg.stopwords, pos):
-        if w not in words:
-            words.append(w)
-    return words
-
-
-def _match_against(annotation_text: str, query_words: list[str],
-                   lexicon: Lexicon, cfg: MinerConfig) -> tuple[int, list[MatchedWord]]:
-    matches: list[MatchedWord] = []
-    for ann_word in informative_words(annotation_text, lexicon, cfg.stopwords):
-        for query_word in query_words:
-            result = lexicon.words_match(query_word, ann_word)
-            if result.matched:
-                matches.append((query_word, ann_word, result.condition.name.lower()))
-                break
-    return len(matches), matches
-
-
-def select_regions(triplet: QaTriplet, regions: list[RegionAnnotation],
-                   lexicon: Lexicon, cfg: MinerConfig) -> list[RegionAnnotation]:
-    """All regions achieving the maximum match count, when that count
-    reaches ``min_region_matches``; empty list otherwise."""
-    selected, _, _ = _score_regions(triplet, regions, lexicon, cfg)
-    return selected
-
-
-def _score_regions(triplet: QaTriplet, regions: list[RegionAnnotation],
-                   lexicon: Lexicon, cfg: MinerConfig
-                   ) -> tuple[list[RegionAnnotation], int, list[MatchedWord]]:
-    query_words = _query_words(triplet.question, triplet.answer, lexicon, cfg)
-    best = 0
-    scored: list[tuple[RegionAnnotation, int, list[MatchedWord]]] = []
-    for region in regions:
-        count, matches = _match_against(region.phrase, query_words, lexicon, cfg)
-        scored.append((region, count, matches))
-        best = max(best, count)
-    if best < cfg.min_region_matches:
-        return [], best, []
-    selected = [region for region, count, _ in scored if count == best]
-    matched: list[MatchedWord] = []
-    for _, count, matches in scored:
-        if count == best:
-            matched.extend(matches)
-    return selected, best, matched
 
 
 def is_counting_question(question: str, cfg: MinerConfig) -> bool:
@@ -137,36 +91,88 @@ def is_counting_question(question: str, cfg: MinerConfig) -> bool:
     return normalized.startswith(cfg.counting_prefixes)
 
 
-def select_objects(triplet: QaTriplet, objects: list[ObjectAnnotation],
-                   selected_regions: list[RegionAnnotation],
-                   lexicon: Lexicon, cfg: MinerConfig
-                   ) -> list[ObjectAnnotation]:
-    kept, _ = _score_objects(triplet, objects, selected_regions, lexicon, cfg)
-    return kept
+def _signed(words: list[str], lexicon: Lexicon) -> list[_Word]:
+    return [(word, lexicon.signature(word)) for word in words]
 
 
-def _score_objects(triplet: QaTriplet, objects: list[ObjectAnnotation],
-                   selected_regions: list[RegionAnnotation],
-                   lexicon: Lexicon, cfg: MinerConfig
+def _query_words(triplet: QaTriplet, lexicon: Lexicon, cfg: MinerConfig) -> list[_Word]:
+    """Informative words of the question, then those of the answer that the
+    question lacks."""
+    words = informative_words(triplet.question, lexicon, cfg.stopwords)
+    for word in informative_words(triplet.answer, lexicon, cfg.stopwords):
+        if word not in words:
+            words.append(word)
+    return _signed(words, lexicon)
+
+
+def _score_regions(regions: list[RegionAnnotation], phrase_words: dict[str, list[_Word]],
+                   query: list[_Word], lexicon: Lexicon, cfg: MinerConfig
+                   ) -> tuple[list[RegionAnnotation], int, list[MatchedWord]]:
+    """All regions achieving the maximum match count, when that count
+    reaches ``min_region_matches``, with the count and their matched words.
+
+    A region's count is the number of its distinct informative words that
+    match some query word; each is paired with the first such query word.
+    ``phrase_words`` memoizes the informative words of the image's phrases.
+    """
+    first_match: dict[str, MatchedWord | None] = {}
+    best = 0
+    scored: list[tuple[RegionAnnotation, list[MatchedWord]]] = []
+    for region in regions:
+        words = phrase_words.get(region.phrase)
+        if words is None:
+            words = phrase_words[region.phrase] = _signed(
+                informative_words(region.phrase, lexicon, cfg.stopwords), lexicon)
+        matches: list[MatchedWord] = []
+        for ann_word, ann_sig in words:
+            if ann_word in first_match:
+                match = first_match[ann_word]
+            else:
+                match = first_match[ann_word] = _first_match(query, ann_word, ann_sig)
+            if match is not None:
+                matches.append(match)
+        scored.append((region, matches))
+        best = max(best, len(matches))
+    if best < cfg.min_region_matches:
+        return [], best, []
+    selected = [region for region, matches in scored if len(matches) == best]
+    matched = [m for _, matches in scored if len(matches) == best for m in matches]
+    return selected, best, matched
+
+
+def _first_match(query: list[_Word], ann_word: str, ann_sig: WordSignature
+                 ) -> MatchedWord | None:
+    for query_word, query_sig in query:
+        condition = match_signatures(query_sig, ann_sig).condition
+        if condition is not MatchCondition.NONE:
+            return query_word, ann_word, _CONDITION_NAMES[condition]
+    return None
+
+
+def _score_objects(objects: list[ObjectAnnotation], selected_regions: list[RegionAnnotation],
+                   query_nouns: list[_Word], lexicon: Lexicon, cfg: MinerConfig
                    ) -> tuple[list[ObjectAnnotation], list[MatchedWord]]:
-    query_nouns = _query_words(triplet.question, triplet.answer, lexicon, cfg,
-                               pos=Pos.NOUN)
-    candidates: list[tuple[ObjectAnnotation, MatchCondition, MatchedWord]] = []
+    """Objects with a name matching a query noun (inside a selected region
+    when there are any), best condition first, then larger boxes first,
+    greedily deduplicated by IoU."""
+    best_by_name: dict[str, tuple[int, MatchedWord] | None] = {}
+    candidates: list[tuple[ObjectAnnotation, int, MatchedWord]] = []
     for obj in objects:
-        best: tuple[MatchCondition, MatchedWord] | None = None
+        best: tuple[int, MatchedWord] | None = None
         for name in obj.names:
-            for query_word in query_nouns:
-                result = lexicon.words_match(query_word, normalize_token(name))
-                if result.matched and (best is None or result.condition.value < best[0].value):
-                    best = (result.condition, (query_word, normalize_token(name),
-                                               result.condition.name.lower()))
+            if name in best_by_name:
+                found = best_by_name[name]
+            else:
+                found = best_by_name[name] = _best_noun_match(query_nouns, name, lexicon)
+            if found is not None and (best is None or found[0] < best[0]):
+                best = found
         if best is None:
             continue
         if selected_regions and not _inside_some_region(obj.box, selected_regions, cfg):
             continue
         candidates.append((obj, best[0], best[1]))
 
-    candidates.sort(key=lambda item: (item[1].value, -item[0].box.area()))
+    candidates.sort(key=lambda item: (item[1], -item[0].box.area()))
     kept: list[ObjectAnnotation] = []
     matched: list[MatchedWord] = []
     for obj, _, match in candidates:
@@ -175,6 +181,20 @@ def _score_objects(triplet: QaTriplet, objects: list[ObjectAnnotation],
         kept.append(obj)
         matched.append(match)
     return kept, matched
+
+
+def _best_noun_match(query_nouns: list[_Word], name: str, lexicon: Lexicon
+                     ) -> tuple[int, MatchedWord] | None:
+    """The lowest match condition of an object name over the query nouns
+    (the first query noun reaching it), as (condition rank, matched word)."""
+    name = normalize_token(name)
+    name_sig = lexicon.signature(name)
+    best: tuple[int, MatchedWord] | None = None
+    for query_word, query_sig in query_nouns:
+        condition = match_signatures(query_sig, name_sig).condition
+        if condition is not MatchCondition.NONE and (best is None or condition.value < best[0]):
+            best = (condition.value, (query_word, name, _CONDITION_NAMES[condition]))
+    return best
 
 
 def _inside_some_region(box: BoundingBox, regions: list[RegionAnnotation],
@@ -191,13 +211,19 @@ def mine(dataset: Dataset, lexicon: Lexicon, cfg: MinerConfig | None = None
     in input triplet order. Counting questions keep only object boxes."""
     cfg = cfg or MinerConfig()
     labels: list[GroundingLabel] = []
+    image_id: object = object()
+    phrase_words: dict[str, list[_Word]] = {}
     for triplet in dataset.triplets:
+        if triplet.image_id != image_id:  # phrases are reused within an image
+            image_id, phrase_words = triplet.image_id, {}
         regions = dataset.regions_by_image.get(triplet.image_id, [])
         objects = dataset.objects_by_image.get(triplet.image_id, [])
+        query = _query_words(triplet, lexicon, cfg)
+        query_nouns = [(word, sig) for word, sig in query if sig.noun is not None]
         selected_regions, best, region_matches = _score_regions(
-            triplet, regions, lexicon, cfg)
+            regions, phrase_words, query, lexicon, cfg)
         selected_objects, object_matches = _score_objects(
-            triplet, objects, selected_regions, lexicon, cfg)
+            objects, selected_regions, query_nouns, lexicon, cfg)
         counting = is_counting_question(triplet.question, cfg)
         region_boxes = [] if counting else [r.box for r in selected_regions]
         object_boxes = [o.box for o in selected_objects]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 log = logging.getLogger(__name__)
 
@@ -23,6 +23,7 @@ class Schedule:
     t_max: int
     mode: str = MODE_COSINE
     fixed_value: float = 1.0
+    _clamp_warned: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.t_max < 1:
@@ -35,13 +36,16 @@ class Schedule:
     def alpha(self, t: int) -> float:
         """Attention-loss weight at step t: 0.5*(1 + cos(pi*t/t_max)) for
         cosine decay, the fixed value otherwise. Steps past t_max clamp
-        to 0 (decay complete)."""
+        to 0 (decay complete), with one warning per schedule."""
         if t < 0:
             raise ValueError("step must be >= 0")
         if self.mode == MODE_FIXED:
             return self.fixed_value
         if t > self.t_max:
-            log.warning("step %d past t_max=%d; alpha clamped to 0", t, self.t_max)
+            if not self._clamp_warned:
+                log.warning("step %d past t_max=%d; alpha clamped to 0 from here on",
+                            t, self.t_max)
+                object.__setattr__(self, "_clamp_warned", True)
             return 0.0
         return 0.5 * (1.0 + math.cos(math.pi * t / self.t_max))
 

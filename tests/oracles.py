@@ -3,8 +3,10 @@
 Everything here recomputes results through a different route than the
 library: per-cell coverage tests instead of array slicing, literal
 pair-enumeration mining instead of the pipeline, plain summation loops
-instead of vectorized math. Only the Lexicon queries (the word-match
-predicate, tested on its own) are shared with the code under test.
+instead of vectorized math. The reference miner shares the Lexicon queries
+with the code under test; the word-match predicate itself is checked
+against ``reference_words_match``, which spells it out from morphy, synsets
+and the alias table instead of the compiled word signatures.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from vgmine.attention import AttentionMap, GlimpseStack
 from vgmine.dataset import Dataset
-from vgmine.lexicon import Lexicon, Pos
+from vgmine.lexicon import Lexicon, MatchCondition, Pos, normalize_token
 from vgmine.miner import MinerConfig
 from vgmine.toymodel import ToyConfig, ToyModelParams, ToySample, loss_and_grads
 
@@ -147,6 +149,33 @@ def finite_difference_check(params, sample, schedule, t):
             np.linalg.norm(numeric), np.linalg.norm(gflat), 1e-8)
         max_tensor_rel = max(max_tensor_rel, norm_rel)
     return max_entry_rel, max_tensor_rel
+
+
+# --- four-condition word match ---------------------------------------------
+
+def reference_words_match(lex: Lexicon, w1: str, w2: str) -> MatchCondition:
+    """The first rule that holds, in the order RAW < LEMMA < SYNSET < ALIAS,
+    with every lemma, synset set and alias set looked up afresh."""
+    n1, n2 = normalize_token(w1), normalize_token(w2)
+    if not n1 or not n2:
+        return MatchCondition.NONE
+    if n1 == n2:
+        return MatchCondition.RAW
+    poses = (Pos.NOUN, Pos.VERB)
+    lemmas1 = [lex.morphy(n1, p) for p in poses]
+    lemmas2 = [lex.morphy(n2, p) for p in poses]
+    if any(a is not None and a == b for a, b in zip(lemmas1, lemmas2)):
+        return MatchCondition.LEMMA
+    syns1 = set().union(*(lex.synsets(n1, p) for p in poses))
+    syns2 = set().union(*(lex.synsets(n2, p) for p in poses))
+    if syns1 & syns2:
+        return MatchCondition.SYNSET
+    forms1 = {n1} | {lemma for lemma in lemmas1 if lemma is not None}
+    forms2 = {n2} | {lemma for lemma in lemmas2 if lemma is not None}
+    for form in forms1:
+        if lex.aliases.get(form, set()) & forms2:
+            return MatchCondition.ALIAS
+    return MatchCondition.NONE
 
 
 # --- literal reference miner ----------------------------------------------

@@ -267,6 +267,14 @@ class TestTrainToy:
         assert len(lines) == 2  # header + step 0
         assert lines[1].startswith("0,")
 
+    def test_steps_past_t_max_warn_once(self, run_cli, tmp_path, caplog):
+        with caplog.at_level("WARNING", logger="vgmine.schedule"):
+            code, _, _ = run_cli("train-toy", "--steps", 50, "--t-max", 10,
+                                 "--metrics-out", tmp_path / "m.csv")
+        assert code == 0
+        assert [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()] \
+            == ["step 11 past t_max=10; alpha clamped to 0 from here on"]
+
     def test_invalid_config_exit_2(self, run_cli, tmp_path):
         code, _, err = run_cli("train-toy", "--learning-rate", 0,
                                "--metrics-out", tmp_path / "m.csv")

@@ -14,12 +14,25 @@ from vgmine.lexicon import (
 )
 
 from conftest import ALIASES, WORDNET_DIR
+from oracles import reference_words_match
 
 VOCAB = st.sampled_from([
     "man", "men", "person", "people", "car", "cars", "automobile", "dog",
     "cat", "talk", "talking", "bench", "benches", "kid", "child", "children",
     "qzxv", "blorp", "the", "doing", "bike", "bicycle",
 ])
+
+# Mixed case, surrounding punctuation and whitespace. normalize_token is not
+# idempotent (". ' dog" -> "' dog" -> "dog"), and morphy and synsets
+# normalize their argument once more than words_match does.
+PUNCTUATED = st.one_of(
+    st.sampled_from([". ' dog", "Dogs.", '" car', "", ". ' \" men", " Talking ",
+                     "'people'", "CARS", ". , bench", "?"]),
+    st.builds(lambda prefix, word, suffix, upper: prefix + (word.upper() if upper else word)
+              + suffix,
+              st.sampled_from(["", ". ", "' ", '"', ". ' ", "( "]), VOCAB,
+              st.sampled_from(["", ".", "s", "?", " .", "es"]), st.booleans()),
+)
 
 
 class TestLoadWordnet:
@@ -100,6 +113,16 @@ class TestLoadAliases:
         load_aliases(lex, empty)
         assert lex.aliases == {}
 
+    def test_loading_aliases_invalidates_compiled_words(self):
+        lex = load_wordnet(WORDNET_DIR)
+        assert lex.words_match("people", "men").condition is MatchCondition.NONE
+        load_aliases(lex, ALIASES)
+        assert lex.words_match("people", "men").condition is MatchCondition.ALIAS
+        aliases = {word: set(others) for word, others in lex.aliases.items()}
+        load_aliases(lex, ALIASES)
+        assert lex.aliases == aliases
+        assert lex.words_match("people", "men").condition is MatchCondition.ALIAS
+
     def test_idempotent_on_repeated_load(self):
         a = load_aliases(load_wordnet(WORDNET_DIR), ALIASES).aliases
         lex = load_wordnet(WORDNET_DIR)
@@ -179,6 +202,19 @@ class TestWordsMatch:
     def test_self_match_is_raw(self, lexicon, word):
         result = lexicon.words_match(word, word)
         assert result.matched and result.condition is MatchCondition.RAW
+
+    @given(w1=st.one_of(VOCAB, PUNCTUATED), w2=st.one_of(VOCAB, PUNCTUATED))
+    @settings(max_examples=300)
+    def test_agrees_with_reference_predicate(self, lexicon, w1, w2):
+        result = lexicon.words_match(w1, w2)
+        assert result.condition is reference_words_match(lexicon, w1, w2)
+        assert result.matched is (result.condition is not MatchCondition.NONE)
+
+    @given(word=st.one_of(VOCAB, PUNCTUATED), pos=st.sampled_from([None, Pos.NOUN, Pos.VERB]))
+    def test_has_entry_agrees_with_morphy(self, lexicon, word, pos):
+        poses = (pos,) if pos is not None else (Pos.NOUN, Pos.VERB)
+        expected = any(lexicon.morphy(word, p) is not None for p in poses)
+        assert lexicon.has_entry(word, pos) is expected
 
     @given(w1=VOCAB, w2=VOCAB)
     @settings(max_examples=60)

@@ -10,11 +10,8 @@ from vgmine.miner import (
     informative_words,
     is_counting_question,
     label_to_dict,
-    match_count,
     mine,
     read_labels,
-    select_objects,
-    select_regions,
     write_labels,
 )
 
@@ -26,6 +23,19 @@ CFG = MinerConfig()
 
 def _triplet(question, answer, image_id=1, qa_id=900, width=640, height=480):
     return QaTriplet(qa_id, image_id, question, answer, width, height)
+
+
+def _mine_one(lexicon, question, answer, regions=(), objects=(), cfg=CFG):
+    """The labels mined for one triplet on an image with the given
+    regions and objects (an empty list when the triplet yields no boxes)."""
+    dataset = Dataset(triplets=[_triplet(question, answer)],
+                      regions_by_image={1: list(regions)},
+                      objects_by_image={1: list(objects)})
+    return mine(dataset, lexicon, cfg)
+
+
+def _region(region_id, phrase, box=BoundingBox(0, 0, 9, 9)):
+    return RegionAnnotation(region_id, phrase, box)
 
 
 class TestInformativeWords:
@@ -48,50 +58,52 @@ class TestInformativeWords:
 
 
 class TestMatchCount:
+    """A region's count: its distinct informative words matching a query word."""
+
     def test_fig3a_region_counts_two(self, lexicon):
-        count, matches = match_count("men talking on a bench",
-                                     "What are the people doing?", "Talking",
-                                     lexicon, CFG)
-        assert count == 2
-        assert ("people", "men", "alias") in matches
-        assert ("talking", "talking", "raw") in matches
+        [label] = _mine_one(lexicon, "What are the people doing?", "Talking",
+                            [_region(1, "men talking on a bench")])
+        assert label.region_match_count == 2
+        assert ("people", "men", "alias") in label.matched_words
+        assert ("talking", "talking", "raw") in label.matched_words
 
     def test_annotation_equal_to_question(self, lexicon):
         question = "what are the people doing?"
-        count, _ = match_count(question, question, "", lexicon, CFG)
-        assert count == len(informative_words(question, lexicon))
+        [label] = _mine_one(lexicon, question, "", [_region(1, question)],
+                            cfg=MinerConfig(min_region_matches=1))
+        assert label.region_match_count == len(informative_words(question, lexicon))
 
     def test_no_informative_words(self, lexicon):
-        count, matches = match_count("a is the", "What are the people doing?",
-                                     "Talking", lexicon, CFG)
-        assert count == 0 and matches == []
+        # the object keeps the label; the region contributes nothing
+        [label] = _mine_one(lexicon, "What are the people doing?", "Talking",
+                            [_region(1, "a is the")],
+                            [ObjectAnnotation(2, ("man",), BoundingBox(0, 0, 9, 9))])
+        assert label.region_match_count == 0 and label.region_boxes == []
+        assert label.matched_words == [("people", "man", "alias")]
 
     def test_each_annotation_word_counted_once(self, lexicon):
-        count, _ = match_count("dog dog dog", "where is the dog?", "dog",
-                               lexicon, CFG)
-        assert count == 1
+        [label] = _mine_one(lexicon, "where is the dog?", "dog",
+                            [_region(1, "dog dog dog")],
+                            cfg=MinerConfig(min_region_matches=1))
+        assert label.region_match_count == 1
 
 
 class TestSelectRegions:
     def test_fig3a_best_region_wins(self, lexicon, fig3_dataset):
-        triplet = fig3_dataset.triplets[0]
+        label = next(lab for lab in mine(fig3_dataset, lexicon, CFG) if lab.qa_id == "qa1")
         regions = fig3_dataset.regions_by_image[1]
-        selected = select_regions(triplet, regions, lexicon, CFG)
-        assert [r.region_id for r in selected] == [101]
+        assert label.region_boxes == [next(r.box for r in regions if r.region_id == 101)]
 
     def test_all_below_threshold_gives_empty(self, lexicon):
-        triplet = _triplet("What are the people doing?", "Talking")
-        regions = [RegionAnnotation(1, "a man", BoundingBox(0, 0, 9, 9)),
-                   RegionAnnotation(2, "a tree", BoundingBox(0, 0, 9, 9))]
-        assert select_regions(triplet, regions, lexicon, CFG) == []
+        regions = [_region(1, "a man"), _region(2, "a tree")]
+        assert _mine_one(lexicon, "What are the people doing?", "Talking", regions) == []
 
     def test_ties_all_kept(self, lexicon):
-        triplet = _triplet("What are the people doing?", "Talking")
-        regions = [RegionAnnotation(1, "men talking", BoundingBox(0, 0, 9, 9)),
-                   RegionAnnotation(2, "people talk", BoundingBox(5, 5, 19, 19)),
-                   RegionAnnotation(3, "a tree", BoundingBox(0, 0, 9, 9))]
-        selected = select_regions(triplet, regions, lexicon, CFG)
-        assert [r.region_id for r in selected] == [1, 2]
+        regions = [_region(1, "men talking"),
+                   _region(2, "people talk", BoundingBox(5, 5, 19, 19)),
+                   _region(3, "a tree")]
+        [label] = _mine_one(lexicon, "What are the people doing?", "Talking", regions)
+        assert label.region_boxes == [regions[0].box, regions[1].box]
 
 
 class TestIsCountingQuestion:
@@ -109,41 +121,36 @@ class TestIsCountingQuestion:
 
 class TestSelectObjects:
     def test_fig3b_person_boxes_with_duplicate_collapsed(self, lexicon, fig3_dataset):
-        triplet = fig3_dataset.triplets[1]
-        regions = fig3_dataset.regions_by_image[1]
-        objects = fig3_dataset.objects_by_image[1]
-        selected_regions = select_regions(triplet, regions, lexicon, CFG)
-        kept = select_objects(triplet, objects, selected_regions, lexicon, CFG)
-        assert [o.object_id for o in kept] == [202, 201]
+        label = next(lab for lab in mine(fig3_dataset, lexicon, CFG) if lab.qa_id == "qa2")
+        boxes = {o.object_id: o.box for o in fig3_dataset.objects_by_image[1]}
+        assert label.object_boxes == [boxes[202], boxes[201]]
 
     def test_no_name_matches_gives_empty(self, lexicon):
-        triplet = _triplet("Where is the dog?", "street")
         objects = [ObjectAnnotation(1, ("tree",), BoundingBox(0, 0, 9, 9))]
-        assert select_objects(triplet, objects, [], lexicon, CFG) == []
+        assert _mine_one(lexicon, "Where is the dog?", "street", objects=objects) == []
 
     def test_identical_boxes_collapse_to_one(self, lexicon):
-        triplet = _triplet("Where is the dog?", "grass")
         box = BoundingBox(10, 10, 40, 40)
         objects = [ObjectAnnotation(1, ("dog",), box),
                    ObjectAnnotation(2, ("dog",), box)]
-        kept = select_objects(triplet, objects, [], lexicon, CFG)
-        assert len(kept) == 1
+        [label] = _mine_one(lexicon, "Where is the dog?", "grass", objects=objects)
+        assert len(label.object_boxes) == 1
 
     def test_center_containment_filters_outsiders(self, lexicon):
-        triplet = _triplet("What are the people doing?", "Talking")
-        region = RegionAnnotation(1, "men talking", BoundingBox(0, 0, 100, 100))
+        region = _region(1, "men talking", BoundingBox(0, 0, 100, 100))
         inside = ObjectAnnotation(1, ("man",), BoundingBox(80, 80, 120, 120))
         outside = ObjectAnnotation(2, ("man",), BoundingBox(90, 90, 200, 200))
-        kept = select_objects(triplet, [inside, outside], [region], lexicon, CFG)
-        assert [o.object_id for o in kept] == [1]
+        [label] = _mine_one(lexicon, "What are the people doing?", "Talking",
+                            [region], [inside, outside])
+        assert label.object_boxes == [inside.box]
 
     def test_full_containment_flag_is_stricter(self, lexicon):
         cfg = MinerConfig(center_containment=False)
-        triplet = _triplet("What are the people doing?", "Talking")
-        region = RegionAnnotation(1, "men talking", BoundingBox(0, 0, 100, 100))
+        region = _region(1, "men talking", BoundingBox(0, 0, 100, 100))
         straddling = ObjectAnnotation(1, ("man",), BoundingBox(80, 80, 120, 120))
-        kept = select_objects(triplet, [straddling], [region], lexicon, cfg)
-        assert kept == []
+        [label] = _mine_one(lexicon, "What are the people doing?", "Talking",
+                            [region], [straddling], cfg)
+        assert label.object_boxes == []
 
 
 class TestMine:

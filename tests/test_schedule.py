@@ -25,6 +25,15 @@ class TestAlpha:
             assert sched.alpha(11) == 0.0
         assert "clamped" in caplog.text
 
+    def test_clamp_warns_once_per_schedule(self, caplog):
+        sched = Schedule(t_max=10)
+        with caplog.at_level("WARNING", logger="vgmine.schedule"):
+            assert [sched.alpha(t) for t in range(11, 60)] == [0.0] * 49
+            assert len(caplog.records) == 1
+            Schedule(t_max=10).alpha(12)
+        assert len(caplog.records) == 2
+        assert all("clamped" in record.getMessage() for record in caplog.records)
+
     def test_fixed_mode_ignores_t(self):
         sched = Schedule(t_max=10, mode="fixed", fixed_value=0.25)
         assert sched.alpha(0) == sched.alpha(10) == 0.25
