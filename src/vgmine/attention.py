@@ -10,7 +10,6 @@ accuracy over ten reference answers.
 
 from __future__ import annotations
 
-import json
 import math
 import string
 from dataclasses import dataclass
@@ -20,6 +19,7 @@ import numpy as np
 
 from .dataset import BoundingBox, QaTriplet
 from .miner import GroundingLabel
+from .records import read_ndjson, round9
 
 DEFAULT_GRID = 14
 
@@ -213,10 +213,6 @@ def vqa_accuracy(pred: str, refs: list[str]) -> float:
 
 # --- serialization -------------------------------------------------------
 
-def _round9(value: float) -> float:
-    return float(f"{value:.9g}")
-
-
 def stack_to_rows(qa_id: int | str, stack: GlimpseStack) -> list[dict]:
     rows = []
     for g, amap in enumerate(stack.glimpses):
@@ -227,23 +223,22 @@ def stack_to_rows(qa_id: int | str, stack: GlimpseStack) -> list[dict]:
             "h": h,
             "w": w,
             "mask": stack.supervision_mask[g],
-            "values": [_round9(v) for v in amap.values.ravel().tolist()],
+            "values": [round9(v) for v in amap.values.ravel().tolist()],
         })
     return rows
 
 
+def _map_from_row(row: dict) -> dict:
+    """The fields a command reads, each required but 'mask' (default True),
+    with 'values' as an (h, w) float64 array."""
+    fields = {key: row[key] for key in ("qa_id", "glimpse", "h", "w")}
+    fields["mask"] = row.get("mask", True)
+    fields["values"] = np.asarray(row["values"], dtype=np.float64).reshape(row["h"], row["w"])
+    return fields
+
+
 def read_maps(path: str | Path) -> list[dict]:
-    """Rows with 'values' reshaped into (h, w) float64 arrays."""
-    rows = []
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            row["values"] = np.asarray(row["values"], dtype=np.float64).reshape(
-                row["h"], row["w"])
-            rows.append(row)
-    return rows
+    return read_ndjson(path, _map_from_row)
 
 
 def pgm_bytes(amap: AttentionMap) -> bytes:

@@ -10,9 +10,6 @@ version; equal inputs and flags give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import csv
-import hashlib
-import json
 import sys
 import traceback
 from pathlib import Path
@@ -30,8 +27,8 @@ from .attention import (
     vqa_accuracy,
     write_pgm,
 )
-from .dataset import DatasetError, QaTriplet, load_dataset
-from .lexicon import LexiconError, load_aliases, load_wordnet
+from .dataset import load_dataset, read_qa
+from .lexicon import load_aliases, load_wordnet
 from .miner import (
     DEFAULT_COUNTING_PREFIXES,
     DEFAULT_STOPWORDS,
@@ -40,6 +37,8 @@ from .miner import (
     read_labels,
     write_labels,
 )
+from .records import (InputError, fmt9, read_json, read_ndjson, write_csv, write_manifest,
+                      write_ndjson)
 from .schedule import Schedule
 from .toymodel import (
     ToyConfig,
@@ -51,36 +50,11 @@ from .toymodel import (
 )
 
 
-class InputError(Exception):
-    """Bad paths, malformed inputs, or inconsistent files (exit 2)."""
-
-
-def _digest(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _write_manifest(out_path: Path, command: str, config: dict,
-                    inputs: list[Path]) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "input_digests": {str(p): _digest(p) for p in sorted(inputs)},
-        "tool_version": __version__,
-    }
-    manifest_path = out_path.with_name(out_path.name + ".manifest.json")
-    manifest_path.write_text(json.dumps(manifest, indent=1, sort_keys=True) + "\n",
-                             encoding="utf-8")
-
-
 def _require_file(path: str, kind: str) -> Path:
     p = Path(path)
     if not p.is_file():
         raise InputError(f"{kind} not found: {p}")
     return p
-
-
-def _fmt(value: float) -> str:
-    return f"{value:.9g}"
 
 
 # --- mine ----------------------------------------------------------------
@@ -128,7 +102,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     labels = mine(dataset, lexicon, cfg)
     out = Path(args.out)
     write_labels(labels, out)
-    _write_manifest(out, "mine", {
+    write_manifest(out, "mine", {
         "iou_threshold": cfg.iou_threshold,
         "min_region_matches": cfg.min_region_matches,
         "stopwords": sorted(cfg.stopwords),
@@ -147,26 +121,23 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
     labels_path = _require_file(args.labels, "labels file")
     qa_path = _require_file(args.qa, "qa file")
     labels = read_labels(labels_path)
-    qa_raw = json.loads(qa_path.read_text(encoding="utf-8"))
-    triplets = {rec["qa_id"]: rec for rec in qa_raw}
+    triplets = {t.qa_id: t for t in read_qa(qa_path)}
     grid_h, grid_w = args.grid
     if grid_h < 1 or grid_w < 1:
         raise InputError("--grid dimensions must be >= 1")
 
-    out = Path(args.out)
-    with open(out, "w", encoding="utf-8") as fp:
+    def rows():
         for label in labels:
-            rec = triplets.get(label.qa_id)
-            if rec is None:
+            triplet = triplets.get(label.qa_id)
+            if triplet is None:
                 raise InputError(f"label qa_id {label.qa_id} missing from qa file")
-            triplet = QaTriplet(rec["qa_id"], rec["image_id"], rec["question"],
-                                rec["answer"], rec["image_width"], rec["image_height"])
-            stack = build_supervision(label, triplet, grid_h, grid_w)
-            for row in stack_to_rows(label.qa_id, stack):
-                fp.write(json.dumps(row, separators=(", ", ": ")))
-                fp.write("\n")
-    _write_manifest(out, "rasterize", {"grid": [grid_h, grid_w]},
-                    [labels_path, qa_path])
+            yield from stack_to_rows(label.qa_id,
+                                     build_supervision(label, triplet, grid_h, grid_w))
+
+    out = Path(args.out)
+    write_ndjson(out, rows())
+    write_manifest(out, "rasterize", {"grid": [grid_h, grid_w]},
+                   [labels_path, qa_path])
     return 0
 
 
@@ -175,7 +146,7 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
 def _keyed_maps(rows: list[dict]) -> dict[tuple, np.ndarray]:
     """Masked glimpses carry no supervision signal and are not evaluated."""
     return {(row["qa_id"], row["glimpse"]): row["values"]
-            for row in rows if row.get("mask", True)}
+            for row in rows if row["mask"]}
 
 
 def cmd_eval_rank(args: argparse.Namespace) -> int:
@@ -196,29 +167,19 @@ def cmd_eval_rank(args: argparse.Namespace) -> int:
         except AttentionError as exc:
             raise InputError(f"qa_id {key[0]} glimpse {key[1]}: {exc}") from exc
         total += corr
-        lines.append([str(key[0]), str(key[1]), _fmt(corr)])
-    lines.append(["mean", "", _fmt(total / len(common))])
-    _write_csv(lines, args.out)
+        lines.append([str(key[0]), str(key[1]), fmt9(corr)])
+    lines.append(["mean", "", fmt9(total / len(common))])
+    write_csv(args.out, lines)
     if args.out:
-        _write_manifest(Path(args.out), "eval-rank", {}, [path_a, path_b])
+        write_manifest(Path(args.out), "eval-rank", {}, [path_a, path_b])
     return 0
 
 
 def cmd_eval_acc(args: argparse.Namespace) -> int:
     preds_path = _require_file(args.preds, "predictions file")
     refs_path = _require_file(args.refs, "references file")
-    preds = {}
-    with open(preds_path, encoding="utf-8") as fp:
-        for line in fp:
-            if line.strip():
-                rec = json.loads(line)
-                preds[rec["qa_id"]] = rec["answer"]
-    refs = {}
-    with open(refs_path, encoding="utf-8") as fp:
-        for line in fp:
-            if line.strip():
-                rec = json.loads(line)
-                refs[rec["qa_id"]] = rec["answers"]
+    preds = dict(read_ndjson(preds_path, lambda rec: (rec["qa_id"], rec["answer"])))
+    refs = dict(read_ndjson(refs_path, lambda rec: (rec["qa_id"], rec["answers"])))
     common = sorted(set(preds) & set(refs), key=str)
     if not common:
         raise InputError("no common qa_ids between predictions and references")
@@ -231,20 +192,12 @@ def cmd_eval_acc(args: argparse.Namespace) -> int:
         except AttentionError as exc:
             raise InputError(f"qa_id {qa_id}: {exc}") from exc
         total += acc
-        lines.append([str(qa_id), _fmt(acc)])
-    lines.append(["mean", _fmt(total / len(common))])
-    _write_csv(lines, args.out)
+        lines.append([str(qa_id), fmt9(acc)])
+    lines.append(["mean", fmt9(total / len(common))])
+    write_csv(args.out, lines)
     if args.out:
-        _write_manifest(Path(args.out), "eval-acc", {}, [preds_path, refs_path])
+        write_manifest(Path(args.out), "eval-acc", {}, [preds_path, refs_path])
     return 0
-
-
-def _write_csv(lines: list[list[str]], out: str | None) -> None:
-    if out:
-        with open(out, "w", newline="", encoding="utf-8") as fp:
-            csv.writer(fp).writerows(lines)
-    else:
-        csv.writer(sys.stdout).writerows(lines)
 
 
 # --- train-toy -----------------------------------------------------------
@@ -266,10 +219,10 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         t_max = args.t_max if args.t_max is not None else max(args.steps, 1)
         schedule = Schedule(t_max=t_max, mode=args.alpha_mode,
                             fixed_value=args.alpha_value)
+        data = make_synthetic(cfg, args.samples, seed=args.data_seed)
     except ValueError as exc:
         raise InputError(str(exc)) from exc
 
-    data = make_synthetic(cfg, args.samples, seed=args.data_seed)
     params, metrics = train(data, cfg, schedule)
     metrics_out = Path(args.metrics_out)
     write_metrics(metrics, metrics_out)
@@ -282,12 +235,12 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         "t_max": schedule.t_max, "samples": args.samples,
         "data_seed": args.data_seed,
     }
-    _write_manifest(metrics_out, "train-toy", config_snapshot, [])
+    write_manifest(metrics_out, "train-toy", config_snapshot, [])
     if args.params_out:
         write_params(params, args.params_out)
     final = metrics[-1]
-    print(f"final: ce={_fmt(final.ce)} kl={_fmt(final.kl)} "
-          f"accuracy={_fmt(final.accuracy)} rank_corr={_fmt(final.rank_corr)}")
+    print(f"final: ce={fmt9(final.ce)} kl={fmt9(final.kl)} "
+          f"accuracy={fmt9(final.accuracy)} rank_corr={fmt9(final.rank_corr)}")
     return 0
 
 
@@ -295,15 +248,14 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     maps_path = _require_file(args.maps, "maps file")
+    rows = read_maps(maps_path)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    count = 0
-    for row in read_maps(maps_path):
+    for row in rows:
         amap = AttentionMap(row["values"])
         write_pgm(amap, out_dir / f"{row['qa_id']}_g{row['glimpse']}.pgm")
-        count += 1
-    _write_manifest(out_dir / "render", "render", {}, [maps_path])
-    print(f"rendered {count} maps to {out_dir}")
+    write_manifest(out_dir / "render", "render", {}, [maps_path])
+    print(f"rendered {len(rows)} maps to {out_dir}")
     return 0
 
 
@@ -395,10 +347,7 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     if idx + 1 >= len(argv):
         raise InputError("--config requires a path")
     config_path = _require_file(argv[idx + 1], "config file")
-    try:
-        config = json.loads(config_path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{config_path}: invalid JSON: {exc.msg}") from exc
+    config = read_json(config_path)
     if not isinstance(config, dict):
         raise InputError(f"{config_path}: expected a JSON object")
     defaults = {key.replace("-", "_"): value for key, value in config.items()}
@@ -416,7 +365,7 @@ def main(argv: list[str] | None = None) -> int:
         argv = _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (InputError, DatasetError, LexiconError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (AttentionError, ToyModelError) as exc:

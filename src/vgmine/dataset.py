@@ -14,12 +14,13 @@ and counted in the load report rather than dropped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
+from .records import InputError, read_json
 
-class DatasetError(Exception):
+
+class DatasetError(InputError):
     """Fatal problem reading or decoding an annotation file."""
 
 
@@ -98,18 +99,27 @@ class LoadReport:
     dropped_triplets: int = 0
 
 
-def _read_json(path: Path) -> list:
+def _read_array(path: Path) -> list:
     try:
-        text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise DatasetError(f"cannot read {path}: {exc}") from exc
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise DatasetError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
+        data = read_json(path)
+    except InputError as exc:
+        raise DatasetError(str(exc)) from exc
     if not isinstance(data, list):
         raise DatasetError(f"{path}: expected a top-level JSON array")
     return data
+
+
+def read_qa(path: str | Path) -> list[QaTriplet]:
+    """The QA records of one file, in file order."""
+    triplets = []
+    for index, rec in enumerate(_read_array(Path(path))):
+        try:
+            triplets.append(QaTriplet(rec["qa_id"], rec["image_id"], rec["question"],
+                                      rec["answer"], rec["image_width"],
+                                      rec["image_height"]))
+        except (KeyError, TypeError) as exc:
+            raise DatasetError(f"{path}: record {index}: bad QA record: {exc!r}") from exc
+    return triplets
 
 
 def _clamp_box(box: BoundingBox, width: int | None, height: int | None,
@@ -140,9 +150,9 @@ def load_dataset(regions_file: str | Path, objects_file: str | Path,
     image; annotation boxes for images never referenced by any QA row are
     kept unclamped (no bounds are known for them).
     """
-    regions_raw = _read_json(Path(regions_file))
-    objects_raw = _read_json(Path(objects_file))
-    qa_raw = _read_json(Path(qa_file))
+    regions_raw = _read_array(Path(regions_file))
+    objects_raw = _read_array(Path(objects_file))
+    qa_triplets = read_qa(qa_file)
     report = LoadReport()
     dataset = Dataset()
 
@@ -166,13 +176,11 @@ def load_dataset(regions_file: str | Path, objects_file: str | Path,
 
     known_images = set(dataset.regions_by_image) | set(dataset.objects_by_image)
     dims: dict[int | str, tuple[int, int]] = {}
-    for rec in qa_raw:
-        image_id = rec["image_id"]
+    for triplet in qa_triplets:
+        image_id = triplet.image_id
         if image_id not in known_images:
             report.dropped_triplets += 1
             continue
-        triplet = QaTriplet(rec["qa_id"], image_id, rec["question"], rec["answer"],
-                            rec["image_width"], rec["image_height"])
         dataset.triplets.append(triplet)
         dims.setdefault(image_id, (triplet.image_width, triplet.image_height))
         dataset.regions_by_image.setdefault(image_id, [])
@@ -237,56 +245,3 @@ def validate(dataset: Dataset) -> list[str]:
                 problems.append(f"empty names for object_id {o.object_id}")
             check_box(f"object_id {o.object_id}", o.box, dims.get(image_id))
     return problems
-
-
-def dump_dataset(dataset: Dataset, regions_file: str | Path,
-                 objects_file: str | Path, qa_file: str | Path) -> None:
-    """Serialize the dataset back to the three-file JSON schema."""
-    regions_out = [
-        {
-            "image_id": image_id,
-            "regions": [
-                {
-                    "region_id": r.region_id,
-                    "phrase": r.phrase,
-                    "x": r.box.x_min,
-                    "y": r.box.y_min,
-                    "width": r.box.x_max - r.box.x_min + 1,
-                    "height": r.box.y_max - r.box.y_min + 1,
-                }
-                for r in regions
-            ],
-        }
-        for image_id, regions in dataset.regions_by_image.items()
-    ]
-    objects_out = [
-        {
-            "image_id": image_id,
-            "objects": [
-                {
-                    "object_id": o.object_id,
-                    "names": list(o.names),
-                    "x": o.box.x_min,
-                    "y": o.box.y_min,
-                    "w": o.box.x_max - o.box.x_min + 1,
-                    "h": o.box.y_max - o.box.y_min + 1,
-                }
-                for o in objects
-            ],
-        }
-        for image_id, objects in dataset.objects_by_image.items()
-    ]
-    qa_out = [
-        {
-            "image_id": t.image_id,
-            "qa_id": t.qa_id,
-            "question": t.question,
-            "answer": t.answer,
-            "image_width": t.image_width,
-            "image_height": t.image_height,
-        }
-        for t in dataset.triplets
-    ]
-    Path(regions_file).write_text(json.dumps(regions_out, indent=1), encoding="utf-8")
-    Path(objects_file).write_text(json.dumps(objects_out, indent=1), encoding="utf-8")
-    Path(qa_file).write_text(json.dumps(qa_out, indent=1), encoding="utf-8")

@@ -19,12 +19,14 @@ import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .records import InputError
+
 log = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:['_\-][a-z0-9]+)*")
 
 
-class LexiconError(Exception):
+class LexiconError(InputError):
     """Fatal problem loading WordNet or alias files."""
 
 

@@ -20,13 +20,13 @@ against the query words once per triplet.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
 from .lexicon import (Lexicon, MatchCondition, WordSignature, match_signatures,
                       normalize_token, tokenize)
+from .records import read_ndjson, write_ndjson
 
 DEFAULT_STOPWORDS = frozenset({
     "a", "an", "the", "is", "are", "was", "were", "be", "been", "do", "does",
@@ -268,16 +268,8 @@ def label_from_dict(data: dict) -> GroundingLabel:
 
 def write_labels(labels: list[GroundingLabel], path: str | Path) -> None:
     """NDJSON, one label per line, stable field order."""
-    with open(path, "w", encoding="utf-8") as fp:
-        for label in labels:
-            fp.write(json.dumps(label_to_dict(label), separators=(", ", ": ")))
-            fp.write("\n")
+    write_ndjson(path, map(label_to_dict, labels))
 
 
 def read_labels(path: str | Path) -> list[GroundingLabel]:
-    labels = []
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            if line.strip():
-                labels.append(label_from_dict(json.loads(line)))
-    return labels
+    return read_ndjson(path, label_from_dict)

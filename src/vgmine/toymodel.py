@@ -11,14 +11,14 @@ reliable).
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionMap, GlimpseStack, kl_divergence, rank_correlation
+from .attention import (AttentionError, AttentionMap, GlimpseStack, kl_divergence,
+                        rank_correlation)
+from .records import fmt9, read_ndjson, round9, write_csv, write_ndjson
 from .schedule import LossBreakdown, Schedule, total_loss
 
 
@@ -226,7 +226,7 @@ def _sample_metrics(fwd: ForwardResult, sample: ToySample) -> float | None:
     try:
         return rank_correlation(fwd.attention.glimpses[0],
                                 sample.supervision.glimpses[0])
-    except Exception:
+    except AttentionError:  # undefined on a constant map
         return None
 
 
@@ -333,43 +333,28 @@ def make_synthetic(cfg: ToyConfig, n: int, seed: int,
 
 # --- serialization -------------------------------------------------------
 
-def _round9(value: float) -> float:
-    return float(f"{value:.9g}")
-
-
 def write_metrics(rows: list[MetricsRow], path: str | Path) -> None:
     """CSV with columns step, ce, kl, alpha, accuracy, rank_corr."""
-    with open(path, "w", newline="", encoding="utf-8") as fp:
-        writer = csv.writer(fp)
-        writer.writerow(["step", "ce", "kl", "alpha", "accuracy", "rank_corr"])
-        for row in rows:
-            writer.writerow([row.step] + [f"{v:.9g}" for v in
-                                          (row.ce, row.kl, row.alpha,
-                                           row.accuracy, row.rank_corr)])
+    header = ["step", "ce", "kl", "alpha", "accuracy", "rank_corr"]
+    write_csv(path, [header] + [
+        [row.step] + [fmt9(v) for v in (row.ce, row.kl, row.alpha, row.accuracy, row.rank_corr)]
+        for row in rows])
 
 
 def write_params(params: ToyModelParams, path: str | Path) -> None:
     """NDJSON of named flat arrays: {name, shape, values}."""
-    with open(path, "w", encoding="utf-8") as fp:
-        for name, arr in params.named_arrays():
-            record = {
-                "name": name,
-                "shape": list(arr.shape),
-                "values": [_round9(v) for v in arr.ravel().tolist()],
-            }
-            fp.write(json.dumps(record, separators=(", ", ": ")))
-            fp.write("\n")
+    write_ndjson(path, ({"name": name, "shape": list(arr.shape),
+                         "values": [round9(v) for v in arr.ravel().tolist()]}
+                        for name, arr in params.named_arrays()))
+
+
+def _param_from_record(record: dict) -> tuple[str, np.ndarray]:
+    return record["name"], np.asarray(record["values"], dtype=np.float64).reshape(
+        record["shape"])
 
 
 def read_params(path: str | Path) -> ToyModelParams:
-    arrays = {}
-    with open(path, encoding="utf-8") as fp:
-        for line in fp:
-            if not line.strip():
-                continue
-            record = json.loads(line)
-            arrays[record["name"]] = np.asarray(
-                record["values"], dtype=np.float64).reshape(record["shape"])
+    arrays = dict(read_ndjson(path, _param_from_record))
     try:
         return ToyModelParams(**arrays)
     except TypeError as exc:

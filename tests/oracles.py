@@ -258,7 +258,7 @@ def reference_mine(dataset: Dataset, lex: Lexicon, cfg: MinerConfig) -> list[dic
             best_cond = None
             best_match = None
             for name in obj.names:
-                name_n = " ".join(name.lower().strip(_STRIP).split())
+                name_n = " ".join(name.lower().strip().strip(_STRIP).split())
                 for q_word in query_nouns:
                     res = lex.words_match(q_word, name_n)
                     if res.matched and (best_cond is None

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vgmine.attention import AttentionMap
 
@@ -348,3 +354,198 @@ class TestPipelineAndConfig:
     def test_unknown_flag_exit_2(self, run_cli, tmp_path):
         code, _, _ = run_cli("mine", "--bogus", "x")
         assert code == 2
+
+
+# --- malformed input and partial output ------------------------------------
+
+def _lines(path):
+    return path.read_text().splitlines(keepends=True)
+
+
+def _ndjson(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return path
+
+
+def _fig3_preds_refs(directory):
+    qa = json.loads((FIG3 / "qa.json").read_text())
+    preds = _ndjson(directory / "preds.ndjson",
+                    [{"qa_id": r["qa_id"], "answer": r["answer"]} for r in qa])
+    refs = _ndjson(directory / "refs.ndjson",
+                   [{"qa_id": r["qa_id"], "answers": [r["answer"]] * 10} for r in qa])
+    return preds, refs
+
+
+def _drop_key(source, dest, line, key):
+    records = [json.loads(text) for text in _lines(source)]
+    del records[line][key]
+    return _ndjson(dest, records)
+
+
+def _truncated_labels(tmp_path):
+    bad = tmp_path / "labels.ndjson"
+    lines = _lines(GOLDEN / "fig3_labels.ndjson")
+    bad.write_text(lines[0] + lines[1][:40])
+    return ["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"], f"{bad}:2"
+
+
+def _truncated_maps(tmp_path):
+    bad = tmp_path / "maps.ndjson"
+    bad.write_bytes((GOLDEN / "fig3_maps.ndjson").read_bytes()[:-100])
+    return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad],
+            f"{bad}:4")
+
+
+def _preds_without_answer(tmp_path):
+    preds, refs = _fig3_preds_refs(tmp_path)
+    bad = _drop_key(preds, tmp_path / "bad_preds.ndjson", 1, "answer")
+    return ["eval-acc", "--preds", bad, "--refs", refs], f"{bad}:2: missing field 'answer'"
+
+
+def _maps_without_qa_id(command):
+    def case(tmp_path):
+        bad = _drop_key(GOLDEN / "fig3_maps.ndjson", tmp_path / "maps.ndjson", 2, "qa_id")
+        if command == "render":
+            return ["render", "--maps", bad], f"{bad}:3: missing field 'qa_id'"
+        return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad],
+                f"{bad}:3: missing field 'qa_id'")
+    return case
+
+
+def _qa_not_json(tmp_path):
+    bad = tmp_path / "qa.json"
+    bad.write_text("not json")
+    return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
+            f"{bad}: invalid JSON at offset 0")
+
+
+def _qa_record_without_field(tmp_path):
+    bad = tmp_path / "qa.json"
+    qa = json.loads((FIG3 / "qa.json").read_text())
+    del qa[1]["image_width"]
+    bad.write_text(json.dumps(qa))
+    return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
+            f"{bad}: record 1: bad QA record: KeyError('image_width')")
+
+
+class TestMalformedInput:
+    """Each malformed input exits 2 with a message naming the file and the
+    line, offset or record, prints no traceback and leaves no output."""
+
+    @pytest.mark.parametrize("case", [
+        _truncated_labels, _truncated_maps, _preds_without_answer,
+        _maps_without_qa_id("eval-rank"), _maps_without_qa_id("render"),
+        _qa_not_json, _qa_record_without_field,
+    ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
+            "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
+            "qa-not-json", "qa-record-without-field"])
+    def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
+        argv, expected = case(tmp_path)
+        out = tmp_path / "out"
+        code, _, err = run_cli(*argv, "--out-dir" if argv[0] == "render" else "--out", out)
+        assert code == 2
+        assert expected in err
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--samples", 0], "n must be >= 1"),
+        (["--channels", 4], "need image_channels >= num_answers + 1"),
+    ], ids=["samples-0", "channels-below-answers"])
+    def test_train_toy_bad_data_flags_exit_2(self, run_cli, tmp_path, flags, message):
+        code, _, err = run_cli("train-toy", *flags, "--metrics-out", tmp_path / "m.csv")
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+class TestNoPartialOutput:
+    def test_rasterize_label_missing_from_qa_leaves_nothing(self, run_cli, tmp_path):
+        qa = tmp_path / "qa.json"
+        qa.write_text(json.dumps(json.loads((FIG3 / "qa.json").read_text())[:1]))
+        out = tmp_path / "maps.ndjson"
+        code, _, err = run_cli("rasterize", "--labels", GOLDEN / "fig3_labels.ndjson",
+                               "--qa", qa, "--out", out)
+        assert code == 2
+        assert "qa_id qa2 missing from qa file" in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["qa.json"]
+
+    def test_failed_write_keeps_previous_output(self, run_cli, tmp_path):
+        out = tmp_path / "maps.ndjson"
+        out.write_text("previous\n")
+        qa = tmp_path / "qa.json"
+        qa.write_text(json.dumps(json.loads((FIG3 / "qa.json").read_text())[:1]))
+        code, _, _ = run_cli("rasterize", "--labels", GOLDEN / "fig3_labels.ndjson",
+                             "--qa", qa, "--out", out)
+        assert code == 2
+        assert out.read_text() == "previous\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["maps.ndjson", "qa.json"]
+
+    @pytest.mark.parametrize("argv", [
+        MINE_ARGS,
+        ["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", FIG3 / "qa.json"],
+        ["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson",
+         "--maps-b", GOLDEN / "fig3_maps.ndjson"],
+    ], ids=["mine", "rasterize", "eval-rank"])
+    def test_out_in_missing_directory_exit_2(self, run_cli, tmp_path, argv):
+        out = tmp_path / "nowhere" / "out.txt"
+        code, _, err = run_cli(*argv, "--out", out)
+        assert code == 2
+        assert f"cannot write {out}" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+
+# --- fuzzed NDJSON inputs --------------------------------------------------
+
+def _fuzz_targets(inputs):
+    """(file to mutate, function from the mutated file and the output to argv)."""
+    maps, labels = GOLDEN / "fig3_maps.ndjson", GOLDEN / "fig3_labels.ndjson"
+    preds, refs = inputs / "preds.ndjson", inputs / "refs.ndjson"
+    return [
+        (labels, lambda bad, out: ["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json",
+                                   "--out", out]),
+        (maps, lambda bad, out: ["eval-rank", "--maps-a", maps, "--maps-b", bad,
+                                 "--out", out]),
+        (maps, lambda bad, out: ["render", "--maps", bad, "--out-dir", out]),
+        (preds, lambda bad, out: ["eval-acc", "--preds", bad, "--refs", refs,
+                                  "--out", out]),
+        (refs, lambda bad, out: ["eval-acc", "--preds", preds, "--refs", bad,
+                                 "--out", out]),
+    ]
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("fuzz_inputs")
+    _fig3_preds_refs(directory)
+    return directory
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_fuzzed_ndjson_exits_0_or_2_and_leaves_no_partial_output(fuzz_inputs, data):
+    from vgmine.cli import main
+
+    source, command = data.draw(st.sampled_from(_fuzz_targets(fuzz_inputs)))
+    raw = source.read_bytes()
+    if data.draw(st.booleans(), label="truncate"):
+        mutated = raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
+    else:
+        records = [json.loads(line) for line in raw.decode().splitlines()]
+        index = data.draw(st.integers(0, len(records) - 1), label="record")
+        del records[index][data.draw(st.sampled_from(sorted(records[index])), label="key")]
+        mutated = "".join(json.dumps(r) + "\n" for r in records).encode()
+
+    with tempfile.TemporaryDirectory() as tmp:
+        bad = Path(tmp) / source.name
+        bad.write_bytes(mutated)
+        out = Path(tmp) / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main([str(a) for a in command(bad, out)])
+        assert code in (0, 2), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        if code == 2:
+            assert sorted(p.name for p in Path(tmp).iterdir()) == [bad.name]

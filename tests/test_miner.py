@@ -236,6 +236,16 @@ class TestMineProperties:
             ours = [label_to_dict(lab) for lab in mine(dataset, lexicon, CFG)]
             assert ours == reference_mine(dataset, lexicon, CFG)
 
+    def test_agrees_with_reference_on_padded_object_name(self, lexicon):
+        dataset = Dataset(
+            triplets=[_triplet("Where is the dog?", "on the grass")],
+            regions_by_image={1: []},
+            objects_by_image={1: [ObjectAnnotation(2, (" . dog",), BoundingBox(0, 0, 9, 9))]},
+        )
+        ours = [label_to_dict(lab) for lab in mine(dataset, lexicon, CFG)]
+        assert ours == reference_mine(dataset, lexicon, CFG)
+        assert ours[0]["matched_words"] == [["dog", "dog", "raw"]]
+
     @pytest.mark.parametrize("cfg", [
         MinerConfig(iou_threshold=0.3),
         MinerConfig(iou_threshold=1.0),

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from vgmine.attention import AttentionMap, GlimpseStack
+from vgmine import toymodel
 from vgmine.schedule import Schedule
 from vgmine.toymodel import (
     MetricsRow,
@@ -200,6 +201,15 @@ class TestTrain:
     def test_empty_data_rejected(self):
         with pytest.raises(ToyModelError):
             train([], CFG, FIXED_1)
+
+    def test_metric_errors_other_than_undefined_propagate(self, monkeypatch):
+        def broken(a, b):
+            raise RuntimeError("metric bug")
+
+        monkeypatch.setattr(toymodel, "rank_correlation", broken)
+        cfg = ToyConfig(steps=0)
+        with pytest.raises(RuntimeError, match="metric bug"):
+            train(make_synthetic(cfg, 2, seed=2), cfg, FIXED_1)
 
 
 class TestSerialization:
