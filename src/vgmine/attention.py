@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import BoundingBox, QaTriplet
 from .miner import GroundingLabel
-from .records import read_ndjson, round9
+from .records import qa_id_of, read_ndjson, round9
 
 DEFAULT_GRID = 14
 
@@ -147,36 +147,53 @@ def kl_divergence(p: GlimpseStack, q: GlimpseStack) -> float:
     return total
 
 
-def _fractional_ranks(values: np.ndarray) -> np.ndarray:
-    """Ranks 1..n with ties assigned their average (midrank)."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0], dtype=np.float64)
-    sorted_values = values[order]
-    i = 0
-    n = values.shape[0]
-    while i < n:
-        j = i
-        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+def midranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n along each row of a (rows, n) array, ties given their
+    average (midrank). After a stable sort each run of equal values spans
+    sorted positions start..end, found by running max/min over the run
+    boundaries, and every member gets 0.5 * (start + end) + 1."""
+    rows, n = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    row = np.arange(rows)[:, None]
+    ordered = values[row, order]
+    run_start = np.ones((rows, n), dtype=bool)
+    run_start[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    run_end = np.ones((rows, n), dtype=bool)
+    run_end[:, :-1] = run_start[:, 1:]
+    pos = np.arange(n)
+    start = np.maximum.accumulate(np.where(run_start, pos, 0), axis=1)
+    end = np.minimum.accumulate(np.where(run_end, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
+    ranks = np.empty((rows, n), dtype=np.float64)
+    ranks[row, order] = 0.5 * (start + end) + 1.0
     return ranks
 
 
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[i] @ b[i] for every row i, each one BLAS dot as in a 1-D product."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def rank_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Spearman coefficient between the matching rows of two same-shaped
+    (rows, cells) arrays: midranks, then Pearson correlation of the rank
+    rows. NaN where either row is constant."""
+    k = len(a)
+    ranks = midranks(np.concatenate([a, b]))  # one kernel call for both sides
+    ranks -= ranks.mean(axis=1, keepdims=True)
+    var = _row_dots(ranks, ranks)
+    var_a, var_b = var[:k], var[k:]
+    return np.divide(_row_dots(ranks[:k], ranks[k:]), np.sqrt(var_a * var_b),
+                     out=np.full(k, np.nan), where=(var_a != 0.0) & (var_b != 0.0))
+
+
 def rank_correlation(a: AttentionMap, b: AttentionMap) -> float:
-    """Spearman coefficient between the flattened cells of two maps:
-    fractional ranks, then Pearson correlation of the rank vectors."""
+    """Spearman coefficient between the flattened cells of two maps."""
     if a.shape != b.shape:
         raise AttentionError("map shape mismatch")
-    ra = _fractional_ranks(a.values.ravel())
-    rb = _fractional_ranks(b.values.ravel())
-    ra -= ra.mean()
-    rb -= rb.mean()
-    var_a = float(ra @ ra)
-    var_b = float(rb @ rb)
-    if var_a == 0.0 or var_b == 0.0:
+    corr = float(rank_correlations(a.values.reshape(1, -1), b.values.reshape(1, -1))[0])
+    if math.isnan(corr):
         raise AttentionError("undefined correlation: constant map")
-    return float((ra @ rb) / math.sqrt(var_a * var_b))
+    return corr
 
 
 def downsample(source: np.ndarray, grid_h: int, grid_w: int) -> AttentionMap:
@@ -231,7 +248,8 @@ def stack_to_rows(qa_id: int | str, stack: GlimpseStack) -> list[dict]:
 def _map_from_row(row: dict) -> dict:
     """The fields a command reads, each required but 'mask' (default True),
     with 'values' as an (h, w) float64 array."""
-    fields = {key: row[key] for key in ("qa_id", "glimpse", "h", "w")}
+    fields = {key: row[key] for key in ("glimpse", "h", "w")}
+    fields["qa_id"] = qa_id_of(row)
     fields["mask"] = row.get("mask", True)
     fields["values"] = np.asarray(row["values"], dtype=np.float64).reshape(row["h"], row["w"])
     return fields

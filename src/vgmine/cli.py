@@ -37,8 +37,8 @@ from .miner import (
     read_labels,
     write_labels,
 )
-from .records import (InputError, fmt9, read_json, read_ndjson, write_csv, write_manifest,
-                      write_ndjson)
+from .records import (InputError, fmt9, qa_id_of, read_json, read_ndjson, write_csv,
+                      write_manifest, write_ndjson)
 from .schedule import Schedule
 from .toymodel import (
     ToyConfig,
@@ -131,8 +131,14 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
             triplet = triplets.get(label.qa_id)
             if triplet is None:
                 raise InputError(f"label qa_id {label.qa_id} missing from qa file")
-            yield from stack_to_rows(label.qa_id,
-                                     build_supervision(label, triplet, grid_h, grid_w))
+            if triplet.image_width < 1 or triplet.image_height < 1:
+                raise InputError(f"{qa_path}: qa_id {label.qa_id}: "
+                                 "image dimensions must be >= 1")
+            try:
+                stack = build_supervision(label, triplet, grid_h, grid_w)
+            except AttentionError as exc:  # a label without boxes
+                raise InputError(f"{labels_path}: {exc}") from exc
+            yield from stack_to_rows(label.qa_id, stack)
 
     out = Path(args.out)
     write_ndjson(out, rows())
@@ -178,8 +184,8 @@ def cmd_eval_rank(args: argparse.Namespace) -> int:
 def cmd_eval_acc(args: argparse.Namespace) -> int:
     preds_path = _require_file(args.preds, "predictions file")
     refs_path = _require_file(args.refs, "references file")
-    preds = dict(read_ndjson(preds_path, lambda rec: (rec["qa_id"], rec["answer"])))
-    refs = dict(read_ndjson(refs_path, lambda rec: (rec["qa_id"], rec["answers"])))
+    preds = dict(read_ndjson(preds_path, lambda rec: (qa_id_of(rec), rec["answer"])))
+    refs = dict(read_ndjson(refs_path, lambda rec: (qa_id_of(rec), rec["answers"])))
     common = sorted(set(preds) & set(refs), key=str)
     if not common:
         raise InputError("no common qa_ids between predictions and references")
@@ -249,10 +255,16 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 def cmd_render(args: argparse.Namespace) -> int:
     maps_path = _require_file(args.maps, "maps file")
     rows = read_maps(maps_path)
+    maps = []
+    for row in rows:  # every map is checked before the first file is written
+        try:
+            maps.append(AttentionMap(row["values"]))
+        except AttentionError as exc:
+            raise InputError(f"{maps_path}: qa_id {row['qa_id']} glimpse {row['glimpse']}: "
+                             f"{exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for row in rows:
-        amap = AttentionMap(row["values"])
+    for row, amap in zip(rows, maps):
         write_pgm(amap, out_dir / f"{row['qa_id']}_g{row['glimpse']}.pgm")
     write_manifest(out_dir / "render", "render", {}, [maps_path])
     print(f"rendered {len(rows)} maps to {out_dir}")

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from .records import InputError, read_json
+from .records import InputError, qa_id_of, read_json
 
 
 class DatasetError(InputError):
@@ -114,7 +114,7 @@ def read_qa(path: str | Path) -> list[QaTriplet]:
     triplets = []
     for index, rec in enumerate(_read_array(Path(path))):
         try:
-            triplets.append(QaTriplet(rec["qa_id"], rec["image_id"], rec["question"],
+            triplets.append(QaTriplet(qa_id_of(rec), rec["image_id"], rec["question"],
                                       rec["answer"], rec["image_width"],
                                       rec["image_height"]))
         except (KeyError, TypeError) as exc:

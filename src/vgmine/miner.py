@@ -26,7 +26,7 @@ from pathlib import Path
 from .dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
 from .lexicon import (Lexicon, MatchCondition, WordSignature, match_signatures,
                       normalize_token, tokenize)
-from .records import read_ndjson, write_ndjson
+from .records import qa_id_of, read_ndjson, write_ndjson
 
 DEFAULT_STOPWORDS = frozenset({
     "a", "an", "the", "is", "are", "was", "were", "be", "been", "do", "does",
@@ -257,7 +257,7 @@ def label_to_dict(label: GroundingLabel) -> dict:
 
 def label_from_dict(data: dict) -> GroundingLabel:
     return GroundingLabel(
-        qa_id=data["qa_id"],
+        qa_id=qa_id_of(data),
         region_boxes=[BoundingBox(*b) for b in data["region_boxes"]],
         object_boxes=[BoundingBox(*b) for b in data["object_boxes"]],
         is_counting=data["is_counting"],

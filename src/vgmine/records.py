@@ -37,6 +37,15 @@ def round9(value: float) -> float:
     return float(format(value, _FORMAT9))  # not fmt9(): one call less per map cell
 
 
+def qa_id_of(record: dict) -> Any:
+    """``record["qa_id"]``; a JSON array or object is rejected with
+    TypeError, since ids are used as dict keys."""
+    qa_id = record["qa_id"]
+    if isinstance(qa_id, (list, dict)):
+        raise TypeError(f"qa_id must be a string or a number, not {type(qa_id).__name__}")
+    return qa_id
+
+
 def read_json(path: str | Path) -> Any:
     path = Path(path)
     try:

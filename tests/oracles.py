@@ -55,6 +55,22 @@ def kl_summation(p_glimpses, p_masks, q_glimpses) -> float:
     return total
 
 
+def reference_fractional_ranks(values: np.ndarray) -> np.ndarray:
+    """Ranks 1..n with ties assigned their average (midrank)."""
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.shape[0], dtype=np.float64)
+    sorted_values = values[order]
+    i = 0
+    n = values.shape[0]
+    while i < n:
+        j = i
+        while j + 1 < n and sorted_values[j + 1] == sorted_values[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
 def block_mean(source: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
     """Per-cell mean over the same row/column partition, one cell at a time."""
     src_h, src_w = source.shape

@@ -14,15 +14,18 @@ from vgmine.attention import (
     downsample,
     kl_divergence,
     l1_normalize,
+    midranks,
     pgm_bytes,
     rank_correlation,
+    rank_correlations,
     rasterize,
     vqa_accuracy,
 )
 from vgmine.dataset import BoundingBox, QaTriplet
 from vgmine.miner import GroundingLabel
 
-from oracles import block_mean, brute_force_rasterize, kl_summation, pgm_reference
+from oracles import (block_mean, brute_force_rasterize, kl_summation, pgm_reference,
+                     reference_fractional_ranks)
 
 
 def _random_boxes(rng, img_w, img_h, max_boxes=6):
@@ -245,6 +248,36 @@ class TestRankCorrelation:
         transformed = AttentionMap((scale * values + shift) ** power)
         assert rank_correlation(transformed, AttentionMap(other)) == \
             pytest.approx(base, abs=1e-12)
+
+
+class TestMidranks:
+    @given(rows=st.integers(1, 40).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0, -3.0, np.inf, np.nan]),
+                 min_size=n, max_size=n), min_size=1, max_size=5)))
+    @settings(max_examples=200)
+    def test_equals_reference_on_tie_heavy_rows(self, rows):
+        values = np.array(rows)
+        ranks = midranks(values)
+        for row, expected in zip(ranks, values):
+            assert np.array_equal(row, reference_fractional_ranks(expected))
+
+    def test_equals_reference_on_rasterized_like_rows(self):
+        rng = np.random.default_rng(20)
+        values = np.round(rng.uniform(0, 4, (30, 196)))
+        ranks = midranks(values)
+        for row, expected in zip(ranks, values):
+            assert np.array_equal(row, reference_fractional_ranks(expected))
+
+    def test_rows_agree_with_single_map_correlation(self):
+        rng = np.random.default_rng(21)
+        a = np.round(rng.uniform(0, 3, (6, 49)))
+        b = rng.uniform(0, 1, (6, 49))
+        a[2] = 1.0  # constant row: undefined
+        corr = rank_correlations(a, b)
+        assert np.isnan(corr[2])
+        for i in (0, 1, 3, 4, 5):
+            assert corr[i] == rank_correlation(AttentionMap(a[i].reshape(7, 7)),
+                                               AttentionMap(b[i].reshape(7, 7)))
 
 
 class TestDownsample:

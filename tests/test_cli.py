@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -281,6 +282,15 @@ class TestTrainToy:
         assert [r.getMessage() for r in caplog.records if "clamped" in r.getMessage()] \
             == ["step 11 past t_max=10; alpha clamped to 0 from here on"]
 
+    def test_divergence_names_step_and_reason(self, run_cli, tmp_path):
+        code, _, err = run_cli("train-toy", "--learning-rate", 1e9, "--steps", 20,
+                               "--metrics-out", tmp_path / "m.csv")
+        assert code == 1
+        assert re.search(r"^error: training diverged at step \d+: "
+                         r"prediction has zero mass on supervised cells$", err, re.M)
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_config_exit_2(self, run_cli, tmp_path):
         code, _, err = run_cli("train-toy", "--learning-rate", 0,
                                "--metrics-out", tmp_path / "m.csv")
@@ -428,6 +438,67 @@ def _qa_record_without_field(tmp_path):
             f"{bad}: record 1: bad QA record: KeyError('image_width')")
 
 
+def _label_without_boxes(tmp_path):
+    bad = tmp_path / "labels.ndjson"
+    records = [json.loads(text) for text in _lines(GOLDEN / "fig3_labels.ndjson")]
+    records[1]["region_boxes"] = records[1]["object_boxes"] = []
+    _ndjson(bad, records)
+    return (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"],
+            f"{bad}: label qa2 has no boxes to rasterize")
+
+
+def _qa_zero_width(tmp_path):
+    bad = tmp_path / "qa.json"
+    qa = json.loads((FIG3 / "qa.json").read_text())
+    qa[1]["image_width"] = 0
+    bad.write_text(json.dumps(qa))
+    return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
+            f"{bad}: qa_id qa2: image dimensions must be >= 1")
+
+
+def _preds_with_list_qa_id(tmp_path):
+    preds, refs = _fig3_preds_refs(tmp_path)
+    bad = tmp_path / "bad_preds.ndjson"
+    _ndjson(bad, [{"qa_id": "qa1", "answer": "x"}, {"qa_id": [1], "answer": "x"}])
+    return (["eval-acc", "--preds", bad, "--refs", refs],
+            f"{bad}:2: qa_id must be a string or a number, not list")
+
+
+def _list_qa_id(command):
+    def case(tmp_path):
+        if command == "eval-rank":
+            bad = tmp_path / "maps.ndjson"
+            records = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
+            records[1]["qa_id"] = [1]
+            _ndjson(bad, records)
+            return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad],
+                    f"{bad}:2: qa_id must be a string or a number, not list")
+        if command == "rasterize-labels":
+            bad = tmp_path / "labels.ndjson"
+            records = [json.loads(text) for text in _lines(GOLDEN / "fig3_labels.ndjson")]
+            records[1]["qa_id"] = {"id": 1}
+            _ndjson(bad, records)
+            return (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"],
+                    f"{bad}:2: qa_id must be a string or a number, not dict")
+        bad = tmp_path / "qa.json"
+        qa = json.loads((FIG3 / "qa.json").read_text())
+        qa[1]["qa_id"] = [1]
+        bad.write_text(json.dumps(qa))
+        return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
+                f"{bad}: record 1: bad QA record: "
+                "TypeError('qa_id must be a string or a number, not list')")
+    return case
+
+
+def _maps_with_negative_cell(tmp_path):
+    bad = tmp_path / "maps.ndjson"
+    records = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
+    records[2]["values"][0] = -1.0
+    _ndjson(bad, records)
+    return (["render", "--maps", bad],
+            f"{bad}: qa_id qa2 glimpse 0: attention map entries must be non-negative")
+
+
 class TestMalformedInput:
     """Each malformed input exits 2 with a message naming the file and the
     line, offset or record, prints no traceback and leaves no output."""
@@ -435,10 +506,14 @@ class TestMalformedInput:
     @pytest.mark.parametrize("case", [
         _truncated_labels, _truncated_maps, _preds_without_answer,
         _maps_without_qa_id("eval-rank"), _maps_without_qa_id("render"),
-        _qa_not_json, _qa_record_without_field,
+        _qa_not_json, _qa_record_without_field, _label_without_boxes, _qa_zero_width,
+        _preds_with_list_qa_id, _list_qa_id("eval-rank"), _list_qa_id("rasterize-labels"),
+        _list_qa_id("rasterize-qa"), _maps_with_negative_cell,
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
-            "qa-not-json", "qa-record-without-field"])
+            "qa-not-json", "qa-record-without-field", "label-without-boxes",
+            "qa-zero-width", "preds-list-qa_id", "maps-list-qa_id", "labels-dict-qa_id",
+            "qa-list-qa_id", "render-negative-cell"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"

@@ -3,13 +3,15 @@ import copy
 import numpy as np
 import pytest
 
-from vgmine.attention import AttentionMap, GlimpseStack
+from vgmine.attention import AttentionError, AttentionMap, GlimpseStack, rank_correlation
 from vgmine import toymodel
 from vgmine.schedule import Schedule
 from vgmine.toymodel import (
     MetricsRow,
     ToyConfig,
     ToyModelError,
+    ToyModelParams,
+    ToySample,
     forward,
     init_params,
     loss_and_grads,
@@ -107,6 +109,44 @@ class TestLossAndGrads:
                 params, sample, FIXED_1, 10)
             assert entry_rel < 1e-5
             assert tensor_rel < 1e-5
+
+    def test_kl_gradient_finite_when_attention_underflows(self):
+        # one image cell at attention logit 720: every other cell gets
+        # attention exp(-720) ~ 2e-313, where target / attention overflows
+        params = ToyModelParams(
+            w_question=np.zeros((CFG.image_channels, CFG.question_dim)),
+            fusion_bias=np.zeros(CFG.image_channels),
+            w_attention=np.zeros((CFG.glimpses, CFG.image_channels)),
+            w_classifier=np.zeros((CFG.num_answers,
+                                   CFG.question_dim + CFG.glimpses * CFG.image_channels)))
+        params.w_question[0, 0] = 1.0
+        params.w_attention[:, 0] = 720.0
+        img = np.zeros((CFG.image_channels, CFG.grid_h, CFG.grid_w))
+        img[0, 0, 0] = 1.0
+        q_feat = np.zeros(CFG.question_dim)
+        q_feat[0] = 1.0
+        uniform = np.full((CFG.grid_h, CFG.grid_w), 1.0 / CFG.cells)
+        sample = ToySample(q_feat=q_feat, img_feat=img, answer=0, supervision=GlimpseStack(
+            [AttentionMap(uniform.copy(), normalized=True) for _ in range(CFG.glimpses)],
+            [True] * CFG.glimpses))
+        attn = forward(params, sample).cache["attn"]
+        assert 0.0 < attn[0, 1] < 1e-300
+        with np.errstate(over="ignore"):  # the KL value itself overflows to inf
+            _, grads = loss_and_grads(params, sample, FIXED_1, 0)
+        for name, arr in grads.named_arrays():
+            assert np.all(np.isfinite(arr)), name
+        # a zero classifier leaves only the KL term: alpha * (attn - target)
+        # at the hot cell, the only cell with a nonzero fused feature
+        assert grads.w_attention[:, 0] == pytest.approx(1.0 - 1.0 / CFG.cells, abs=1e-12)
+
+    def test_unnormalized_supervised_glimpse_rejected(self):
+        rng = np.random.default_rng(8)
+        params, sample = random_pair(rng)
+        sample.supervision.glimpses[1].values *= 2.0
+        with pytest.raises(AttentionError, match="must sum to 1"):
+            loss_and_grads(params, sample, FIXED_1, 0)
+        sample.supervision.supervision_mask[1] = False  # masked glimpses are not used
+        loss_and_grads(params, sample, FIXED_1, 0)
 
     def test_invalid_answer_rejected(self):
         rng = np.random.default_rng(7)
@@ -206,10 +246,67 @@ class TestTrain:
         def broken(a, b):
             raise RuntimeError("metric bug")
 
-        monkeypatch.setattr(toymodel, "rank_correlation", broken)
+        monkeypatch.setattr(toymodel, "rank_correlations", broken)
         cfg = ToyConfig(steps=0)
         with pytest.raises(RuntimeError, match="metric bug"):
             train(make_synthetic(cfg, 2, seed=2), cfg, FIXED_1)
+
+
+def _mixed_batch(cfg):
+    """No supervision; glimpse 1 masked; a constant (uniform) target, on
+    which rank correlation is undefined; a plain supervised sample."""
+    data = make_synthetic(cfg, 4, seed=9)
+    data[0].supervision = None
+    data[1].supervision.supervision_mask[1] = False
+    uniform = np.full((cfg.grid_h, cfg.grid_w), 1.0 / cfg.cells)
+    data[2].supervision = GlimpseStack(
+        [AttentionMap(uniform.copy(), normalized=True) for _ in range(cfg.glimpses)],
+        [True] * cfg.glimpses)
+    return data
+
+
+def _train_one_sample_at_a_time(data, cfg, schedule):
+    """train() spelled out as a loop of single-sample loss_and_grads calls."""
+    params = init_params(cfg, np.random.default_rng(cfg.seed))
+    rows = []
+    for t in range(cfg.steps + 1):
+        ce_sum = kl_sum = corr_sum = 0.0
+        supervised = correct = corr_count = 0
+        grad_sums = [np.zeros_like(arr) for _, arr in params.named_arrays()]
+        for sample in data:
+            breakdown, grads = loss_and_grads(params, sample, schedule, t)
+            fwd = forward(params, sample)
+            ce_sum += breakdown.ce
+            correct += int(np.argmax(fwd.logits)) == sample.answer
+            if sample.supervision is not None:
+                kl_sum += breakdown.kl
+                supervised += 1
+                try:
+                    corr_sum += rank_correlation(fwd.attention.glimpses[0],
+                                                 sample.supervision.glimpses[0])
+                    corr_count += 1
+                except AttentionError:
+                    pass
+            for acc, (_, arr) in zip(grad_sums, grads.named_arrays()):
+                acc += arr
+        n = len(data)
+        rows.append(MetricsRow(step=t, ce=ce_sum / n, kl=kl_sum / supervised,
+                               alpha=schedule.alpha(t), accuracy=correct / n,
+                               rank_corr=corr_sum / corr_count))
+        if t < cfg.steps:
+            for (_, arr), grad in zip(params.named_arrays(), grad_sums):
+                arr -= cfg.learning_rate * (grad / n)
+    return params, rows
+
+
+def test_train_equals_single_sample_calls_on_mixed_batch():
+    cfg = ToyConfig(steps=6)
+    schedule = Schedule(t_max=4, mode="cosine")
+    params, rows = train(_mixed_batch(cfg), cfg, schedule)
+    ref_params, ref_rows = _train_one_sample_at_a_time(_mixed_batch(cfg), cfg, schedule)
+    assert rows == ref_rows
+    for (name, a), (_, b) in zip(params.named_arrays(), ref_params.named_arrays()):
+        assert np.array_equal(a, b), name
 
 
 class TestSerialization:
