@@ -19,9 +19,13 @@ import numpy as np
 
 from .dataset import BoundingBox, QaTriplet
 from .miner import GroundingLabel
-from .records import qa_id_of, read_ndjson, round9
+from .records import qa_id_of, read_ndjson, round9_array
 
 DEFAULT_GRID = 14
+
+# Labels or map pairs per array block in rasterize and eval-rank. Fixed:
+# larger blocks run no faster and raise the peak resident memory.
+BLOCK_SIZE = 64
 
 _SUM_TOL = 1e-9
 
@@ -71,25 +75,40 @@ def _ceil_div(a: int, b: int) -> int:
     return -(-a // b)
 
 
-def rasterize(boxes: list[BoundingBox], img_w: int, img_h: int,
-              grid_h: int = DEFAULT_GRID, grid_w: int = DEFAULT_GRID) -> AttentionMap:
-    """Sum of per-box cell-coverage indicators on a grid_h x grid_w grid.
+def _add_boxes(view: np.ndarray, boxes: list[BoundingBox], img_w: int, img_h: int) -> None:
+    """Add each box's cell-coverage indicator to an (H, W) view.
 
     A box covers cell column x iff x is within [floor(x_min*W/img_w),
     ceil((x_max+1)*W/img_w) - 1], clamped to the grid; rows likewise.
-    Overlapping boxes accumulate. Empty box list gives the all-zero map.
+    Overlapping boxes accumulate.
     """
-    if grid_h < 1 or grid_w < 1:
-        raise AttentionError("grid dimensions must be >= 1")
-    if img_w < 1 or img_h < 1:
-        raise AttentionError("image dimensions must be >= 1")
-    values = np.zeros((grid_h, grid_w), dtype=np.float64)
+    grid_h, grid_w = view.shape
     for box in boxes:
         x_lo = min(max((box.x_min * grid_w) // img_w, 0), grid_w - 1)
         x_hi = min(max(_ceil_div((box.x_max + 1) * grid_w, img_w) - 1, 0), grid_w - 1)
         y_lo = min(max((box.y_min * grid_h) // img_h, 0), grid_h - 1)
         y_hi = min(max(_ceil_div((box.y_max + 1) * grid_h, img_h) - 1, 0), grid_h - 1)
-        values[y_lo:y_hi + 1, x_lo:x_hi + 1] += 1.0
+        view[y_lo:y_hi + 1, x_lo:x_hi + 1] += 1.0
+
+
+def _check_grid(grid_h: int, grid_w: int) -> None:
+    if grid_h < 1 or grid_w < 1:
+        raise AttentionError("grid dimensions must be >= 1")
+
+
+def _check_image(img_w: int, img_h: int) -> None:
+    if img_w < 1 or img_h < 1:
+        raise AttentionError("image dimensions must be >= 1")
+
+
+def rasterize(boxes: list[BoundingBox], img_w: int, img_h: int,
+              grid_h: int = DEFAULT_GRID, grid_w: int = DEFAULT_GRID) -> AttentionMap:
+    """Sum of per-box cell-coverage indicators on a grid_h x grid_w grid
+    (see ``_add_boxes``). Empty box list gives the all-zero map."""
+    _check_grid(grid_h, grid_w)
+    _check_image(img_w, img_h)
+    values = np.zeros((grid_h, grid_w), dtype=np.float64)
+    _add_boxes(values, boxes, img_w, img_h)
     return AttentionMap(values, normalized=False)
 
 
@@ -101,28 +120,44 @@ def l1_normalize(amap: AttentionMap) -> AttentionMap:
     return AttentionMap(amap.values / total, normalized=True)
 
 
+def supervision_block(labels: list[GroundingLabel], triplets: list[QaTriplet],
+                      grid_h: int = DEFAULT_GRID, grid_w: int = DEFAULT_GRID
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """The supervision glimpses of each label as one (n, 2, grid_h, grid_w)
+    float64 array (glimpse 0 objects, glimpse 1 regions) with its (n, 2)
+    supervision mask.
+
+    A glimpse is unmasked when its component has boxes covering some cell,
+    except the region glimpse of a counting label. Unmasked glimpses are
+    divided by their cell totals, which are exact integer sums; masked
+    ones keep their raw counts (all zero for an empty component).
+    """
+    _check_grid(grid_h, grid_w)
+    glimpses = np.zeros((len(labels), 2, grid_h, grid_w), dtype=np.float64)
+    masks = np.zeros((len(labels), 2), dtype=bool)
+    for i, (label, triplet) in enumerate(zip(labels, triplets)):
+        if not label.object_boxes and not label.region_boxes:
+            raise AttentionError(f"label {label.qa_id} has no boxes to rasterize")
+        _check_image(triplet.image_width, triplet.image_height)
+        _add_boxes(glimpses[i, 0], label.object_boxes, triplet.image_width,
+                   triplet.image_height)
+        _add_boxes(glimpses[i, 1], label.region_boxes, triplet.image_width,
+                   triplet.image_height)
+        masks[i] = bool(label.object_boxes), bool(label.region_boxes) and not label.is_counting
+    totals = glimpses.sum(axis=(2, 3))
+    masks &= totals > 0
+    glimpses[masks] /= totals[masks][:, None, None]
+    return glimpses, masks
+
+
 def build_supervision(label: GroundingLabel, triplet: QaTriplet,
                       grid_h: int = DEFAULT_GRID, grid_w: int = DEFAULT_GRID
                       ) -> GlimpseStack:
-    """Glimpse 0: normalized object map; glimpse 1: normalized region map.
-
-    An empty component yields an all-zero glimpse with its mask off;
-    counting labels always mask the region glimpse.
-    """
-    if not label.object_boxes and not label.region_boxes:
-        raise AttentionError(f"label {label.qa_id} has no boxes to rasterize")
-    object_map = rasterize(label.object_boxes, triplet.image_width,
-                           triplet.image_height, grid_h, grid_w)
-    region_map = rasterize(label.region_boxes, triplet.image_width,
-                           triplet.image_height, grid_h, grid_w)
-    object_mask = bool(label.object_boxes) and float(object_map.values.sum()) > 0
-    region_mask = (bool(label.region_boxes) and not label.is_counting
-                   and float(region_map.values.sum()) > 0)
-    glimpses = [
-        l1_normalize(object_map) if object_mask else object_map,
-        l1_normalize(region_map) if region_mask else region_map,
-    ]
-    return GlimpseStack(glimpses, [object_mask, region_mask])
+    """The glimpse stack of one label, as ``supervision_block`` builds it."""
+    glimpses, masks = supervision_block([label], [triplet], grid_h, grid_w)
+    mask = masks[0].tolist()
+    return GlimpseStack([AttentionMap(g, normalized=m) for g, m in zip(glimpses[0], mask)],
+                        mask)
 
 
 def kl_divergence(p: GlimpseStack, q: GlimpseStack) -> float:
@@ -230,29 +265,31 @@ def vqa_accuracy(pred: str, refs: list[str]) -> float:
 
 # --- serialization -------------------------------------------------------
 
-def stack_to_rows(qa_id: int | str, stack: GlimpseStack) -> list[dict]:
-    rows = []
-    for g, amap in enumerate(stack.glimpses):
-        h, w = amap.shape
-        rows.append({
-            "qa_id": qa_id,
-            "glimpse": g,
-            "h": h,
-            "w": w,
-            "mask": stack.supervision_mask[g],
-            "values": [round9(v) for v in amap.values.ravel().tolist()],
-        })
-    return rows
+def stack_to_rows(qa_ids: list, glimpses: np.ndarray, masks: np.ndarray) -> list[dict]:
+    """Maps records of a ``supervision_block``: one row per label and
+    glimpse, values rounded to 9 significant digits."""
+    n, count, h, w = glimpses.shape
+    values = round9_array(glimpses).reshape(n, count, h * w).tolist()
+    mask = masks.tolist()
+    return [{"qa_id": qa_id, "glimpse": g, "h": h, "w": w, "mask": mask[i][g],
+             "values": values[i][g]}
+            for i, qa_id in enumerate(qa_ids) for g in range(count)]
+
+
+def _whole(row: dict, key: str, least: int) -> int:
+    value = row[key]
+    if type(value) is not int or value < least:  # bools are rejected too
+        raise ValueError(f"{key} must be an integer >= {least}, not {value!r}")
+    return value
 
 
 def _map_from_row(row: dict) -> dict:
     """The fields a command reads, each required but 'mask' (default True),
     with 'values' as an (h, w) float64 array."""
-    fields = {key: row[key] for key in ("glimpse", "h", "w")}
-    fields["qa_id"] = qa_id_of(row)
-    fields["mask"] = row.get("mask", True)
-    fields["values"] = np.asarray(row["values"], dtype=np.float64).reshape(row["h"], row["w"])
-    return fields
+    glimpse, h, w = _whole(row, "glimpse", 0), _whole(row, "h", 1), _whole(row, "w", 1)
+    return {"qa_id": qa_id_of(row), "glimpse": glimpse, "h": h, "w": w,
+            "mask": row.get("mask", True),
+            "values": np.asarray(row["values"], dtype=np.float64).reshape(h, w)}
 
 
 def read_maps(path: str | Path) -> list[dict]:

@@ -10,6 +10,7 @@ version; equal inputs and flags give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import traceback
 from pathlib import Path
@@ -18,15 +19,19 @@ import numpy as np
 
 from . import __version__
 from .attention import (
+    BLOCK_SIZE,
     AttentionError,
     AttentionMap,
-    build_supervision,
-    rank_correlation,
+    rank_correlations,
     read_maps,
     stack_to_rows,
+    supervision_block,
     vqa_accuracy,
     write_pgm,
 )
+# The per-label and per-pair forms of the block calls below, importable from
+# here because perfbench/tracing.py wraps them by this module's name.
+from .attention import build_supervision, rank_correlation  # noqa: F401
 from .dataset import load_dataset, read_qa
 from .lexicon import load_aliases, load_wordnet
 from .miner import (
@@ -126,19 +131,23 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
     if grid_h < 1 or grid_w < 1:
         raise InputError("--grid dimensions must be >= 1")
 
+    def checked(label):
+        triplet = triplets.get(label.qa_id)
+        if triplet is None:
+            raise InputError(f"label qa_id {label.qa_id} missing from qa file")
+        if triplet.image_width < 1 or triplet.image_height < 1:
+            raise InputError(f"{qa_path}: qa_id {label.qa_id}: "
+                             "image dimensions must be >= 1")
+        if not label.object_boxes and not label.region_boxes:
+            raise InputError(f"{labels_path}: label {label.qa_id} has no boxes to rasterize")
+        return triplet
+
     def rows():
-        for label in labels:
-            triplet = triplets.get(label.qa_id)
-            if triplet is None:
-                raise InputError(f"label qa_id {label.qa_id} missing from qa file")
-            if triplet.image_width < 1 or triplet.image_height < 1:
-                raise InputError(f"{qa_path}: qa_id {label.qa_id}: "
-                                 "image dimensions must be >= 1")
-            try:
-                stack = build_supervision(label, triplet, grid_h, grid_w)
-            except AttentionError as exc:  # a label without boxes
-                raise InputError(f"{labels_path}: {exc}") from exc
-            yield from stack_to_rows(label.qa_id, stack)
+        for start in range(0, len(labels), BLOCK_SIZE):
+            block = labels[start:start + BLOCK_SIZE]
+            glimpses, masks = supervision_block(block, [checked(label) for label in block],
+                                                grid_h, grid_w)
+            yield from stack_to_rows([label.qa_id for label in block], glimpses, masks)
 
     out = Path(args.out)
     write_ndjson(out, rows())
@@ -155,6 +164,34 @@ def _keyed_maps(rows: list[dict]) -> dict[tuple, np.ndarray]:
             for row in rows if row["mask"]}
 
 
+def _block_correlations(keys: list[tuple], maps_a: dict, maps_b: dict) -> list[float]:
+    """Spearman coefficients of a block of (qa_id, glimpse) pairs: one
+    ``rank_correlations`` call per pair of map shapes (usually one). The
+    first faulty pair in order is reported."""
+    corr = np.full(len(keys), np.nan)
+    negative = np.zeros(len(keys), dtype=bool)
+    groups: dict[tuple, list[int]] = {}
+    for i, key in enumerate(keys):
+        groups.setdefault((maps_a[key].shape, maps_b[key].shape), []).append(i)
+    for (shape_a, shape_b), index in groups.items():
+        a = np.stack([maps_a[keys[i]] for i in index]).reshape(len(index), -1)
+        b = np.stack([maps_b[keys[i]] for i in index]).reshape(len(index), -1)
+        negative[index] = (a < 0).any(axis=1) | (b < 0).any(axis=1)
+        if shape_a == shape_b:
+            corr[index] = rank_correlations(a, b)
+    for i, key in enumerate(keys):
+        if negative[i]:
+            fault = "attention map entries must be non-negative"
+        elif maps_a[key].shape != maps_b[key].shape:
+            fault = "map shape mismatch"
+        elif math.isnan(corr[i]):
+            fault = "undefined correlation: constant map"
+        else:
+            continue
+        raise InputError(f"qa_id {key[0]} glimpse {key[1]}: {fault}")
+    return corr.tolist()
+
+
 def cmd_eval_rank(args: argparse.Namespace) -> int:
     path_a = _require_file(args.maps_a, "maps file")
     path_b = _require_file(args.maps_b, "maps file")
@@ -166,14 +203,11 @@ def cmd_eval_rank(args: argparse.Namespace) -> int:
 
     lines = [["qa_id", "glimpse", "rank_corr"]]
     total = 0.0
-    for key in common:
-        try:
-            corr = rank_correlation(AttentionMap(maps_a[key]),
-                                    AttentionMap(maps_b[key]))
-        except AttentionError as exc:
-            raise InputError(f"qa_id {key[0]} glimpse {key[1]}: {exc}") from exc
-        total += corr
-        lines.append([str(key[0]), str(key[1]), fmt9(corr)])
+    for start in range(0, len(common), BLOCK_SIZE):
+        keys = common[start:start + BLOCK_SIZE]
+        for key, corr in zip(keys, _block_correlations(keys, maps_a, maps_b)):
+            total += corr
+            lines.append([str(key[0]), str(key[1]), fmt9(corr)])
     lines.append(["mean", "", fmt9(total / len(common))])
     write_csv(args.out, lines)
     if args.out:

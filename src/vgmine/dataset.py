@@ -109,17 +109,31 @@ def _read_array(path: Path) -> list:
     return data
 
 
+def _size(rec: dict, key: str) -> int:
+    value = rec[key]
+    if type(value) is not int:  # bools and numeric strings are rejected too
+        raise TypeError(f"{key} must be an integer, not {value!r}")
+    return value
+
+
 def read_qa(path: str | Path) -> list[QaTriplet]:
     """The QA records of one file, in file order."""
     triplets = []
     for index, rec in enumerate(_read_array(Path(path))):
         try:
             triplets.append(QaTriplet(qa_id_of(rec), rec["image_id"], rec["question"],
-                                      rec["answer"], rec["image_width"],
-                                      rec["image_height"]))
+                                      rec["answer"], _size(rec, "image_width"),
+                                      _size(rec, "image_height")))
         except (KeyError, TypeError) as exc:
             raise DatasetError(f"{path}: record {index}: bad QA record: {exc!r}") from exc
     return triplets
+
+
+def _annotation_error(path: str | Path, entry: int, kind: str, index: int | None,
+                      exc: Exception) -> DatasetError:
+    where = f"entry {entry}" if index is None else f"entry {entry}: {kind} {index}"
+    what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
+    return DatasetError(f"{path}: {where}: bad {kind} record: {what}")
 
 
 def _clamp_box(box: BoundingBox, width: int | None, height: int | None,
@@ -156,23 +170,31 @@ def load_dataset(regions_file: str | Path, objects_file: str | Path,
     report = LoadReport()
     dataset = Dataset()
 
-    for entry in regions_raw:
-        image_id = entry["image_id"]
-        regions = dataset.regions_by_image.setdefault(image_id, [])
-        for rec in entry.get("regions", []):
-            box = BoundingBox(rec["x"], rec["y"],
-                              rec["x"] + rec["width"] - 1,
-                              rec["y"] + rec["height"] - 1)
-            regions.append(RegionAnnotation(rec["region_id"], rec["phrase"], box))
+    for e, entry in enumerate(regions_raw):
+        r = None
+        try:
+            image_id = entry["image_id"]
+            regions = dataset.regions_by_image.setdefault(image_id, [])
+            for r, rec in enumerate(entry.get("regions", [])):
+                box = BoundingBox(rec["x"], rec["y"],
+                                  rec["x"] + rec["width"] - 1,
+                                  rec["y"] + rec["height"] - 1)
+                regions.append(RegionAnnotation(rec["region_id"], rec["phrase"], box))
+        except (KeyError, TypeError) as exc:
+            raise _annotation_error(regions_file, e, "region", r, exc) from exc
 
-    for entry in objects_raw:
-        image_id = entry["image_id"]
-        objects = dataset.objects_by_image.setdefault(image_id, [])
-        for rec in entry.get("objects", []):
-            box = BoundingBox(rec["x"], rec["y"],
-                              rec["x"] + rec["w"] - 1,
-                              rec["y"] + rec["h"] - 1)
-            objects.append(ObjectAnnotation(rec["object_id"], tuple(rec["names"]), box))
+    for e, entry in enumerate(objects_raw):
+        r = None
+        try:
+            image_id = entry["image_id"]
+            objects = dataset.objects_by_image.setdefault(image_id, [])
+            for r, rec in enumerate(entry.get("objects", [])):
+                box = BoundingBox(rec["x"], rec["y"],
+                                  rec["x"] + rec["w"] - 1,
+                                  rec["y"] + rec["h"] - 1)
+                objects.append(ObjectAnnotation(rec["object_id"], tuple(rec["names"]), box))
+        except (KeyError, TypeError) as exc:
+            raise _annotation_error(objects_file, e, "object", r, exc) from exc
 
     known_images = set(dataset.regions_by_image) | set(dataset.objects_by_image)
     dims: dict[int | str, tuple[int, int]] = {}

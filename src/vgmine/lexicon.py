@@ -87,7 +87,9 @@ def normalize_token(token: str) -> str:
 
 
 def tokenize(text: str) -> list[str]:
-    """Split text into lowercase word tokens (apostrophes/hyphens kept)."""
+    """Lowercase word tokens: maximal runs of ASCII letters and digits,
+    where a single apostrophe, underscore or hyphen between two runs joins
+    them; every other character separates tokens."""
     return _TOKEN_RE.findall(text.lower())
 
 

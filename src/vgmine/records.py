@@ -19,6 +19,8 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any
 
+import numpy as np
+
 from . import __version__
 
 
@@ -34,7 +36,18 @@ def fmt9(value: float) -> str:
 
 
 def round9(value: float) -> float:
-    return float(format(value, _FORMAT9))  # not fmt9(): one call less per map cell
+    return float(format(value, _FORMAT9))
+
+
+def round9_array(values: np.ndarray) -> np.ndarray:
+    """``round9`` of every element, called once per distinct float64 bit
+    pattern (so -0.0 and each NaN payload keep their own results)."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    ordered = np.sort(bits, axis=None)  # not np.unique: it imports numpy.ma
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    rounded = np.array([round9(v) for v in distinct.view(np.float64).tolist()],
+                       dtype=np.float64)
+    return rounded[np.searchsorted(distinct, bits)]
 
 
 def qa_id_of(record: dict) -> Any:

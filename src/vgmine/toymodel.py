@@ -26,7 +26,7 @@ from .attention import AttentionError, AttentionMap, GlimpseStack, rank_correlat
 # The per-sample scalar forms of the batched loss and metric below, importable
 # from here because perfbench/tracing.py wraps them by this module's name.
 from .attention import kl_divergence, rank_correlation  # noqa: F401
-from .records import fmt9, read_ndjson, round9, write_csv, write_ndjson
+from .records import fmt9, read_ndjson, round9_array, write_csv, write_ndjson
 from .schedule import LossBreakdown, Schedule
 from .schedule import total_loss  # noqa: F401
 
@@ -418,7 +418,7 @@ def write_metrics(rows: list[MetricsRow], path: str | Path) -> None:
 def write_params(params: ToyModelParams, path: str | Path) -> None:
     """NDJSON of named flat arrays: {name, shape, values}."""
     write_ndjson(path, ({"name": name, "shape": list(arr.shape),
-                         "values": [round9(v) for v in arr.ravel().tolist()]}
+                         "values": round9_array(arr).ravel().tolist()}
                         for name, arr in params.named_arrays()))
 
 

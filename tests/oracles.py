@@ -11,11 +11,13 @@ and the alias table instead of the compiled word signatures.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 
 import numpy as np
 
-from vgmine.attention import AttentionMap, GlimpseStack
+from vgmine.attention import AttentionMap, GlimpseStack, rank_correlation
 from vgmine.dataset import Dataset
 from vgmine.lexicon import Lexicon, MatchCondition, Pos, normalize_token
 from vgmine.miner import MinerConfig
@@ -69,6 +71,26 @@ def reference_fractional_ranks(values: np.ndarray) -> np.ndarray:
         ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
         i = j + 1
     return ranks
+
+
+def reference_eval_rank(rows_a: list[dict], rows_b: list[dict]) -> str:
+    """The text of ``eval-rank``'s CSV, one ``rank_correlation`` call per
+    pair: every (qa_id, glimpse) unmasked in both map lists, ordered by
+    (str(qa_id), glimpse), then the mean of the coefficients summed in
+    that order. Rows carry 'values' as (h, w) arrays."""
+    maps_a = {(r["qa_id"], r["glimpse"]): r["values"] for r in rows_a if r["mask"]}
+    maps_b = {(r["qa_id"], r["glimpse"]): r["values"] for r in rows_b if r["mask"]}
+    lines = [["qa_id", "glimpse", "rank_corr"]]
+    total = 0.0
+    common = sorted(set(maps_a) & set(maps_b), key=lambda k: (str(k[0]), k[1]))
+    for key in common:
+        corr = rank_correlation(AttentionMap(maps_a[key]), AttentionMap(maps_b[key]))
+        total += corr
+        lines.append([str(key[0]), str(key[1]), format(corr, ".9g")])
+    lines.append(["mean", "", format(total / len(common), ".9g")])
+    text = io.StringIO()
+    csv.writer(text).writerows(lines)
+    return text.getvalue()
 
 
 def block_mean(source: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
@@ -197,14 +219,30 @@ def reference_words_match(lex: Lexicon, w1: str, w2: str) -> MatchCondition:
 # --- literal reference miner ----------------------------------------------
 
 _STRIP = "\"'`.,:;!?()[]{}<>/\\|~*+=#&%$@^"
+_WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
+_JOINERS = frozenset("'_-")
 
 
 def _ref_tokens(text: str) -> list[str]:
+    """The documented token rule, scanned one character at a time: a
+    token is a maximal run of ASCII letters and digits in the lowercased
+    text, where a single apostrophe, underscore or hyphen with a letter or
+    digit on both sides joins two runs into one token."""
+    text = text.lower()
     tokens = []
-    for raw in text.lower().split():
-        raw = raw.strip(_STRIP)
-        if raw:
-            tokens.append(raw)
+    i = 0
+    while i < len(text):
+        if text[i] not in _WORD_CHARS:
+            i += 1
+            continue
+        end = i
+        while end < len(text) and text[end] in _WORD_CHARS:
+            end += 1
+            if (end + 1 < len(text) and text[end] in _JOINERS
+                    and text[end + 1] in _WORD_CHARS):
+                end += 1
+        tokens.append(text[i:end])
+        i = end
     return tokens
 
 

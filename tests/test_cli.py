@@ -11,9 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vgmine.attention import AttentionMap
+from vgmine.dataset import BoundingBox
 
 from conftest import ALIASES, FIG3, GOLDEN, WORDNET_DIR
-from oracles import brute_force_rasterize, pgm_reference
+from oracles import brute_force_rasterize, pgm_reference, reference_eval_rank
 
 MINE_ARGS = [
     "mine",
@@ -123,6 +124,97 @@ class TestRasterize:
         assert rows[("qa1", 1)]["mask"] is True
 
 
+def _random_labels(rng, count):
+    """``count`` label records with random boxes, image sizes and counting
+    flags (each with at least one box), and their QA records; qa_ids
+    alternate between strings and numbers."""
+    labels, qa = [], []
+    for i in range(count):
+        width, height = int(rng.integers(1, 800)), int(rng.integers(1, 600))
+
+        def boxes(k):
+            corners = []
+            for _ in range(k):
+                x0, y0 = int(rng.integers(0, width)), int(rng.integers(0, height))
+                corners.append([x0, y0, int(rng.integers(x0, width)),
+                                int(rng.integers(y0, height))])
+            return corners
+
+        objects, regions = boxes(int(rng.integers(0, 4))), boxes(int(rng.integers(0, 3)))
+        if not objects and not regions:
+            objects = boxes(1)
+        qa_id = f"q{i}" if i % 2 else i
+        labels.append({"qa_id": qa_id, "region_boxes": regions, "object_boxes": objects,
+                       "is_counting": bool(rng.integers(0, 3) == 0),
+                       "region_match_count": len(regions), "matched_words": []})
+        qa.append({"image_id": i, "qa_id": qa_id, "question": "q?", "answer": "a",
+                   "image_width": width, "image_height": height})
+    return labels, qa
+
+
+def _write_labels(directory, labels, qa):
+    labels_path = _ndjson(directory / "labels.ndjson", labels)
+    qa_path = directory / "qa.json"
+    qa_path.write_text(json.dumps(qa))
+    return labels_path, qa_path
+
+
+class TestRasterizeBlocks:
+    def test_labels_over_several_blocks_match_oracle(self, run_cli, tmp_path):
+        labels, qa = _random_labels(np.random.default_rng(41), 150)
+        labels_path, qa_path = _write_labels(tmp_path, labels, qa)
+        maps = tmp_path / "maps.ndjson"
+        code, _, err = run_cli("rasterize", "--labels", labels_path, "--qa", qa_path,
+                               "--out", maps, "--grid", 9, 11)
+        assert code == 0, err
+        rows = iter(map(json.loads, maps.read_text().splitlines()))
+        for label, rec in zip(labels, qa):
+            for glimpse, key in ((0, "object_boxes"), (1, "region_boxes")):
+                counts = brute_force_rasterize([BoundingBox(*b) for b in label[key]],
+                                               rec["image_width"], rec["image_height"],
+                                               9, 11).ravel().tolist()
+                total = sum(counts)
+                mask = (bool(label[key]) and total > 0
+                        and not (glimpse == 1 and label["is_counting"]))
+                want = [float(format(c / total, ".9g")) for c in counts] if mask else counts
+                row = next(rows)
+                assert (row["qa_id"], row["glimpse"], row["h"], row["w"], row["mask"]) == \
+                    (label["qa_id"], glimpse, 9, 11, mask)
+                assert row["values"] == want
+        assert next(rows, None) is None
+
+    @pytest.mark.parametrize("faults,reported", [
+        ([(70, "no-boxes"), (100, "missing-qa")], 70),
+        ([(70, "missing-qa"), (100, "no-boxes")], 70),
+        ([(100, "no-boxes"), (70, "zero-size")], 70),
+        ([(5, "zero-size"), (3, "no-boxes")], 3),
+    ], ids=["boxes-then-qa", "qa-then-boxes", "size-then-boxes", "one-block"])
+    def test_first_faulty_label_in_file_order_is_reported(self, run_cli, tmp_path,
+                                                          faults, reported):
+        labels, qa = _random_labels(np.random.default_rng(42), 130)
+        by_id = {rec["qa_id"]: rec for rec in qa}
+        messages = {}
+        for line, fault in faults:
+            label = labels[line - 1]
+            if fault == "no-boxes":
+                label["object_boxes"] = label["region_boxes"] = []
+                messages[line] = (f"{tmp_path / 'labels.ndjson'}: "
+                                  f"label {label['qa_id']} has no boxes to rasterize")
+            elif fault == "missing-qa":
+                qa.remove(by_id[label["qa_id"]])
+                messages[line] = f"label qa_id {label['qa_id']} missing from qa file"
+            else:
+                by_id[label["qa_id"]]["image_height"] = 0
+                messages[line] = (f"{tmp_path / 'qa.json'}: qa_id {label['qa_id']}: "
+                                  "image dimensions must be >= 1")
+        labels_path, qa_path = _write_labels(tmp_path, labels, qa)
+        code, _, err = run_cli("rasterize", "--labels", labels_path, "--qa", qa_path,
+                               "--out", tmp_path / "maps.ndjson")
+        assert code == 2
+        assert err == f"error: {messages[reported]}\n"
+        assert not (tmp_path / "maps.ndjson").exists()
+
+
 @pytest.fixture()
 def fig3_maps(run_cli, mined, tmp_path):
     maps = tmp_path / "fig3_maps.ndjson"
@@ -200,7 +292,7 @@ class TestEvalRank:
                 AttentionMap(next(r["values"] for r in rows
                                   if (str(r["qa_id"]), str(r["glimpse"])) == (qa_id, glimpse))),
                 AttentionMap(perturbed[(qa_id, int(glimpse))]))
-            assert float(corr) == pytest.approx(expected, abs=1e-9)
+            assert corr == format(expected, ".9g")
 
 
 class TestEvalAcc:
@@ -368,6 +460,82 @@ class TestPipelineAndConfig:
 
 # --- malformed input and partial output ------------------------------------
 
+def _tie_heavy_maps(rng, count, shapes=((7, 7), (3, 5))):
+    """Two lists of maps rows over ``count`` pairs with few distinct cell
+    values; a few rows are masked or present in one list only, and the
+    pairs use more than one grid shape."""
+    rows_a, rows_b = [], []
+    for i in range(count):
+        h, w = shapes[i % 7 == 0]
+        for rows, levels in ((rows_a, [0.0, 0.25, 0.5]), (rows_b, [0.0, 1 / 3, 2 / 3, 1.0])):
+            values = rng.choice(levels, h * w)
+            values[:2] = levels[0], levels[1]  # never constant
+            rows.append({"qa_id": i if i % 3 else f"m{i}", "glimpse": i % 2, "h": h, "w": w,
+                         "mask": i % 11 != 5 or rows is rows_a,
+                         "values": values.tolist()})
+    rows_a.append(dict(rows_a[0], qa_id="only-a"))
+    rows_b.append(dict(rows_b[1], qa_id="only-b"))
+    return rows_a, rows_b
+
+
+def _as_arrays(rows):
+    return [dict(row, values=np.array(row["values"]).reshape(row["h"], row["w"]))
+            for row in rows]
+
+
+class TestEvalRankBlocks:
+    def test_equals_per_pair_reference(self, run_cli, tmp_path):
+        rows_a, rows_b = _tie_heavy_maps(np.random.default_rng(50), 150)
+        out = tmp_path / "rank.csv"
+        code, _, err = run_cli("eval-rank", "--maps-a", _ndjson(tmp_path / "a.ndjson", rows_a),
+                               "--maps-b", _ndjson(tmp_path / "b.ndjson", rows_b),
+                               "--out", out)
+        assert code == 0, err
+        expected = reference_eval_rank(_as_arrays(rows_a), _as_arrays(rows_b))
+        assert out.read_bytes() == expected.encode()
+        assert expected.count("\n") > 2 + 64 * 2
+
+    @pytest.mark.parametrize("faults,reported", [
+        ([(70, "constant"), (100, "negative")], 70),
+        ([(100, "constant"), (70, "shape")], 70),
+        ([(10, "negative"), (20, "constant")], 10),
+        ([(20, "negative"), (10, "constant")], 10),
+        ([(30, "shape"), (12, "negative-b")], 12),
+    ], ids=["constant-then-negative", "shape-then-constant", "negative-then-constant",
+            "constant-then-negative-one-block", "negative-in-b-then-shape"])
+    def test_first_faulty_pair_in_order_is_reported(self, run_cli, tmp_path, faults,
+                                                    reported):
+        rng = np.random.default_rng(51)
+        rows_a, rows_b = [], []
+        for i in range(130):
+            for rows in (rows_a, rows_b):
+                rows.append({"qa_id": f"p{i:03d}", "glimpse": 0, "h": 7, "w": 7,
+                             "values": rng.choice([0.0, 0.5, 1.0], 49).tolist()})
+                rows[-1]["values"][:2] = [0.0, 1.0]
+        messages = {
+            "constant": "undefined correlation: constant map",
+            "negative": "attention map entries must be non-negative",
+            "negative-b": "attention map entries must be non-negative",
+            "shape": "map shape mismatch",
+        }
+        for index, fault in faults:
+            if fault == "constant":
+                rows_b[index]["values"] = [0.5] * 49
+            elif fault == "negative":
+                rows_a[index]["values"][3] = -1.0
+            elif fault == "negative-b":
+                rows_b[index]["values"][3] = -0.5
+            else:
+                rows_b[index]["h"], rows_b[index]["w"] = 1, 49
+        out = tmp_path / "rank.csv"
+        code, _, err = run_cli("eval-rank", "--maps-a", _ndjson(tmp_path / "a.ndjson", rows_a),
+                               "--maps-b", _ndjson(tmp_path / "b.ndjson", rows_b),
+                               "--out", out)
+        assert code == 2
+        assert err == f"error: qa_id p{reported:03d} glimpse 0: {messages[dict(faults)[reported]]}\n"
+        assert not out.exists()
+
+
 def _lines(path):
     return path.read_text().splitlines(keepends=True)
 
@@ -499,6 +667,46 @@ def _maps_with_negative_cell(tmp_path):
             f"{bad}: qa_id qa2 glimpse 0: attention map entries must be non-negative")
 
 
+def _maps_with_field(command, key, value):
+    def case(tmp_path):
+        bad = tmp_path / "maps.ndjson"
+        records = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
+        records[1][key] = value
+        _ndjson(bad, records)
+        least = 0 if key == "glimpse" else 1
+        expected = f"{bad}:2: {key} must be an integer >= {least}, not {value!r}"
+        if command == "render":
+            return ["render", "--maps", bad], expected
+        return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad],
+                expected)
+    return case
+
+
+def _qa_with_size(key, value):
+    def case(tmp_path):
+        bad = tmp_path / "qa.json"
+        qa = json.loads((FIG3 / "qa.json").read_text())
+        qa[1][key] = value
+        bad.write_text(json.dumps(qa))
+        error = TypeError(f"{key} must be an integer, not {value!r}")
+        return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
+                f"{bad}: record 1: bad QA record: {error!r}")
+    return case
+
+
+def _annotation_without_field(kind, key):
+    def case(tmp_path):
+        name = "regions" if kind == "region" else "objects"
+        bad = tmp_path / f"{name}.json"
+        entries = json.loads((FIG3 / f"{name}.json").read_text())
+        del entries[0][name][2][key]
+        bad.write_text(json.dumps(entries))
+        argv = [str(a) for a in MINE_ARGS]
+        argv[argv.index(f"--{name}") + 1] = str(bad)
+        return argv, f"{bad}: entry 0: {kind} 2: bad {kind} record: missing field '{key}'"
+    return case
+
+
 class TestMalformedInput:
     """Each malformed input exits 2 with a message naming the file and the
     line, offset or record, prints no traceback and leaves no output."""
@@ -509,11 +717,22 @@ class TestMalformedInput:
         _qa_not_json, _qa_record_without_field, _label_without_boxes, _qa_zero_width,
         _preds_with_list_qa_id, _list_qa_id("eval-rank"), _list_qa_id("rasterize-labels"),
         _list_qa_id("rasterize-qa"), _maps_with_negative_cell,
+        _maps_with_field("eval-rank", "glimpse", [1]), _maps_with_field("render", "glimpse", [1]),
+        _maps_with_field("eval-rank", "glimpse", "0"), _maps_with_field("render", "glimpse", -1),
+        _maps_with_field("eval-rank", "glimpse", True), _maps_with_field("eval-rank", "h", 0),
+        _maps_with_field("render", "w", "14"), _maps_with_field("eval-rank", "w", 14.0),
+        _qa_with_size("image_width", "640"), _qa_with_size("image_height", True),
+        _annotation_without_field("region", "width"),
+        _annotation_without_field("object", "names"),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
             "qa-zero-width", "preds-list-qa_id", "maps-list-qa_id", "labels-dict-qa_id",
-            "qa-list-qa_id", "render-negative-cell"])
+            "qa-list-qa_id", "render-negative-cell", "maps-list-glimpse-eval-rank",
+            "maps-list-glimpse-render", "maps-string-glimpse", "maps-negative-glimpse",
+            "maps-bool-glimpse", "maps-zero-h", "maps-string-w", "maps-float-w",
+            "qa-string-width", "qa-bool-height", "region-without-width",
+            "object-without-names"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"

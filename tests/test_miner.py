@@ -3,8 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from vgmine.dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
+from vgmine.lexicon import tokenize
 from vgmine.miner import (
     MinerConfig,
     informative_words,
@@ -16,7 +19,7 @@ from vgmine.miner import (
 )
 
 from corpusgen import random_corpus
-from oracles import reference_mine
+from oracles import _ref_tokens, reference_mine
 
 CFG = MinerConfig()
 
@@ -245,6 +248,22 @@ class TestMineProperties:
         ours = [label_to_dict(lab) for lab in mine(dataset, lexicon, CFG)]
         assert ours == reference_mine(dataset, lexicon, CFG)
         assert ours[0]["matched_words"] == [["dog", "dog", "raw"]]
+
+    def test_agrees_with_reference_on_inner_punctuation(self, lexicon):
+        dataset = Dataset(
+            triplets=[_triplet("Where is the dog?", "on the grass")],
+            regions_by_image={1: [_region(1, "dog,cat on grass")]},
+            objects_by_image={1: []},
+        )
+        ours = [label_to_dict(lab) for lab in mine(dataset, lexicon, CFG)]
+        assert ours == reference_mine(dataset, lexicon, CFG)
+        assert ours[0]["region_match_count"] == 2
+        assert ours[0]["region_boxes"] == [[0, 0, 9, 9]]
+
+    @given(text=st.text(alphabet="aZ9 _-'.,?!\u0130\u00e9\t", max_size=30))
+    @settings(max_examples=300)
+    def test_reference_tokens_follow_the_token_rule(self, text):
+        assert _ref_tokens(text) == tokenize(text)
 
     @pytest.mark.parametrize("cfg", [
         MinerConfig(iou_threshold=0.3),
