@@ -6,7 +6,6 @@ from .attention import (
     AttentionMap,
     GlimpseStack,
     build_supervision,
-    downsample,
     kl_divergence,
     l1_normalize,
     rank_correlation,
@@ -20,7 +19,6 @@ from .dataset import (
     QaTriplet,
     RegionAnnotation,
     load_dataset,
-    validate,
 )
 from .lexicon import Lexicon, MatchCondition, MatchResult, Pos, load_aliases, load_wordnet
 from .miner import GroundingLabel, MinerConfig, mine
@@ -47,7 +45,6 @@ __all__ = [
     "ToyModelParams",
     "ToySample",
     "build_supervision",
-    "downsample",
     "kl_divergence",
     "l1_normalize",
     "load_aliases",
@@ -59,6 +56,5 @@ __all__ = [
     "rasterize",
     "total_loss",
     "train",
-    "validate",
     "vqa_accuracy",
 ]

@@ -231,22 +231,6 @@ def rank_correlation(a: AttentionMap, b: AttentionMap) -> float:
     return corr
 
 
-def downsample(source: np.ndarray, grid_h: int, grid_w: int) -> AttentionMap:
-    """Block-mean pooling of an arbitrary-resolution heat map onto
-    grid_h x grid_w; source dimensions must not be smaller than the grid."""
-    source = np.asarray(source, dtype=np.float64)
-    src_h, src_w = source.shape
-    if src_h < grid_h or src_w < grid_w:
-        raise AttentionError("source must be at least as large as the grid")
-    values = np.zeros((grid_h, grid_w), dtype=np.float64)
-    for i in range(grid_h):
-        r0, r1 = (i * src_h) // grid_h, ((i + 1) * src_h) // grid_h
-        for j in range(grid_w):
-            c0, c1 = (j * src_w) // grid_w, ((j + 1) * src_w) // grid_w
-            values[i, j] = source[r0:r1, c0:c1].mean()
-    return AttentionMap(values, normalized=False)
-
-
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
@@ -284,11 +268,13 @@ def _whole(row: dict, key: str, least: int) -> int:
 
 
 def _map_from_row(row: dict) -> dict:
-    """The fields a command reads, each required but 'mask' (default True),
-    with 'values' as an (h, w) float64 array."""
+    """The fields a command reads, each required but 'mask' (a bool, default
+    True), with 'values' as an (h, w) float64 array."""
     glimpse, h, w = _whole(row, "glimpse", 0), _whole(row, "h", 1), _whole(row, "w", 1)
-    return {"qa_id": qa_id_of(row), "glimpse": glimpse, "h": h, "w": w,
-            "mask": row.get("mask", True),
+    mask = row.get("mask", True)
+    if type(mask) is not bool:
+        raise ValueError(f"mask must be a bool, not {mask!r}")
+    return {"qa_id": qa_id_of(row), "glimpse": glimpse, "h": h, "w": w, "mask": mask,
             "values": np.asarray(row["values"], dtype=np.float64).reshape(h, w)}
 
 
@@ -306,6 +292,3 @@ def pgm_bytes(amap: AttentionMap) -> bytes:
         scaled = np.zeros((h, w), dtype=np.uint8)
     return f"P5\n{w} {h}\n255\n".encode("ascii") + scaled.tobytes()
 
-
-def write_pgm(amap: AttentionMap, path: str | Path) -> None:
-    Path(path).write_bytes(pgm_bytes(amap))

@@ -22,12 +22,12 @@ from .attention import (
     BLOCK_SIZE,
     AttentionError,
     AttentionMap,
+    pgm_bytes,
     rank_correlations,
     read_maps,
     stack_to_rows,
     supervision_block,
     vqa_accuracy,
-    write_pgm,
 )
 # The per-label and per-pair forms of the block calls below, importable from
 # here because perfbench/tracing.py wraps them by this module's name.
@@ -251,7 +251,6 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
             grid_w=args.grid[1],
             glimpses=args.glimpses,
             num_answers=args.answers,
-            fusion_dim=args.channels,
             seed=args.seed,
             steps=args.steps,
             learning_rate=args.learning_rate,
@@ -299,7 +298,7 @@ def cmd_render(args: argparse.Namespace) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     for row, amap in zip(rows, maps):
-        write_pgm(amap, out_dir / f"{row['qa_id']}_g{row['glimpse']}.pgm")
+        (out_dir / f"{row['qa_id']}_g{row['glimpse']}.pgm").write_bytes(pgm_bytes(amap))
     write_manifest(out_dir / "render", "render", {}, [maps_path])
     print(f"rendered {len(rows)} maps to {out_dir}")
     return 0

@@ -7,9 +7,9 @@ File schemas (arrays of objects):
   objects: {image_id, objects: [{object_id, names: [...], x, y, w, h}]}
   qa:      {image_id, qa_id, question, answer, image_width, image_height}
 
-Boxes arrive as corner+size and are stored as inclusive pixel corners
-(x_max = x + width - 1). Out-of-range boxes are clamped to image bounds
-and counted in the load report rather than dropped.
+Boxes arrive as integer corner+size and are stored as inclusive pixel
+corners (x_max = x + width - 1). Out-of-range boxes are clamped to image
+bounds and counted in the load report rather than dropped.
 """
 
 from __future__ import annotations
@@ -116,6 +116,11 @@ def _size(rec: dict, key: str) -> int:
     return value
 
 
+def _corner_box(rec: dict, width_key: str, height_key: str) -> BoundingBox:
+    x, y = _size(rec, "x"), _size(rec, "y")
+    return BoundingBox(x, y, x + _size(rec, width_key) - 1, y + _size(rec, height_key) - 1)
+
+
 def read_qa(path: str | Path) -> list[QaTriplet]:
     """The QA records of one file, in file order."""
     triplets = []
@@ -176,9 +181,7 @@ def load_dataset(regions_file: str | Path, objects_file: str | Path,
             image_id = entry["image_id"]
             regions = dataset.regions_by_image.setdefault(image_id, [])
             for r, rec in enumerate(entry.get("regions", [])):
-                box = BoundingBox(rec["x"], rec["y"],
-                                  rec["x"] + rec["width"] - 1,
-                                  rec["y"] + rec["height"] - 1)
+                box = _corner_box(rec, "width", "height")
                 regions.append(RegionAnnotation(rec["region_id"], rec["phrase"], box))
         except (KeyError, TypeError) as exc:
             raise _annotation_error(regions_file, e, "region", r, exc) from exc
@@ -189,9 +192,7 @@ def load_dataset(regions_file: str | Path, objects_file: str | Path,
             image_id = entry["image_id"]
             objects = dataset.objects_by_image.setdefault(image_id, [])
             for r, rec in enumerate(entry.get("objects", [])):
-                box = BoundingBox(rec["x"], rec["y"],
-                                  rec["x"] + rec["w"] - 1,
-                                  rec["y"] + rec["h"] - 1)
+                box = _corner_box(rec, "w", "h")
                 objects.append(ObjectAnnotation(rec["object_id"], tuple(rec["names"]), box))
         except (KeyError, TypeError) as exc:
             raise _annotation_error(objects_file, e, "object", r, exc) from exc
@@ -218,52 +219,3 @@ def load_dataset(regions_file: str | Path, objects_file: str | Path,
             for o in dataset.objects_by_image[image_id]
         ]
     return dataset, report
-
-
-def validate(dataset: Dataset) -> list[str]:
-    """Return a list of invariant-violation messages (empty when clean)."""
-    problems: list[str] = []
-    seen_qa: set = set()
-    dims: dict[int | str, tuple[int, int]] = {}
-    for t in dataset.triplets:
-        if t.qa_id in seen_qa:
-            problems.append(f"duplicate qa_id: {t.qa_id}")
-        seen_qa.add(t.qa_id)
-        if not t.question:
-            problems.append(f"empty question for qa_id {t.qa_id}")
-        if not t.answer:
-            problems.append(f"empty answer for qa_id {t.qa_id}")
-        if t.image_width <= 0 or t.image_height <= 0:
-            problems.append(f"non-positive image dims for qa_id {t.qa_id}")
-        if t.image_id not in dataset.regions_by_image or t.image_id not in dataset.objects_by_image:
-            problems.append(f"qa_id {t.qa_id} references unknown image {t.image_id}")
-        first = dims.setdefault(t.image_id, (t.image_width, t.image_height))
-        if first != (t.image_width, t.image_height):
-            problems.append(f"inconsistent dims for image {t.image_id}")
-
-    def check_box(owner: str, box: BoundingBox, size: tuple[int, int] | None) -> None:
-        if box.x_min > box.x_max or box.y_min > box.y_max or box.x_min < 0 or box.y_min < 0:
-            problems.append(f"degenerate box for {owner}")
-        elif size is not None and (box.x_max >= size[0] or box.y_max >= size[1]):
-            problems.append(f"out-of-bounds box for {owner}")
-
-    seen_regions: set = set()
-    for image_id, regions in dataset.regions_by_image.items():
-        for r in regions:
-            if r.region_id in seen_regions:
-                problems.append(f"duplicate region_id: {r.region_id}")
-            seen_regions.add(r.region_id)
-            if not r.phrase:
-                problems.append(f"empty phrase for region_id {r.region_id}")
-            check_box(f"region_id {r.region_id}", r.box, dims.get(image_id))
-
-    seen_objects: set = set()
-    for image_id, objects in dataset.objects_by_image.items():
-        for o in objects:
-            if o.object_id in seen_objects:
-                problems.append(f"duplicate object_id: {o.object_id}")
-            seen_objects.add(o.object_id)
-            if not o.names:
-                problems.append(f"empty names for object_id {o.object_id}")
-            check_box(f"object_id {o.object_id}", o.box, dims.get(image_id))
-    return problems

@@ -79,11 +79,15 @@ _DETACHMENT_RULES: dict[Pos, list[tuple[str, str]]] = {
 }
 
 
+# surrounding characters normalize_token trims: punctuation and the space
+_TRIM = "\"'`.,:;!?()[]{}<>/\\|~*+=#&%$@^ "
+
+
 def normalize_token(token: str) -> str:
-    """Lowercase, trim surrounding punctuation, collapse inner whitespace."""
-    token = token.strip().lower()
-    token = token.strip("\"'`.,:;!?()[]{}<>/\\|~*+=#&%$@^")
-    return " ".join(token.split())
+    """Lowercase, collapse whitespace runs to one space, then trim
+    surrounding punctuation and spaces. Idempotent: a normalized word
+    normalizes to itself."""
+    return " ".join(token.lower().split()).strip(_TRIM)
 
 
 def tokenize(text: str) -> list[str]:
@@ -195,17 +199,11 @@ class Lexicon:
             return word
         return None
 
-    def _lemmas(self, word: str) -> tuple[str | None, str | None]:
-        """Noun and verb base forms of an already normalized word."""
-        if not word:
-            return None, None
-        return self._base_form(word, Pos.NOUN), self._base_form(word, Pos.VERB)
-
     def synsets(self, word: str, pos: Pos) -> frozenset[str]:
         """Synset ids of ``word`` and, when different, of its morphy lemma."""
         word = normalize_token(word)
         ids = set(self._index_ids(word, pos))
-        lemma = self.morphy(word, pos)
+        lemma = self._base_form(word, pos)
         if lemma is not None and lemma != word:
             ids.update(self._index_ids(lemma, pos))
         return frozenset(ids)
@@ -221,18 +219,12 @@ class Lexicon:
         norm = normalize_token(word)
         if not norm:
             return _BLANK
-        # Lemmas and synsets are those morphy() and synsets() give for norm.
-        # Both normalize their argument again, and normalize_token is not
-        # idempotent (". ' dog" -> "' dog" -> "dog"): the lemmas come from
-        # ``base``, the lemmas synsets() adds from ``base`` normalized again.
-        base = normalize_token(norm)
-        lemmas = self._lemmas(base)
-        again = base if base == norm else normalize_token(base)
-        synset_lemmas = lemmas if again == base else self._lemmas(again)
+        # the lemmas and synset ids that morphy() and synsets() give for norm
+        lemmas = self._base_form(norm, Pos.NOUN), self._base_form(norm, Pos.VERB)
         ids: set[str] = set()
-        for pos, lemma in zip((Pos.NOUN, Pos.VERB), synset_lemmas):
-            ids.update(self._index_ids(base, pos))
-            if lemma is not None and lemma != base:
+        for pos, lemma in zip((Pos.NOUN, Pos.VERB), lemmas):
+            ids.update(self._index_ids(norm, pos))
+            if lemma is not None and lemma != norm:
                 ids.update(self._index_ids(lemma, pos))
         forms = (norm,) + tuple(lemma for lemma in lemmas if lemma is not None)
         aliases: set[str] = set()
@@ -245,13 +237,9 @@ class Lexicon:
     def has_entry(self, word: str, pos: Pos | None = None) -> bool:
         """True when the word (directly or via morphy) is in the index."""
         sig = self.signature(word)
-        if normalize_token(sig.norm) == sig.norm:
-            noun, verb = sig.noun, sig.verb
-        else:  # morphy sees ``sig.norm`` itself, not its signature's ``base``
-            noun, verb = self._lemmas(sig.norm)
         if pos is None:
-            return noun is not None or verb is not None
-        return (noun if pos is Pos.NOUN else verb) is not None
+            return sig.noun is not None or sig.verb is not None
+        return (sig.noun if pos is Pos.NOUN else sig.verb) is not None
 
     def words_match(self, w1: str, w2: str) -> MatchResult:
         """Match two tokens by raw text, lemma, synset overlap, or alias.

@@ -74,12 +74,10 @@ def informative_words(text: str, lexicon: Lexicon,
     verb lexicon entry (directly or via morphy); order of first appearance."""
     words: list[str] = []
     seen: set[str] = set()
-    for token in tokenize(text):
-        token = normalize_token(token)
-        if not token or token in seen or token in stopwords:
+    for token in tokenize(text):  # every token is already normalized
+        if token in seen or token in stopwords:
             continue
         seen.add(token)
-        # a regex token normalizes to itself, so these are morphy's lemmas
         sig = lexicon.signature(token)
         if sig.noun is not None or sig.verb is not None:
             words.append(token)
@@ -255,11 +253,17 @@ def label_to_dict(label: GroundingLabel) -> dict:
     }
 
 
+def _box(corners: list) -> BoundingBox:
+    if len(corners) != 4 or any(type(v) is not int for v in corners):  # bools too
+        raise TypeError(f"a box must be 4 integers, not {corners!r}")
+    return BoundingBox(*corners)
+
+
 def label_from_dict(data: dict) -> GroundingLabel:
     return GroundingLabel(
         qa_id=qa_id_of(data),
-        region_boxes=[BoundingBox(*b) for b in data["region_boxes"]],
-        object_boxes=[BoundingBox(*b) for b in data["object_boxes"]],
+        region_boxes=[_box(b) for b in data["region_boxes"]],
+        object_boxes=[_box(b) for b in data["object_boxes"]],
         is_counting=data["is_counting"],
         region_match_count=data["region_match_count"],
         matched_words=[tuple(m) for m in data["matched_words"]],

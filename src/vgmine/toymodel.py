@@ -43,18 +43,15 @@ class ToyConfig:
     grid_w: int = 7
     glimpses: int = 2              # G_v
     num_answers: int = 5           # K
-    fusion_dim: int = 16           # O; Hadamard fusion requires O == C
     seed: int = 0
     steps: int = 2000
     learning_rate: float = 0.5
 
     def __post_init__(self) -> None:
         for name in ("question_dim", "image_channels", "grid_h", "grid_w",
-                     "glimpses", "num_answers", "fusion_dim"):
+                     "glimpses", "num_answers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.fusion_dim != self.image_channels:
-            raise ValueError("Hadamard fusion requires fusion_dim == image_channels")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.steps < 0:

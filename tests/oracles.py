@@ -93,22 +93,6 @@ def reference_eval_rank(rows_a: list[dict], rows_b: list[dict]) -> str:
     return text.getvalue()
 
 
-def block_mean(source: np.ndarray, grid_h: int, grid_w: int) -> np.ndarray:
-    """Per-cell mean over the same row/column partition, one cell at a time."""
-    src_h, src_w = source.shape
-    out = np.zeros((grid_h, grid_w))
-    for i in range(grid_h):
-        for j in range(grid_w):
-            r0, r1 = i * src_h // grid_h, (i + 1) * src_h // grid_h
-            c0, c1 = j * src_w // grid_w, (j + 1) * src_w // grid_w
-            acc = 0.0
-            for r in range(r0, r1):
-                for c in range(c0, c1):
-                    acc += source[r, c]
-            out[i, j] = acc / ((r1 - r0) * (c1 - c0))
-    return out
-
-
 def pgm_reference(values: np.ndarray) -> bytes:
     """Independent P5 encoder: loop, round, emit."""
     h, w = values.shape
@@ -189,7 +173,20 @@ def finite_difference_check(params, sample, schedule, t):
     return max_entry_rel, max_tensor_rel
 
 
-# --- four-condition word match ---------------------------------------------
+# --- word normalization and four-condition word match ----------------------
+
+_STRIP = "\"'`.,:;!?()[]{}<>/\\|~*+=#&%$@^"
+
+
+def reference_normalize(token: str) -> str:
+    """One pass of trim whitespace, lowercase, trim punctuation, collapse
+    inner whitespace, repeated until a pass changes nothing."""
+    while True:
+        once = " ".join(token.strip().lower().strip(_STRIP).split())
+        if once == token:
+            return token
+        token = once
+
 
 def reference_words_match(lex: Lexicon, w1: str, w2: str) -> MatchCondition:
     """The first rule that holds, in the order RAW < LEMMA < SYNSET < ALIAS,
@@ -218,7 +215,6 @@ def reference_words_match(lex: Lexicon, w1: str, w2: str) -> MatchCondition:
 
 # --- literal reference miner ----------------------------------------------
 
-_STRIP = "\"'`.,:;!?()[]{}<>/\\|~*+=#&%$@^"
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")
 _JOINERS = frozenset("'_-")
 
@@ -312,7 +308,7 @@ def reference_mine(dataset: Dataset, lex: Lexicon, cfg: MinerConfig) -> list[dic
             best_cond = None
             best_match = None
             for name in obj.names:
-                name_n = " ".join(name.lower().strip().strip(_STRIP).split())
+                name_n = reference_normalize(name)
                 for q_word in query_nouns:
                     res = lex.words_match(q_word, name_n)
                     if res.matched and (best_cond is None

@@ -11,7 +11,6 @@ from vgmine.attention import (
     AttentionMap,
     GlimpseStack,
     build_supervision,
-    downsample,
     kl_divergence,
     l1_normalize,
     midranks,
@@ -24,7 +23,7 @@ from vgmine.attention import (
 from vgmine.dataset import BoundingBox, QaTriplet
 from vgmine.miner import GroundingLabel
 
-from oracles import (block_mean, brute_force_rasterize, kl_summation, pgm_reference,
+from oracles import (brute_force_rasterize, kl_summation, pgm_reference,
                      reference_fractional_ranks)
 
 
@@ -278,30 +277,6 @@ class TestMidranks:
         for i in (0, 1, 3, 4, 5):
             assert corr[i] == rank_correlation(AttentionMap(a[i].reshape(7, 7)),
                                                AttentionMap(b[i].reshape(7, 7)))
-
-
-class TestDownsample:
-    def test_uniform_28_to_14(self):
-        amap = downsample(np.full((28, 28), 0.5), 14, 14)
-        assert np.allclose(amap.values, 0.5, atol=1e-15)
-
-    def test_hot_block_maps_to_one_cell(self):
-        source = np.zeros((28, 28))
-        source[4:6, 8:10] = 1.0  # one aligned 2x2 block
-        amap = downsample(source, 14, 14)
-        expected = np.zeros((14, 14))
-        expected[2, 4] = 1.0
-        assert np.array_equal(amap.values, expected)
-
-    def test_matches_block_mean_oracle(self):
-        rng = np.random.default_rng(20)
-        source = rng.uniform(0, 3, (56, 56))
-        ours = downsample(source, 14, 14).values
-        assert np.allclose(ours, block_mean(source, 14, 14), atol=1e-12)
-
-    def test_source_smaller_than_grid_is_an_error(self):
-        with pytest.raises(AttentionError):
-            downsample(np.ones((7, 7)), 14, 14)
 
 
 class TestVqaAccuracy:

@@ -673,8 +673,11 @@ def _maps_with_field(command, key, value):
         records = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
         records[1][key] = value
         _ndjson(bad, records)
-        least = 0 if key == "glimpse" else 1
-        expected = f"{bad}:2: {key} must be an integer >= {least}, not {value!r}"
+        if key == "mask":
+            rule = "a bool"
+        else:
+            rule = f"an integer >= {0 if key == 'glimpse' else 1}"
+        expected = f"{bad}:2: {key} must be {rule}, not {value!r}"
         if command == "render":
             return ["render", "--maps", bad], expected
         return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad],
@@ -694,17 +697,33 @@ def _qa_with_size(key, value):
     return case
 
 
-def _annotation_without_field(kind, key):
+def _annotation_with_field(kind, key, value=None):
+    """Record 2 of entry 0 without ``key``, or with ``key`` set to ``value``."""
     def case(tmp_path):
         name = "regions" if kind == "region" else "objects"
         bad = tmp_path / f"{name}.json"
         entries = json.loads((FIG3 / f"{name}.json").read_text())
-        del entries[0][name][2][key]
+        if value is None:
+            del entries[0][name][2][key]
+            fault = f"missing field '{key}'"
+        else:
+            entries[0][name][2][key] = value
+            fault = f"{key} must be an integer, not {value!r}"
         bad.write_text(json.dumps(entries))
         argv = [str(a) for a in MINE_ARGS]
         argv[argv.index(f"--{name}") + 1] = str(bad)
-        return argv, f"{bad}: entry 0: {kind} 2: bad {kind} record: missing field '{key}'"
+        return argv, f"{bad}: entry 0: {kind} 2: bad {kind} record: {fault}"
     return case
+
+
+def _label_with_float_box(tmp_path):
+    bad = tmp_path / "labels.ndjson"
+    records = [json.loads(text) for text in _lines(GOLDEN / "fig3_labels.ndjson")]
+    records[1]["object_boxes"][0][0] = 120.5
+    box = records[1]["object_boxes"][0]
+    _ndjson(bad, records)
+    return (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"],
+            f"{bad}:2: a box must be 4 integers, not {box!r}")
 
 
 class TestMalformedInput:
@@ -722,8 +741,11 @@ class TestMalformedInput:
         _maps_with_field("eval-rank", "glimpse", True), _maps_with_field("eval-rank", "h", 0),
         _maps_with_field("render", "w", "14"), _maps_with_field("eval-rank", "w", 14.0),
         _qa_with_size("image_width", "640"), _qa_with_size("image_height", True),
-        _annotation_without_field("region", "width"),
-        _annotation_without_field("object", "names"),
+        _annotation_with_field("region", "width"), _annotation_with_field("object", "names"),
+        _annotation_with_field("object", "x", 120.5),
+        _annotation_with_field("region", "height", True), _label_with_float_box,
+        _maps_with_field("eval-rank", "mask", "false"),
+        _maps_with_field("render", "mask", "false"),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -732,7 +754,8 @@ class TestMalformedInput:
             "maps-list-glimpse-render", "maps-string-glimpse", "maps-negative-glimpse",
             "maps-bool-glimpse", "maps-zero-h", "maps-string-w", "maps-float-w",
             "qa-string-width", "qa-bool-height", "region-without-width",
-            "object-without-names"])
+            "object-without-names", "object-float-x", "region-bool-height",
+            "label-float-box", "maps-string-mask-eval-rank", "maps-string-mask-render"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"

@@ -2,13 +2,7 @@ import json
 
 import pytest
 
-from vgmine.dataset import (
-    BoundingBox,
-    DatasetError,
-    QaTriplet,
-    load_dataset,
-    validate,
-)
+from vgmine.dataset import BoundingBox, DatasetError, load_dataset
 
 from conftest import FIG3
 
@@ -73,30 +67,6 @@ class TestLoadDataset:
         second, _ = load_dataset(*paths)
         assert first == second
         assert report.clamped_boxes == 0
-
-
-class TestValidate:
-    def test_fresh_dataset_is_clean(self, fig3_dataset):
-        assert validate(fig3_dataset) == []
-
-    def test_duplicate_qa_id_reported(self, tmp_path):
-        dataset, _ = load_dataset(*_write_corpus(
-            tmp_path, BASIC_REGIONS, BASIC_OBJECTS, BASIC_QA))
-        dataset.triplets.append(dataset.triplets[0])
-        assert any("duplicate qa_id: 31" in p for p in validate(dataset))
-
-    def test_empty_phrase_reported(self, tmp_path):
-        dataset, _ = load_dataset(*_write_corpus(
-            tmp_path, BASIC_REGIONS, BASIC_OBJECTS, BASIC_QA))
-        region = dataset.regions_by_image[1][0]
-        dataset.regions_by_image[1][0] = type(region)(region.region_id, "", region.box)
-        assert any(f"region_id {region.region_id}" in p for p in validate(dataset))
-
-    def test_inconsistent_dims_reported(self, tmp_path):
-        dataset, _ = load_dataset(*_write_corpus(
-            tmp_path, BASIC_REGIONS, BASIC_OBJECTS, BASIC_QA))
-        dataset.triplets.append(QaTriplet(99, 1, "q?", "a", 10, 10))
-        assert any("inconsistent dims" in p for p in validate(dataset))
 
 
 class TestBoundingBox:

@@ -1,7 +1,7 @@
 import os
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from vgmine.lexicon import (
@@ -11,10 +11,11 @@ from vgmine.lexicon import (
     Pos,
     load_aliases,
     load_wordnet,
+    normalize_token,
 )
 
 from conftest import ALIASES, WORDNET_DIR
-from oracles import reference_words_match
+from oracles import reference_normalize, reference_words_match
 
 VOCAB = st.sampled_from([
     "man", "men", "person", "people", "car", "cars", "automobile", "dog",
@@ -22,9 +23,7 @@ VOCAB = st.sampled_from([
     "qzxv", "blorp", "the", "doing", "bike", "bicycle",
 ])
 
-# Mixed case, surrounding punctuation and whitespace. normalize_token is not
-# idempotent (". ' dog" -> "' dog" -> "dog"), and morphy and synsets
-# normalize their argument once more than words_match does.
+# Mixed case and surrounding punctuation and whitespace, also nested (". ' dog").
 PUNCTUATED = st.one_of(
     st.sampled_from([". ' dog", "Dogs.", '" car', "", ". ' \" men", " Talking ",
                      "'people'", "CARS", ". , bench", "?"]),
@@ -33,6 +32,25 @@ PUNCTUATED = st.one_of(
               st.sampled_from(["", ". ", "' ", '"', ". ' ", "( "]), VOCAB,
               st.sampled_from(["", ".", "s", "?", " .", "es"]), st.booleans()),
 )
+
+
+# Whitespace of several kinds, trimmed punctuation, and letters whose case
+# mapping changes length (U+0130 lowercases and U+00DF uppercases to two).
+NORMALIZE_TEXT = st.one_of(
+    st.text(alphabet=" \t\n\u00a0\u2003\x1c.'\"(),?*#aZ9\u0130\u00df-_", max_size=20),
+    st.text(max_size=20),
+)
+
+
+class TestNormalizeToken:
+    @given(text=NORMALIZE_TEXT)
+    @example(text=". ' dog")
+    @example(text=" ( Two\t Dogs ) .")
+    @settings(max_examples=500)
+    def test_idempotent_and_equal_to_repeated_one_pass_rule(self, text):
+        once = normalize_token(text)
+        assert normalize_token(once) == once
+        assert once == reference_normalize(text)
 
 
 class TestLoadWordnet:
@@ -105,6 +123,11 @@ class TestLoadAliases:
         for word, others in lexicon.aliases.items():
             for other in others:
                 assert word in lexicon.aliases[other]
+
+    def test_names_are_normalized_in_one_step(self, tmp_path):
+        path = tmp_path / "aliases.txt"
+        path.write_text(". ' People , MEN\n")
+        assert load_aliases(Lexicon(), path).aliases == {"people": {"men"}, "men": {"people"}}
 
     def test_empty_file_changes_nothing(self, tmp_path):
         lex = Lexicon()

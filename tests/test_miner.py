@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vgmine.dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
-from vgmine.lexicon import tokenize
+from vgmine.lexicon import normalize_token, tokenize
 from vgmine.miner import (
     MinerConfig,
     informative_words,
@@ -240,14 +240,15 @@ class TestMineProperties:
             assert ours == reference_mine(dataset, lexicon, CFG)
 
     def test_agrees_with_reference_on_padded_object_name(self, lexicon):
-        dataset = Dataset(
-            triplets=[_triplet("Where is the dog?", "on the grass")],
-            regions_by_image={1: []},
-            objects_by_image={1: [ObjectAnnotation(2, (" . dog",), BoundingBox(0, 0, 9, 9))]},
-        )
-        ours = [label_to_dict(lab) for lab in mine(dataset, lexicon, CFG)]
-        assert ours == reference_mine(dataset, lexicon, CFG)
-        assert ours[0]["matched_words"] == [["dog", "dog", "raw"]]
+        for name in (" . dog", ". ' dog"):
+            dataset = Dataset(
+                triplets=[_triplet("Where is the dog?", "on the grass")],
+                regions_by_image={1: []},
+                objects_by_image={1: [ObjectAnnotation(2, (name,), BoundingBox(0, 0, 9, 9))]},
+            )
+            ours = [label_to_dict(lab) for lab in mine(dataset, lexicon, CFG)]
+            assert ours == reference_mine(dataset, lexicon, CFG)
+            assert ours[0]["matched_words"] == [["dog", "dog", "raw"]]
 
     def test_agrees_with_reference_on_inner_punctuation(self, lexicon):
         dataset = Dataset(
@@ -263,7 +264,9 @@ class TestMineProperties:
     @given(text=st.text(alphabet="aZ9 _-'.,?!\u0130\u00e9\t", max_size=30))
     @settings(max_examples=300)
     def test_reference_tokens_follow_the_token_rule(self, text):
-        assert _ref_tokens(text) == tokenize(text)
+        tokens = tokenize(text)
+        assert _ref_tokens(text) == tokens
+        assert all(normalize_token(token) == token for token in tokens)
 
     @pytest.mark.parametrize("cfg", [
         MinerConfig(iou_threshold=0.3),
