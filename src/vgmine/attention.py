@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import BoundingBox, QaTriplet
 from .miner import GroundingLabel
-from .records import qa_id_of, read_ndjson, round9_array
+from .records import integer, qa_id_of, read_ndjson, round9_array
 
 DEFAULT_GRID = 14
 
@@ -168,18 +168,27 @@ def kl_divergence(p: GlimpseStack, q: GlimpseStack) -> float:
     """
     if len(p.glimpses) != len(q.glimpses):
         raise AttentionError("glimpse count mismatch")
-    total = 0.0
-    for g, (pg, qg) in enumerate(zip(p.glimpses, q.glimpses)):
-        if pg.shape != qg.shape:
-            raise AttentionError("glimpse shape mismatch")
-        if not p.supervision_mask[g]:
-            continue
-        pv, qv = pg.values, qg.values
-        support = pv > 0
-        if np.any(qv[support] <= 0):
-            raise AttentionError("prediction has zero mass on supervised cells")
-        total += float(np.sum(pv[support] * np.log(pv[support] / qv[support])))
-    return total
+    if any(pg.shape != qg.shape for pg, qg in zip(p.glimpses, q.glimpses)):
+        raise AttentionError("glimpse shape mismatch")
+    if not p.glimpses:
+        return 0.0
+    pv, qv = (np.stack([g.values.ravel() for g in s.glimpses])[None] for s in (p, q))
+    mask = np.array(p.supervision_mask, dtype=bool)[None, :, None]
+    return float(kl_rows(pv, qv, (pv > 0) & mask)[0])
+
+
+def kl_rows(p: np.ndarray, q: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """The one KL kernel, used by ``kl_divergence`` and toy-model training:
+    for each row i of two (n, G, cells) arrays, the sum of p*log(p/q) over
+    the cells of ``support``, a bool array of their shape that holds the
+    positive cells of p's supervised glimpses (0*log0 = 0 elsewhere). q
+    must be positive on the support."""
+    mass, predicted = p[support], q[support]
+    if np.any(predicted <= 0):
+        raise AttentionError("prediction has zero mass on supervised cells")
+    cells = np.zeros(p.shape)
+    cells[support] = mass * np.log(mass / predicted)
+    return cells.sum(axis=2).sum(axis=1)
 
 
 def midranks(values: np.ndarray) -> np.ndarray:
@@ -260,17 +269,10 @@ def stack_to_rows(qa_ids: list, glimpses: np.ndarray, masks: np.ndarray) -> list
             for i, qa_id in enumerate(qa_ids) for g in range(count)]
 
 
-def _whole(row: dict, key: str, least: int) -> int:
-    value = row[key]
-    if type(value) is not int or value < least:  # bools are rejected too
-        raise ValueError(f"{key} must be an integer >= {least}, not {value!r}")
-    return value
-
-
 def _map_from_row(row: dict) -> dict:
     """The fields a command reads, each required but 'mask' (a bool, default
     True), with 'values' as an (h, w) float64 array."""
-    glimpse, h, w = _whole(row, "glimpse", 0), _whole(row, "h", 1), _whole(row, "w", 1)
+    glimpse, h, w = integer(row, "glimpse", 0), integer(row, "h", 1), integer(row, "w", 1)
     mask = row.get("mask", True)
     if type(mask) is not bool:
         raise ValueError(f"mask must be a bool, not {mask!r}")

@@ -14,10 +14,11 @@ bounds and counted in the load report rather than dropped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from pathlib import Path
 
-from .records import InputError, qa_id_of, read_json
+from .records import InputError, integer, qa_id_of, read_json
 
 
 class DatasetError(InputError):
@@ -109,16 +110,9 @@ def _read_array(path: Path) -> list:
     return data
 
 
-def _size(rec: dict, key: str) -> int:
-    value = rec[key]
-    if type(value) is not int:  # bools and numeric strings are rejected too
-        raise TypeError(f"{key} must be an integer, not {value!r}")
-    return value
-
-
 def _corner_box(rec: dict, width_key: str, height_key: str) -> BoundingBox:
-    x, y = _size(rec, "x"), _size(rec, "y")
-    return BoundingBox(x, y, x + _size(rec, width_key) - 1, y + _size(rec, height_key) - 1)
+    x, y = integer(rec, "x"), integer(rec, "y")
+    return BoundingBox(x, y, x + integer(rec, width_key) - 1, y + integer(rec, height_key) - 1)
 
 
 def read_qa(path: str | Path) -> list[QaTriplet]:
@@ -127,8 +121,8 @@ def read_qa(path: str | Path) -> list[QaTriplet]:
     for index, rec in enumerate(_read_array(Path(path))):
         try:
             triplets.append(QaTriplet(qa_id_of(rec), rec["image_id"], rec["question"],
-                                      rec["answer"], _size(rec, "image_width"),
-                                      _size(rec, "image_height")))
+                                      rec["answer"], integer(rec, "image_width"),
+                                      integer(rec, "image_height")))
         except (KeyError, TypeError) as exc:
             raise DatasetError(f"{path}: record {index}: bad QA record: {exc!r}") from exc
     return triplets
@@ -141,23 +135,38 @@ def _annotation_error(path: str | Path, entry: int, kind: str, index: int | None
     return DatasetError(f"{path}: {where}: bad {kind} record: {what}")
 
 
-def _clamp_box(box: BoundingBox, width: int | None, height: int | None,
+def _clamp_box(box: BoundingBox, size: tuple[int, int] | None,
                report: LoadReport) -> BoundingBox:
-    x_min, y_min, x_max, y_max = box.x_min, box.y_min, box.x_max, box.y_max
-    x_min = max(x_min, 0)
-    y_min = max(y_min, 0)
-    x_max = max(x_max, x_min)
-    y_max = max(y_max, y_min)
-    if width is not None:
-        x_min = min(x_min, width - 1)
-        x_max = min(x_max, width - 1)
-    if height is not None:
-        y_min = min(y_min, height - 1)
-        y_max = min(y_max, height - 1)
-    clamped = BoundingBox(x_min, y_min, x_max, y_max)
+    """``box`` clamped into a (width, height) image and counted when that
+    changes it; unchanged when no size is known."""
+    if size is None:
+        return box
+    width, height = size
+    x_min, y_min = max(box.x_min, 0), max(box.y_min, 0)
+    x_max, y_max = max(box.x_max, x_min), max(box.y_max, y_min)
+    clamped = BoundingBox(min(x_min, width - 1), min(y_min, height - 1),
+                          min(x_max, width - 1), min(y_max, height - 1))
     if clamped != box:
         report.clamped_boxes += 1
     return clamped
+
+
+def _annotations(path: str | Path, kind: str, size_keys: tuple[str, str],
+                 sizes: dict, report: LoadReport, make: Callable) -> dict[int | str, list]:
+    """The ``kind`` records of one annotation file by image id, in file
+    order; ``make(rec, box)`` builds each from its clamped box."""
+    by_image: dict[int | str, list] = {}
+    for e, entry in enumerate(_read_array(Path(path))):
+        r = None
+        try:
+            size = sizes.get(entry["image_id"])
+            items = by_image.setdefault(entry["image_id"], [])
+            for r, rec in enumerate(entry.get(f"{kind}s", [])):
+                box = _clamp_box(_corner_box(rec, *size_keys), size, report)
+                items.append(make(rec, box))
+        except (KeyError, TypeError) as exc:
+            raise _annotation_error(path, e, kind, r, exc) from exc
+    return by_image
 
 
 def load_dataset(regions_file: str | Path, objects_file: str | Path,
@@ -166,56 +175,32 @@ def load_dataset(regions_file: str | Path, objects_file: str | Path,
 
     Triplets referencing an image absent from both annotation files are
     dropped and counted. Image dimensions come from the first QA row per
-    image; annotation boxes for images never referenced by any QA row are
-    kept unclamped (no bounds are known for them).
+    image, and each box is clamped to them as it is read; annotation boxes
+    for images never referenced by any QA row are kept unclamped (no
+    bounds are known for them). A QA row with a dimension below 1 is an
+    error.
     """
-    regions_raw = _read_array(Path(regions_file))
-    objects_raw = _read_array(Path(objects_file))
     qa_triplets = read_qa(qa_file)
+    sizes: dict[int | str, tuple[int, int]] = {}
+    for triplet in qa_triplets:
+        if triplet.image_width < 1 or triplet.image_height < 1:
+            raise DatasetError(f"{qa_file}: qa_id {triplet.qa_id}: "
+                               "image dimensions must be >= 1")
+        sizes.setdefault(triplet.image_id, (triplet.image_width, triplet.image_height))
     report = LoadReport()
-    dataset = Dataset()
-
-    for e, entry in enumerate(regions_raw):
-        r = None
-        try:
-            image_id = entry["image_id"]
-            regions = dataset.regions_by_image.setdefault(image_id, [])
-            for r, rec in enumerate(entry.get("regions", [])):
-                box = _corner_box(rec, "width", "height")
-                regions.append(RegionAnnotation(rec["region_id"], rec["phrase"], box))
-        except (KeyError, TypeError) as exc:
-            raise _annotation_error(regions_file, e, "region", r, exc) from exc
-
-    for e, entry in enumerate(objects_raw):
-        r = None
-        try:
-            image_id = entry["image_id"]
-            objects = dataset.objects_by_image.setdefault(image_id, [])
-            for r, rec in enumerate(entry.get("objects", [])):
-                box = _corner_box(rec, "w", "h")
-                objects.append(ObjectAnnotation(rec["object_id"], tuple(rec["names"]), box))
-        except (KeyError, TypeError) as exc:
-            raise _annotation_error(objects_file, e, "object", r, exc) from exc
-
-    known_images = set(dataset.regions_by_image) | set(dataset.objects_by_image)
-    dims: dict[int | str, tuple[int, int]] = {}
+    dataset = Dataset(
+        regions_by_image=_annotations(
+            regions_file, "region", ("width", "height"), sizes, report,
+            lambda rec, box: RegionAnnotation(rec["region_id"], rec["phrase"], box)),
+        objects_by_image=_annotations(
+            objects_file, "object", ("w", "h"), sizes, report,
+            lambda rec, box: ObjectAnnotation(rec["object_id"], tuple(rec["names"]), box)))
     for triplet in qa_triplets:
         image_id = triplet.image_id
-        if image_id not in known_images:
+        if image_id in dataset.regions_by_image or image_id in dataset.objects_by_image:
+            dataset.triplets.append(triplet)
+            dataset.regions_by_image.setdefault(image_id, [])
+            dataset.objects_by_image.setdefault(image_id, [])
+        else:
             report.dropped_triplets += 1
-            continue
-        dataset.triplets.append(triplet)
-        dims.setdefault(image_id, (triplet.image_width, triplet.image_height))
-        dataset.regions_by_image.setdefault(image_id, [])
-        dataset.objects_by_image.setdefault(image_id, [])
-
-    for image_id, (width, height) in dims.items():
-        dataset.regions_by_image[image_id] = [
-            replace(r, box=_clamp_box(r.box, width, height, report))
-            for r in dataset.regions_by_image[image_id]
-        ]
-        dataset.objects_by_image[image_id] = [
-            replace(o, box=_clamp_box(o.box, width, height, report))
-            for o in dataset.objects_by_image[image_id]
-        ]
     return dataset, report

@@ -59,6 +59,16 @@ def qa_id_of(record: dict) -> Any:
     return qa_id
 
 
+def integer(record: dict, key: str, least: int | None = None) -> int:
+    """``record[key]``, which must be an int (not a bool) and, when ``least``
+    is given, at least ``least``; TypeError otherwise."""
+    value = record[key]
+    if type(value) is not int or (least is not None and value < least):
+        rule = "an integer" if least is None else f"an integer >= {least}"
+        raise TypeError(f"{key} must be {rule}, not {value!r}")
+    return value
+
+
 def read_json(path: str | Path) -> Any:
     path = Path(path)
     try:

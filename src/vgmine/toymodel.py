@@ -22,11 +22,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionError, AttentionMap, GlimpseStack, rank_correlations
+from .attention import AttentionError, AttentionMap, GlimpseStack, kl_rows, rank_correlations
 # The per-sample scalar forms of the batched loss and metric below, importable
 # from here because perfbench/tracing.py wraps them by this module's name.
 from .attention import kl_divergence, rank_correlation  # noqa: F401
-from .records import fmt9, read_ndjson, round9_array, write_csv, write_ndjson
+from .records import fmt9, round9_array, write_csv, write_ndjson
 from .schedule import LossBreakdown, Schedule
 from .schedule import total_loss  # noqa: F401
 
@@ -132,8 +132,7 @@ class _Batch:
     supervised: np.ndarray    # (N,) bool: the sample has a supervision stack
     kl_mask: np.ndarray       # (N, G) bool: the glimpse enters KL
     targets: np.ndarray       # (N, G, H*W), zero where kl_mask is off
-    support: np.ndarray       # (N, G, H*W) bool: targets > 0
-    mass: np.ndarray          # targets[support]
+    support: np.ndarray       # (N, G, H*W) bool: targets > 0, the cells KL sums
     rank_targets: np.ndarray  # (supervised samples, H*W) their glimpse-0 maps
 
 
@@ -169,7 +168,6 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
             target = AttentionMap(stack.glimpses[gi].values, normalized=True)
             targets[i, gi] = target.values.ravel()
         rank_targets.append(stack.glimpses[0].values.ravel())
-    support = targets > 0
     return _Batch(
         q_feat=np.stack([s.q_feat for s in samples]),
         img=np.stack([s.img_feat.reshape(-1, h * w) for s in samples]),
@@ -177,8 +175,7 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
         supervised=np.array([s.supervision is not None for s in samples]),
         kl_mask=kl_mask,
         targets=targets,
-        support=support,
-        mass=targets[support],
+        support=targets > 0,
         rank_targets=np.array(rank_targets).reshape(len(rank_targets), h * w),
     )
 
@@ -237,14 +234,8 @@ def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     ce = log_z - shifted[rows, batch.answers]
     probs = np.exp(shifted - log_z[:, None])
 
-    # KL(target || attn) over the supervised cells, 0 * log 0 = 0
     attn = act.attn
-    predicted = attn[batch.support]
-    if np.any(predicted <= 0):
-        raise AttentionError("prediction has zero mass on supervised cells")
-    cell_kl = np.zeros_like(attn)
-    cell_kl[batch.support] = batch.mass * np.log(batch.mass / predicted)
-    kl = cell_kl.sum(axis=2).sum(axis=1)
+    kl = kl_rows(batch.targets, attn, batch.support)  # KL(target || attn)
 
     if np.isnan(ce).any() or np.isnan(kl).any():
         raise ValueError("loss inputs must not be NaN")
@@ -354,14 +345,13 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
     return params, metrics
 
 
-def make_synthetic(cfg: ToyConfig, n: int, seed: int,
-                   box: tuple[int, int, int, int] | None = None) -> list[ToySample]:
+def make_synthetic(cfg: ToyConfig, n: int, seed: int) -> list[ToySample]:
     """Samples whose answer is decodable only from the image cells inside a
-    planted grid box; supervision is the box's normalized rasterization.
+    planted grid box, a random proper sub-grid; supervision is the box's
+    normalized rasterization.
 
     Channel 0 marks the box; channel 1+answer carries the class signal
-    inside the box only. ``box`` (x0, y0, x1, y1 in grid cells) pins the
-    same box for every sample; otherwise boxes are random proper sub-grids.
+    inside the box only.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -373,16 +363,13 @@ def make_synthetic(cfg: ToyConfig, n: int, seed: int,
     samples = []
     for _ in range(n):
         answer = int(rng.integers(cfg.num_answers))
-        if box is not None:
-            x0, y0, x1, y1 = box
-        else:
-            while True:
-                x0 = int(rng.integers(w))
-                x1 = int(rng.integers(x0, w))
-                y0 = int(rng.integers(h))
-                y1 = int(rng.integers(y0, h))
-                if not (x0 == 0 and y0 == 0 and x1 == w - 1 and y1 == h - 1):
-                    break
+        while True:
+            x0 = int(rng.integers(w))
+            x1 = int(rng.integers(x0, w))
+            y0 = int(rng.integers(h))
+            y1 = int(rng.integers(y0, h))
+            if not (x0 == 0 and y0 == 0 and x1 == w - 1 and y1 == h - 1):
+                break
         indicator = np.zeros((h, w))
         indicator[y0:y1 + 1, x0:x1 + 1] = 1.0
 
@@ -417,16 +404,3 @@ def write_params(params: ToyModelParams, path: str | Path) -> None:
     write_ndjson(path, ({"name": name, "shape": list(arr.shape),
                          "values": round9_array(arr).ravel().tolist()}
                         for name, arr in params.named_arrays()))
-
-
-def _param_from_record(record: dict) -> tuple[str, np.ndarray]:
-    return record["name"], np.asarray(record["values"], dtype=np.float64).reshape(
-        record["shape"])
-
-
-def read_params(path: str | Path) -> ToyModelParams:
-    arrays = dict(read_ndjson(path, _param_from_record))
-    try:
-        return ToyModelParams(**arrays)
-    except TypeError as exc:
-        raise ToyModelError(f"params file {path} is incomplete: {exc}") from exc

@@ -624,6 +624,16 @@ def _qa_zero_width(tmp_path):
             f"{bad}: qa_id qa2: image dimensions must be >= 1")
 
 
+def _mine_qa_zero_width(tmp_path):
+    bad = tmp_path / "qa.json"
+    qa = json.loads((FIG3 / "qa.json").read_text())
+    qa[0]["image_width"] = 0
+    bad.write_text(json.dumps(qa))
+    argv = [str(a) for a in MINE_ARGS]
+    argv[argv.index("--qa") + 1] = str(bad)
+    return argv, f"{bad}: qa_id {qa[0]['qa_id']}: image dimensions must be >= 1"
+
+
 def _preds_with_list_qa_id(tmp_path):
     preds, refs = _fig3_preds_refs(tmp_path)
     bad = tmp_path / "bad_preds.ndjson"
@@ -734,8 +744,8 @@ class TestMalformedInput:
         _truncated_labels, _truncated_maps, _preds_without_answer,
         _maps_without_qa_id("eval-rank"), _maps_without_qa_id("render"),
         _qa_not_json, _qa_record_without_field, _label_without_boxes, _qa_zero_width,
-        _preds_with_list_qa_id, _list_qa_id("eval-rank"), _list_qa_id("rasterize-labels"),
-        _list_qa_id("rasterize-qa"), _maps_with_negative_cell,
+        _mine_qa_zero_width, _preds_with_list_qa_id, _list_qa_id("eval-rank"),
+        _list_qa_id("rasterize-labels"), _list_qa_id("rasterize-qa"), _maps_with_negative_cell,
         _maps_with_field("eval-rank", "glimpse", [1]), _maps_with_field("render", "glimpse", [1]),
         _maps_with_field("eval-rank", "glimpse", "0"), _maps_with_field("render", "glimpse", -1),
         _maps_with_field("eval-rank", "glimpse", True), _maps_with_field("eval-rank", "h", 0),
@@ -749,9 +759,9 @@ class TestMalformedInput:
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
-            "qa-zero-width", "preds-list-qa_id", "maps-list-qa_id", "labels-dict-qa_id",
-            "qa-list-qa_id", "render-negative-cell", "maps-list-glimpse-eval-rank",
-            "maps-list-glimpse-render", "maps-string-glimpse", "maps-negative-glimpse",
+            "qa-zero-width", "mine-qa-zero-width", "preds-list-qa_id", "maps-list-qa_id",
+            "labels-dict-qa_id", "qa-list-qa_id", "render-negative-cell",
+            "maps-list-glimpse-eval-rank", "maps-list-glimpse-render", "maps-string-glimpse", "maps-negative-glimpse",
             "maps-bool-glimpse", "maps-zero-h", "maps-string-w", "maps-float-w",
             "qa-string-width", "qa-bool-height", "region-without-width",
             "object-without-names", "object-float-x", "region-bool-height",

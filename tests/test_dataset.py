@@ -47,6 +47,25 @@ class TestLoadDataset:
         assert dataset.regions_by_image[1][0].box.x_max == 99
         assert report.clamped_boxes == 1
 
+    def test_boxes_clamped_to_first_qa_size_and_unreferenced_images_kept(self, tmp_path):
+        regions = BASIC_REGIONS + [{"image_id": 2, "regions": [
+            {"region_id": 13, "phrase": "a cat", "x": -5, "y": 90,
+             "width": 500, "height": 500},
+        ]}]
+        objects = [{"image_id": 1, "objects": [
+            {"object_id": 21, "names": ["dog"], "x": -3, "y": 60, "w": 30, "h": 80},
+        ]}]
+        qa = BASIC_QA + [{"image_id": 1, "qa_id": 32, "question": "?", "answer": "x",
+                          "image_width": 10, "image_height": 10}]
+        dataset, report = load_dataset(*_write_corpus(tmp_path, regions, objects, qa))
+        # image 1 takes 100 x 100 from its first QA row, not 10 x 10 from the second
+        assert [r.box for r in dataset.regions_by_image[1]] == [
+            BoundingBox(0, 0, 49, 39), BoundingBox(30, 5, 89, 74)]
+        assert dataset.objects_by_image[1][0].box == BoundingBox(0, 60, 26, 99)
+        # no QA row names image 2: its box keeps its corners and is not counted
+        assert dataset.regions_by_image[2][0].box == BoundingBox(-5, 90, 494, 589)
+        assert report.clamped_boxes == 1
+
     def test_qa_for_missing_image_is_dropped(self, tmp_path):
         qa = BASIC_QA + [{"image_id": 404, "qa_id": 32, "question": "?",
                           "answer": "x", "image_width": 10, "image_height": 10}]
