@@ -7,9 +7,10 @@ File schemas (arrays of objects):
   objects: {image_id, objects: [{object_id, names: [...], x, y, w, h}]}
   qa:      {image_id, qa_id, question, answer, image_width, image_height}
 
-Boxes arrive as integer corner+size and are stored as inclusive pixel
-corners (x_max = x + width - 1). Out-of-range boxes are clamped to image
-bounds and counted in the load report rather than dropped.
+Boxes arrive as integer corner+size, with sizes of at least 1, and are
+stored as inclusive pixel corners (x_max = x + width - 1). Out-of-range
+boxes are clamped to image bounds and counted in the load report rather
+than dropped.
 """
 
 from __future__ import annotations
@@ -112,7 +113,8 @@ def _read_array(path: Path) -> list:
 
 def _corner_box(rec: dict, width_key: str, height_key: str) -> BoundingBox:
     x, y = integer(rec, "x"), integer(rec, "y")
-    return BoundingBox(x, y, x + integer(rec, width_key) - 1, y + integer(rec, height_key) - 1)
+    return BoundingBox(x, y, x + integer(rec, width_key, least=1) - 1,
+                       y + integer(rec, height_key, least=1) - 1)
 
 
 def read_qa(path: str | Path) -> list[QaTriplet]:

@@ -252,6 +252,7 @@ class Lexicon:
 
 def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
     index = lexicon._index(pos)
+    suffix = "-" + pos.value  # read once: each Enum.value read is a Python call
     with open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             if not line.strip():
@@ -271,7 +272,7 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
                 offsets = fields[6 + n_pointers:]
                 if n_synsets < 1 or len(offsets) != n_synsets:
                     raise ValueError("synset count mismatch")
-                ids = [f"{int(off):08d}-{pos.value}" for off in offsets]
+                ids = [f"{int(off):08d}{suffix}" for off in offsets]
             except (IndexError, ValueError):
                 lexicon.skipped_lines += 1
                 log.debug("%s:%d: skipping unparseable line", path, lineno)

@@ -13,13 +13,20 @@ Pipeline per triplet:
      have been extracted under their containment constraint.
 
 Words are compared through their compiled ``WordSignature`` (see
-``vgmine.lexicon``). The informative words of a region phrase are extracted
-once per image, and each distinct annotation word or object name is matched
-against the query words once per triplet.
+``vgmine.lexicon``). When ``mine`` reaches an image, it numbers the distinct
+informative words of the image's phrases (each distinct phrase is read
+once) and the distinct normalized object names, and gives each region and
+object the bitmask of its words. Per triplet, each numbered word is screened
+once against the key sets of the query words (forms, lemmas, synset ids,
+alias names), a region's count is the popcount of its mask AND the mask of
+passing words, and ``match_signatures`` runs only for words that pass, to
+find their first query word and condition. Only the current image's state
+is kept.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -89,10 +96,6 @@ def is_counting_question(question: str, cfg: MinerConfig) -> bool:
     return normalized.startswith(cfg.counting_prefixes)
 
 
-def _signed(words: list[str], lexicon: Lexicon) -> list[_Word]:
-    return [(word, lexicon.signature(word)) for word in words]
-
-
 def _query_words(triplet: QaTriplet, lexicon: Lexicon, cfg: MinerConfig) -> list[_Word]:
     """Informative words of the question, then those of the answer that the
     question lacks."""
@@ -100,42 +103,86 @@ def _query_words(triplet: QaTriplet, lexicon: Lexicon, cfg: MinerConfig) -> list
     for word in informative_words(triplet.answer, lexicon, cfg.stopwords):
         if word not in words:
             words.append(word)
-    return _signed(words, lexicon)
+    return [(word, lexicon.signature(word)) for word in words]
 
 
-def _score_regions(regions: list[RegionAnnotation], phrase_words: dict[str, list[_Word]],
-                   query: list[_Word], lexicon: Lexicon, cfg: MinerConfig
-                   ) -> tuple[list[RegionAnnotation], int, list[MatchedWord]]:
+def _matching(query: list[_Word], words: list[_Word]) -> int:
+    """The bitmask of ``words`` that match some query word, with
+    ``match_signatures``' rules turned around: the query's normalized
+    forms, noun and verb lemmas, synset ids and alias names are collected
+    once, and each word is then tested by set lookups only."""
+    forms, nouns, verbs = set(), set(), set()
+    synsets: set[str] = set()
+    aliases: set[str] = set()
+    for _, sig in query:
+        if sig.norm:  # a blank word matches nothing
+            forms.add(sig.norm)
+            nouns.add(sig.noun)
+            verbs.add(sig.verb)
+            synsets.update(sig.synsets)
+            aliases.update(sig.aliases)
+    nouns.discard(None)
+    verbs.discard(None)
+    mask = 0
+    # a blank word needs no test of its own: its signature has no keys
+    for i, (_, sig) in enumerate(words):
+        if (sig.norm in forms or sig.noun in nouns or sig.verb in verbs
+                or not synsets.isdisjoint(sig.synsets)
+                or not aliases.isdisjoint(sig.forms)):
+            mask |= 1 << i
+    return mask
+
+
+def _numbered(texts: list, split: Callable[..., list[str]], lexicon: Lexicon
+              ) -> tuple[list[_Word], list[tuple[int, list[int]]]]:
+    """The distinct words of ``split(text)`` over ``texts`` with their
+    signatures, numbered in order of first appearance, and for each text
+    the bitmask and the numbers of its words. Each distinct text is split
+    once."""
+    numbers: dict[str, int] = {}
+    words: list[_Word] = []
+    by_text: dict = {}
+    for text in texts:
+        if text not in by_text:
+            mask, indices = 0, []
+            for word in split(text):
+                if word not in numbers:
+                    numbers[word] = len(words)
+                    words.append((word, lexicon.signature(word)))
+                indices.append(numbers[word])
+                mask |= 1 << numbers[word]
+            by_text[text] = mask, indices
+    return words, [by_text[text] for text in texts]
+
+
+def _score_regions(regions: list[RegionAnnotation], words: list[_Word],
+                   region_words: list[tuple[int, list[int]]], query: list[_Word],
+                   cfg: MinerConfig) -> tuple[list[RegionAnnotation], int, list[MatchedWord]]:
     """All regions achieving the maximum match count, when that count
     reaches ``min_region_matches``, with the count and their matched words.
 
     A region's count is the number of its distinct informative words that
-    match some query word; each is paired with the first such query word.
-    ``phrase_words`` memoizes the informative words of the image's phrases.
+    match some query word: the bits its word mask shares with the mask of
+    the image's matching words. Each matched word of a selected region is
+    paired with the first query word it matches.
     """
-    first_match: dict[str, MatchedWord | None] = {}
-    best = 0
-    scored: list[tuple[RegionAnnotation, list[MatchedWord]]] = []
-    for region in regions:
-        words = phrase_words.get(region.phrase)
-        if words is None:
-            words = phrase_words[region.phrase] = _signed(
-                informative_words(region.phrase, lexicon, cfg.stopwords), lexicon)
-        matches: list[MatchedWord] = []
-        for ann_word, ann_sig in words:
-            if ann_word in first_match:
-                match = first_match[ann_word]
-            else:
-                match = first_match[ann_word] = _first_match(query, ann_word, ann_sig)
-            if match is not None:
-                matches.append(match)
-        scored.append((region, matches))
-        best = max(best, len(matches))
+    passing = _matching(query, words)
+    counts = [(mask & passing).bit_count() for mask, _ in region_words]
+    best = max(counts, default=0)
     if best < cfg.min_region_matches:
         return [], best, []
-    selected = [region for region, matches in scored if len(matches) == best]
-    matched = [m for _, matches in scored if len(matches) == best for m in matches]
-    return selected, best, matched
+    first_match: dict[int, MatchedWord] = {}
+    selected: list[RegionAnnotation] = []
+    matches: list[MatchedWord] = []
+    for region, (_, indices), count in zip(regions, region_words, counts):
+        if count == best:
+            selected.append(region)
+            for i in indices:
+                if passing >> i & 1:
+                    if i not in first_match:
+                        first_match[i] = _first_match(query, *words[i])
+                    matches.append(first_match[i])
+    return selected, best, matches
 
 
 def _first_match(query: list[_Word], ann_word: str, ann_sig: WordSignature
@@ -147,25 +194,26 @@ def _first_match(query: list[_Word], ann_word: str, ann_sig: WordSignature
     return None
 
 
-def _score_objects(objects: list[ObjectAnnotation], selected_regions: list[RegionAnnotation],
-                   query_nouns: list[_Word], lexicon: Lexicon, cfg: MinerConfig
-                   ) -> tuple[list[ObjectAnnotation], list[MatchedWord]]:
+def _score_objects(objects: list[ObjectAnnotation], names: list[_Word],
+                   object_names: list[tuple[int, list[int]]],
+                   selected_regions: list[RegionAnnotation], query_nouns: list[_Word],
+                   cfg: MinerConfig) -> tuple[list[ObjectAnnotation], list[MatchedWord]]:
     """Objects with a name matching a query noun (inside a selected region
     when there are any), best condition first, then larger boxes first,
     greedily deduplicated by IoU."""
-    best_by_name: dict[str, tuple[int, MatchedWord] | None] = {}
+    passing = _matching(query_nouns, names)
+    best_by_name: dict[int, tuple[int, MatchedWord]] = {}
     candidates: list[tuple[ObjectAnnotation, int, MatchedWord]] = []
-    for obj in objects:
-        best: tuple[int, MatchedWord] | None = None
-        for name in obj.names:
-            if name in best_by_name:
-                found = best_by_name[name]
-            else:
-                found = best_by_name[name] = _best_noun_match(query_nouns, name, lexicon)
-            if found is not None and (best is None or found[0] < best[0]):
-                best = found
-        if best is None:
+    for obj, (mask, indices) in zip(objects, object_names):
+        if not mask & passing:
             continue
+        best: tuple[int, MatchedWord] | None = None
+        for i in indices:
+            if passing >> i & 1:
+                if i not in best_by_name:
+                    best_by_name[i] = _best_noun_match(query_nouns, *names[i])
+                if best is None or best_by_name[i][0] < best[0]:
+                    best = best_by_name[i]
         if selected_regions and not _inside_some_region(obj.box, selected_regions, cfg):
             continue
         candidates.append((obj, best[0], best[1]))
@@ -181,12 +229,11 @@ def _score_objects(objects: list[ObjectAnnotation], selected_regions: list[Regio
     return kept, matched
 
 
-def _best_noun_match(query_nouns: list[_Word], name: str, lexicon: Lexicon
+def _best_noun_match(query_nouns: list[_Word], name: str, name_sig: WordSignature
                      ) -> tuple[int, MatchedWord] | None:
-    """The lowest match condition of an object name over the query nouns
-    (the first query noun reaching it), as (condition rank, matched word)."""
-    name = normalize_token(name)
-    name_sig = lexicon.signature(name)
+    """The lowest match condition of a normalized object name over the
+    query nouns (the first query noun reaching it), as (condition rank,
+    matched word)."""
     best: tuple[int, MatchedWord] | None = None
     for query_word, query_sig in query_nouns:
         condition = match_signatures(query_sig, name_sig).condition
@@ -210,18 +257,23 @@ def mine(dataset: Dataset, lexicon: Lexicon, cfg: MinerConfig | None = None
     cfg = cfg or MinerConfig()
     labels: list[GroundingLabel] = []
     image_id: object = object()
-    phrase_words: dict[str, list[_Word]] = {}
     for triplet in dataset.triplets:
-        if triplet.image_id != image_id:  # phrases are reused within an image
-            image_id, phrase_words = triplet.image_id, {}
-        regions = dataset.regions_by_image.get(triplet.image_id, [])
-        objects = dataset.objects_by_image.get(triplet.image_id, [])
+        if triplet.image_id != image_id:  # state for the current image only
+            image_id = triplet.image_id
+            regions = dataset.regions_by_image.get(image_id, [])
+            objects = dataset.objects_by_image.get(image_id, [])
+            words, region_words = _numbered(
+                [r.phrase for r in regions],
+                lambda phrase: informative_words(phrase, lexicon, cfg.stopwords), lexicon)
+            names, object_names = _numbered(
+                [o.names for o in objects],
+                lambda names: [normalize_token(name) for name in names], lexicon)
         query = _query_words(triplet, lexicon, cfg)
         query_nouns = [(word, sig) for word, sig in query if sig.noun is not None]
         selected_regions, best, region_matches = _score_regions(
-            regions, phrase_words, query, lexicon, cfg)
+            regions, words, region_words, query, cfg)
         selected_objects, object_matches = _score_objects(
-            objects, selected_regions, query_nouns, lexicon, cfg)
+            objects, names, object_names, selected_regions, query_nouns, cfg)
         counting = is_counting_question(triplet.question, cfg)
         region_boxes = [] if counting else [r.box for r in selected_regions]
         object_boxes = [o.box for o in selected_objects]

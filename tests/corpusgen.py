@@ -116,3 +116,34 @@ def random_corpus(rng: np.random.Generator) -> Dataset:
         dataset.triplets.append(QaTriplet(
             fresh_id(), image_id, _question(rng), answer, width, height))
     return dataset
+
+
+def dense_corpus(rng: np.random.Generator) -> Dataset:
+    """Two images annotated at Visual Genome density: phrases repeated
+    across regions, object names repeated across objects and within one,
+    a region without an informative word, and 10-20 triplets, most of them
+    on image 1, in an order that leaves image 1 and comes back to it."""
+    dataset = Dataset()
+    ids = iter(range(2000, 3000))
+    dims = {}
+    for image_id in (1, 2):
+        width, height = dims[image_id] = int(rng.integers(200, 801)), int(rng.integers(200, 801))
+        phrases = [_phrase(rng, 4, 8) for _ in range(4)] + ["the a of"]
+        names = [NOUNS[rng.integers(len(NOUNS))] for _ in range(5)] + ["grlb"]
+        dataset.regions_by_image[image_id] = [
+            RegionAnnotation(next(ids), phrases[i % 5 if i < 5 else rng.integers(5)],
+                             _box(rng, width, height))
+            for i in range(12)]
+        dataset.objects_by_image[image_id] = [
+            ObjectAnnotation(next(ids),
+                             tuple(names[rng.integers(6)] for _ in range(rng.integers(1, 4))),
+                             _box(rng, width, height))
+            for _ in range(10)]
+    n = int(rng.integers(10, 21))
+    other = int(rng.integers(1, n - 1))  # image 2 between two runs of image 1
+    for k in range(n):
+        image_id = 2 if k == other or (k > 0 and rng.random() < 0.15) else 1
+        width, height = dims[image_id]
+        dataset.triplets.append(QaTriplet(next(ids), image_id, _question(rng), _word(rng),
+                                          width, height))
+    return dataset

@@ -718,7 +718,8 @@ def _annotation_with_field(kind, key, value=None):
             fault = f"missing field '{key}'"
         else:
             entries[0][name][2][key] = value
-            fault = f"{key} must be an integer, not {value!r}"
+            rule = "an integer >= 1" if key in ("width", "height", "w", "h") else "an integer"
+            fault = f"{key} must be {rule}, not {value!r}"
         bad.write_text(json.dumps(entries))
         argv = [str(a) for a in MINE_ARGS]
         argv[argv.index(f"--{name}") + 1] = str(bad)
@@ -756,6 +757,7 @@ class TestMalformedInput:
         _annotation_with_field("region", "height", True), _label_with_float_box,
         _maps_with_field("eval-rank", "mask", "false"),
         _maps_with_field("render", "mask", "false"),
+        _annotation_with_field("region", "width", 0), _annotation_with_field("object", "h", -3),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -765,7 +767,8 @@ class TestMalformedInput:
             "maps-bool-glimpse", "maps-zero-h", "maps-string-w", "maps-float-w",
             "qa-string-width", "qa-bool-height", "region-without-width",
             "object-without-names", "object-float-x", "region-bool-height",
-            "label-float-box", "maps-string-mask-eval-rank", "maps-string-mask-render"])
+            "label-float-box", "maps-string-mask-eval-rank", "maps-string-mask-render",
+            "region-zero-width", "object-negative-h"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"

@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vgmine.dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
-from vgmine.lexicon import normalize_token, tokenize
+from vgmine.lexicon import match_signatures, normalize_token, tokenize
 from vgmine.miner import (
     MinerConfig,
+    _matching,
     informative_words,
     is_counting_question,
     label_to_dict,
@@ -18,10 +19,23 @@ from vgmine.miner import (
     write_labels,
 )
 
-from corpusgen import random_corpus
+from conftest import ALIASES
+from corpusgen import JUNK, NOUNS, STOPS, VERBS, dense_corpus, random_corpus
 from oracles import _ref_tokens, reference_mine
 
 CFG = MinerConfig()
+
+ALIAS_NAMES = [name.strip() for line in ALIASES.read_text().splitlines()
+               for name in line.split(",") if name.strip()]
+# fixture words, alias names, blanks, and inflected, punctuated or
+# upper-case forms of the fixture words
+WORD = st.one_of(
+    st.sampled_from(NOUNS + VERBS + STOPS + JUNK + ALIAS_NAMES + ["", "?"]),
+    st.builds(lambda prefix, word, suffix, upper: prefix + (word.upper() if upper else word)
+              + suffix,
+              st.sampled_from(["", ". ", "' ", "( "]), st.sampled_from(NOUNS + VERBS),
+              st.sampled_from(["", "s", "es", "ed", "ing", ".", " ?"]), st.booleans()),
+)
 
 
 def _triplet(question, answer, image_id=1, qa_id=900, width=640, height=480):
@@ -89,6 +103,19 @@ class TestMatchCount:
                             [_region(1, "dog dog dog")],
                             cfg=MinerConfig(min_region_matches=1))
         assert label.region_match_count == 1
+
+
+class TestKeyTest:
+    @given(query=st.lists(WORD, max_size=6), probes=st.lists(WORD, max_size=6))
+    @settings(max_examples=400)
+    def test_bit_set_exactly_when_some_query_word_matches(self, lexicon, query, probes):
+        signed = [(word, lexicon.signature(word)) for word in query]
+        expected = 0
+        for i, probe in enumerate(probes):
+            probe_sig = lexicon.signature(probe)
+            if any(match_signatures(sig, probe_sig).matched for _, sig in signed):
+                expected |= 1 << i
+        assert _matching(signed, [(p, lexicon.signature(p)) for p in probes]) == expected
 
 
 class TestSelectRegions:
@@ -238,6 +265,15 @@ class TestMineProperties:
             dataset = random_corpus(rng)
             ours = [label_to_dict(lab) for lab in mine(dataset, lexicon, CFG)]
             assert ours == reference_mine(dataset, lexicon, CFG)
+
+    @pytest.mark.parametrize("cfg", [CFG, MinerConfig(min_region_matches=1)],
+                             ids=["default", "min-1"])
+    def test_agrees_with_reference_on_dense_images(self, lexicon, cfg):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            dataset = dense_corpus(rng)
+            ours = [label_to_dict(lab) for lab in mine(dataset, lexicon, cfg)]
+            assert ours == reference_mine(dataset, lexicon, cfg)
 
     def test_agrees_with_reference_on_padded_object_name(self, lexicon):
         for name in (" . dog", ". ' dog"):
