@@ -19,7 +19,7 @@ import numpy as np
 
 from .dataset import BoundingBox, QaTriplet
 from .miner import GroundingLabel
-from .records import integer, qa_id_of, read_ndjson, round9_array
+from .records import identifier, integer, read_ndjson, round9_array
 
 DEFAULT_GRID = 14
 
@@ -230,13 +230,39 @@ def rank_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
                      out=np.full(k, np.nan), where=(var_a != 0.0) & (var_b != 0.0))
 
 
+def correlation_block(maps_a: list[np.ndarray], maps_b: list[np.ndarray]
+                      ) -> tuple[list[float], tuple[int, str] | None]:
+    """Spearman coefficients of a block of map pairs, one ``rank_correlations``
+    call per pair of map shapes (usually one), and the index and text of the
+    first faulty pair (a negative cell, a shape mismatch or a constant map),
+    or None."""
+    corr = np.full(len(maps_a), np.nan)
+    negative = np.zeros(len(maps_a), dtype=bool)
+    groups: dict[tuple, list[int]] = {}
+    for i, (a, b) in enumerate(zip(maps_a, maps_b)):
+        groups.setdefault((a.shape, b.shape), []).append(i)
+    for (shape_a, shape_b), index in groups.items():
+        a = np.stack([maps_a[i] for i in index]).reshape(len(index), -1)
+        b = np.stack([maps_b[i] for i in index]).reshape(len(index), -1)
+        negative[index] = (a < 0).any(axis=1) | (b < 0).any(axis=1)
+        if shape_a == shape_b:
+            corr[index] = rank_correlations(a, b)
+    coefficients = corr.tolist()
+    for i, (a, b) in enumerate(zip(maps_a, maps_b)):
+        if negative[i]:
+            return coefficients, (i, "attention map entries must be non-negative")
+        if a.shape != b.shape:
+            return coefficients, (i, "map shape mismatch")
+        if math.isnan(coefficients[i]):
+            return coefficients, (i, "undefined correlation: constant map")
+    return coefficients, None
+
+
 def rank_correlation(a: AttentionMap, b: AttentionMap) -> float:
     """Spearman coefficient between the flattened cells of two maps."""
-    if a.shape != b.shape:
-        raise AttentionError("map shape mismatch")
-    corr = float(rank_correlations(a.values.reshape(1, -1), b.values.reshape(1, -1))[0])
-    if math.isnan(corr):
-        raise AttentionError("undefined correlation: constant map")
+    (corr,), fault = correlation_block([a.values], [b.values])
+    if fault is not None:
+        raise AttentionError(fault[1])
     return corr
 
 
@@ -276,7 +302,7 @@ def _map_from_row(row: dict) -> dict:
     mask = row.get("mask", True)
     if type(mask) is not bool:
         raise ValueError(f"mask must be a bool, not {mask!r}")
-    return {"qa_id": qa_id_of(row), "glimpse": glimpse, "h": h, "w": w, "mask": mask,
+    return {"qa_id": identifier(row, "qa_id"), "glimpse": glimpse, "h": h, "w": w, "mask": mask,
             "values": np.asarray(row["values"], dtype=np.float64).reshape(h, w)}
 
 

@@ -10,20 +10,19 @@ version; equal inputs and flags give byte-identical outputs.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 import traceback
+from dataclasses import asdict
 from pathlib import Path
-
-import numpy as np
 
 from . import __version__
 from .attention import (
     BLOCK_SIZE,
+    DEFAULT_GRID,
     AttentionError,
     AttentionMap,
+    correlation_block,
     pgm_bytes,
-    rank_correlations,
     read_maps,
     stack_to_rows,
     supervision_block,
@@ -32,19 +31,12 @@ from .attention import (
 # The per-label and per-pair forms of the block calls below, importable from
 # here because perfbench/tracing.py wraps them by this module's name.
 from .attention import build_supervision, rank_correlation  # noqa: F401
-from .dataset import load_dataset, read_qa
+from .dataset import check_image_size, load_dataset, read_qa
 from .lexicon import load_aliases, load_wordnet
-from .miner import (
-    DEFAULT_COUNTING_PREFIXES,
-    DEFAULT_STOPWORDS,
-    MinerConfig,
-    mine,
-    read_labels,
-    write_labels,
-)
-from .records import (InputError, fmt9, qa_id_of, read_json, read_ndjson, write_csv,
-                      write_manifest, write_ndjson)
-from .schedule import Schedule
+from .miner import MinerConfig, mine, read_labels, write_labels
+from .records import (InputError, fmt9, identifier, read_json, read_ndjson, string,
+                      write_csv, write_manifest, write_ndjson)
+from .schedule import MODE_COSINE, MODE_FIXED, Schedule
 from .toymodel import (
     ToyConfig,
     ToyModelError,
@@ -64,22 +56,23 @@ def _require_file(path: str, kind: str) -> Path:
 
 # --- mine ----------------------------------------------------------------
 
+def _word_list(text: str) -> tuple[str, ...]:
+    return tuple(w.strip().lower() for w in text.split(",") if w.strip())
+
+
 def _miner_config(args: argparse.Namespace) -> MinerConfig:
-    stopwords = DEFAULT_STOPWORDS
+    """The mine flags as a ``MinerConfig``; a list flag not given keeps its default."""
+    lists = {}
     if args.stopwords is not None:
-        stopwords = frozenset(w.strip().lower() for w in args.stopwords.split(",")
-                              if w.strip())
-    prefixes = DEFAULT_COUNTING_PREFIXES
+        lists["stopwords"] = frozenset(_word_list(args.stopwords))
     if args.counting_prefixes is not None:
-        prefixes = tuple(p.strip().lower() for p in args.counting_prefixes.split(",")
-                         if p.strip())
+        lists["counting_prefixes"] = _word_list(args.counting_prefixes)
     try:
         return MinerConfig(
             iou_threshold=args.iou_threshold,
             min_region_matches=args.min_region_matches,
-            stopwords=stopwords,
-            counting_prefixes=prefixes,
             center_containment=not args.full_containment,
+            **lists,
         )
     except ValueError as exc:
         raise InputError(str(exc)) from exc
@@ -107,13 +100,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     labels = mine(dataset, lexicon, cfg)
     out = Path(args.out)
     write_labels(labels, out)
-    write_manifest(out, "mine", {
-        "iou_threshold": cfg.iou_threshold,
-        "min_region_matches": cfg.min_region_matches,
-        "stopwords": sorted(cfg.stopwords),
-        "counting_prefixes": list(cfg.counting_prefixes),
-        "center_containment": cfg.center_containment,
-    }, inputs)
+    write_manifest(out, "mine", dict(asdict(cfg), stopwords=sorted(cfg.stopwords)), inputs)
     print(f"mined {len(labels)} labels from {len(dataset.triplets)} triplets "
           f"({report.clamped_boxes} boxes clamped, "
           f"{report.dropped_triplets} triplets dropped)")
@@ -135,9 +122,7 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
         triplet = triplets.get(label.qa_id)
         if triplet is None:
             raise InputError(f"label qa_id {label.qa_id} missing from qa file")
-        if triplet.image_width < 1 or triplet.image_height < 1:
-            raise InputError(f"{qa_path}: qa_id {label.qa_id}: "
-                             "image dimensions must be >= 1")
+        check_image_size(qa_path, triplet)
         if not label.object_boxes and not label.region_boxes:
             raise InputError(f"{labels_path}: label {label.qa_id} has no boxes to rasterize")
         return triplet
@@ -158,38 +143,10 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
 
 # --- eval ----------------------------------------------------------------
 
-def _keyed_maps(rows: list[dict]) -> dict[tuple, np.ndarray]:
+def _keyed_maps(rows: list[dict]) -> dict:
     """Masked glimpses carry no supervision signal and are not evaluated."""
     return {(row["qa_id"], row["glimpse"]): row["values"]
             for row in rows if row["mask"]}
-
-
-def _block_correlations(keys: list[tuple], maps_a: dict, maps_b: dict) -> list[float]:
-    """Spearman coefficients of a block of (qa_id, glimpse) pairs: one
-    ``rank_correlations`` call per pair of map shapes (usually one). The
-    first faulty pair in order is reported."""
-    corr = np.full(len(keys), np.nan)
-    negative = np.zeros(len(keys), dtype=bool)
-    groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(keys):
-        groups.setdefault((maps_a[key].shape, maps_b[key].shape), []).append(i)
-    for (shape_a, shape_b), index in groups.items():
-        a = np.stack([maps_a[keys[i]] for i in index]).reshape(len(index), -1)
-        b = np.stack([maps_b[keys[i]] for i in index]).reshape(len(index), -1)
-        negative[index] = (a < 0).any(axis=1) | (b < 0).any(axis=1)
-        if shape_a == shape_b:
-            corr[index] = rank_correlations(a, b)
-    for i, key in enumerate(keys):
-        if negative[i]:
-            fault = "attention map entries must be non-negative"
-        elif maps_a[key].shape != maps_b[key].shape:
-            fault = "map shape mismatch"
-        elif math.isnan(corr[i]):
-            fault = "undefined correlation: constant map"
-        else:
-            continue
-        raise InputError(f"qa_id {key[0]} glimpse {key[1]}: {fault}")
-    return corr.tolist()
 
 
 def cmd_eval_rank(args: argparse.Namespace) -> int:
@@ -205,7 +162,11 @@ def cmd_eval_rank(args: argparse.Namespace) -> int:
     total = 0.0
     for start in range(0, len(common), BLOCK_SIZE):
         keys = common[start:start + BLOCK_SIZE]
-        for key, corr in zip(keys, _block_correlations(keys, maps_a, maps_b)):
+        corrs, fault = correlation_block([maps_a[k] for k in keys], [maps_b[k] for k in keys])
+        if fault is not None:
+            qa_id, glimpse = keys[fault[0]]
+            raise InputError(f"qa_id {qa_id} glimpse {glimpse}: {fault[1]}")
+        for key, corr in zip(keys, corrs):
             total += corr
             lines.append([str(key[0]), str(key[1]), fmt9(corr)])
     lines.append(["mean", "", fmt9(total / len(common))])
@@ -218,8 +179,10 @@ def cmd_eval_rank(args: argparse.Namespace) -> int:
 def cmd_eval_acc(args: argparse.Namespace) -> int:
     preds_path = _require_file(args.preds, "predictions file")
     refs_path = _require_file(args.refs, "references file")
-    preds = dict(read_ndjson(preds_path, lambda rec: (qa_id_of(rec), rec["answer"])))
-    refs = dict(read_ndjson(refs_path, lambda rec: (qa_id_of(rec), rec["answers"])))
+    preds = dict(read_ndjson(preds_path, lambda rec: (identifier(rec, "qa_id"),
+                                                      string(rec, "answer"))))
+    refs = dict(read_ndjson(refs_path, lambda rec: (identifier(rec, "qa_id"),
+                                                    string(rec, "answers", many=True))))
     common = sorted(set(preds) & set(refs), key=str)
     if not common:
         raise InputError("no common qa_ids between predictions and references")
@@ -322,8 +285,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--wordnet-dir", required=True)
     p.add_argument("--aliases", default=None)
     p.add_argument("--out", required=True)
-    p.add_argument("--iou-threshold", type=float, default=0.5)
-    p.add_argument("--min-region-matches", type=int, default=2)
+    p.add_argument("--iou-threshold", type=float, default=MinerConfig.iou_threshold)
+    p.add_argument("--min-region-matches", type=int, default=MinerConfig.min_region_matches)
     p.add_argument("--stopwords", default=None,
                    help="comma-separated stopword list replacing the default")
     p.add_argument("--counting-prefixes", default=None,
@@ -337,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", required=True)
     p.add_argument("--qa", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--grid", type=int, nargs=2, default=[14, 14],
+    p.add_argument("--grid", type=int, nargs=2, default=[DEFAULT_GRID, DEFAULT_GRID],
                    metavar=("H", "W"))
     p.set_defaults(func=cmd_rasterize)
 
@@ -356,19 +319,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_eval_acc)
 
     p = sub.add_parser("train-toy", help="train the desk-scale attention model")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=ToyConfig.seed)
     p.add_argument("--data-seed", type=int, default=1)
     p.add_argument("--samples", type=int, default=8)
-    p.add_argument("--steps", type=int, default=2000)
-    p.add_argument("--learning-rate", type=float, default=0.5)
-    p.add_argument("--question-dim", type=int, default=8)
-    p.add_argument("--channels", type=int, default=16)
-    p.add_argument("--grid", type=int, nargs=2, default=[7, 7],
+    p.add_argument("--steps", type=int, default=ToyConfig.steps)
+    p.add_argument("--learning-rate", type=float, default=ToyConfig.learning_rate)
+    p.add_argument("--question-dim", type=int, default=ToyConfig.question_dim)
+    p.add_argument("--channels", type=int, default=ToyConfig.image_channels)
+    p.add_argument("--grid", type=int, nargs=2, default=[ToyConfig.grid_h, ToyConfig.grid_w],
                    metavar=("H", "W"))
-    p.add_argument("--glimpses", type=int, default=2)
-    p.add_argument("--answers", type=int, default=5)
-    p.add_argument("--alpha-mode", choices=["cosine", "fixed"], default="cosine")
-    p.add_argument("--alpha-value", type=float, default=1.0,
+    p.add_argument("--glimpses", type=int, default=ToyConfig.glimpses)
+    p.add_argument("--answers", type=int, default=ToyConfig.num_answers)
+    p.add_argument("--alpha-mode", choices=[MODE_COSINE, MODE_FIXED], default=Schedule.mode)
+    p.add_argument("--alpha-value", type=float, default=Schedule.fixed_value,
                    help="alpha for fixed mode")
     p.add_argument("--t-max", type=int, default=None,
                    help="decay horizon (default: --steps)")
@@ -383,9 +346,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list[str]:
-    """A JSON file named by --config supplies defaults, keyed by flag name
-    (dashes or underscores); explicit flags still win."""
+def _with_config_flags(argv: list[str]) -> list[str]:
+    """``argv`` with ``--config PATH`` replaced by the JSON object in PATH as
+    flags right after the command name, checked as typed flags and beaten by
+    a later explicit one. Keys are flag names (dashes or underscores); true
+    gives a bare flag, false none, and a list one argument per entry."""
     if "--config" not in argv:
         return argv
     idx = argv.index("--config")
@@ -395,20 +360,26 @@ def _apply_config_file(parser: argparse.ArgumentParser, argv: list[str]) -> list
     config = read_json(config_path)
     if not isinstance(config, dict):
         raise InputError(f"{config_path}: expected a JSON object")
-    defaults = {key.replace("-", "_"): value for key, value in config.items()}
-    for action in parser._subparsers._group_actions:  # noqa: SLF001
-        for sub_parser in action.choices.values():
-            sub_parser.set_defaults(**{k: v for k, v in defaults.items()
-                                       if any(k == a.dest for a in sub_parser._actions)})
-    return argv[:idx] + argv[idx + 2:]
+    flags = []
+    for key, value in config.items():
+        flag = "--" + key.replace("_", "-")
+        if value is True:
+            flags.append(flag)
+        elif type(value) in (str, int, float):
+            flags.append(f"{flag}={value}")
+        elif type(value) is list and all(type(v) in (str, int, float) for v in value):
+            flags += [flag, *map(str, value)]
+        elif value is not False:
+            raise InputError(f"{config_path}: {key}: a config value must be a string, "
+                             f"number, boolean or list, not {value!r}")
+    argv = argv[:idx] + argv[idx + 2:]  # the top-level options exit: argv[0] is the command
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        argv = _apply_config_file(parser, argv)
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(_with_config_flags(argv))
         return args.func(args)
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

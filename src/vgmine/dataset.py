@@ -19,7 +19,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .records import InputError, integer, qa_id_of, read_json
+from .records import InputError, identifier, integer, read_json, string
 
 
 class DatasetError(InputError):
@@ -122,12 +122,19 @@ def read_qa(path: str | Path) -> list[QaTriplet]:
     triplets = []
     for index, rec in enumerate(_read_array(Path(path))):
         try:
-            triplets.append(QaTriplet(qa_id_of(rec), rec["image_id"], rec["question"],
-                                      rec["answer"], integer(rec, "image_width"),
+            triplets.append(QaTriplet(identifier(rec, "qa_id"), identifier(rec, "image_id"),
+                                      string(rec, "question"), string(rec, "answer"),
+                                      integer(rec, "image_width"),
                                       integer(rec, "image_height")))
         except (KeyError, TypeError) as exc:
             raise DatasetError(f"{path}: record {index}: bad QA record: {exc!r}") from exc
     return triplets
+
+
+def check_image_size(path: str | Path, triplet: QaTriplet) -> None:
+    """The image of a QA record must be at least one pixel wide and high."""
+    if triplet.image_width < 1 or triplet.image_height < 1:
+        raise DatasetError(f"{path}: qa_id {triplet.qa_id}: image dimensions must be >= 1")
 
 
 def _annotation_error(path: str | Path, entry: int, kind: str, index: int | None,
@@ -185,18 +192,17 @@ def load_dataset(regions_file: str | Path, objects_file: str | Path,
     qa_triplets = read_qa(qa_file)
     sizes: dict[int | str, tuple[int, int]] = {}
     for triplet in qa_triplets:
-        if triplet.image_width < 1 or triplet.image_height < 1:
-            raise DatasetError(f"{qa_file}: qa_id {triplet.qa_id}: "
-                               "image dimensions must be >= 1")
+        check_image_size(qa_file, triplet)
         sizes.setdefault(triplet.image_id, (triplet.image_width, triplet.image_height))
     report = LoadReport()
     dataset = Dataset(
         regions_by_image=_annotations(
             regions_file, "region", ("width", "height"), sizes, report,
-            lambda rec, box: RegionAnnotation(rec["region_id"], rec["phrase"], box)),
+            lambda rec, box: RegionAnnotation(rec["region_id"], string(rec, "phrase"), box)),
         objects_by_image=_annotations(
             objects_file, "object", ("w", "h"), sizes, report,
-            lambda rec, box: ObjectAnnotation(rec["object_id"], tuple(rec["names"]), box)))
+            lambda rec, box: ObjectAnnotation(rec["object_id"],
+                                              tuple(string(rec, "names", many=True)), box)))
     for triplet in qa_triplets:
         image_id = triplet.image_id
         if image_id in dataset.regions_by_image or image_id in dataset.objects_by_image:

@@ -167,8 +167,7 @@ class Lexicon:
         return self.noun_exceptions if pos is Pos.NOUN else self.verb_exceptions
 
     def _in_index(self, word: str, pos: Pos) -> bool:
-        index = self._index(pos)
-        return word in index or word.replace(" ", "_") in index
+        return bool(self._index_ids(word, pos))  # every entry has a synset
 
     def _index_ids(self, word: str, pos: Pos) -> list[str]:
         index = self._index(pos)

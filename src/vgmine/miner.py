@@ -33,7 +33,7 @@ from pathlib import Path
 from .dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
 from .lexicon import (Lexicon, MatchCondition, WordSignature, match_signatures,
                       normalize_token, tokenize)
-from .records import qa_id_of, read_ndjson, write_ndjson
+from .records import identifier, read_ndjson, write_ndjson
 
 DEFAULT_STOPWORDS = frozenset({
     "a", "an", "the", "is", "are", "was", "were", "be", "been", "do", "does",
@@ -180,18 +180,21 @@ def _score_regions(regions: list[RegionAnnotation], words: list[_Word],
             for i in indices:
                 if passing >> i & 1:
                     if i not in first_match:
-                        first_match[i] = _first_match(query, *words[i])
+                        first_match[i] = _matches(query, *words[i])[0][1]
                     matches.append(first_match[i])
     return selected, best, matches
 
 
-def _first_match(query: list[_Word], ann_word: str, ann_sig: WordSignature
-                 ) -> MatchedWord | None:
+def _matches(query: list[_Word], word: str, sig: WordSignature
+             ) -> list[tuple[int, MatchedWord]]:
+    """(condition rank, matched word) for each query word that ``word``
+    matches, in query order."""
+    matches = []
     for query_word, query_sig in query:
-        condition = match_signatures(query_sig, ann_sig).condition
+        condition = match_signatures(query_sig, sig).condition
         if condition is not MatchCondition.NONE:
-            return query_word, ann_word, _CONDITION_NAMES[condition]
-    return None
+            matches.append((condition.value, (query_word, word, _CONDITION_NAMES[condition])))
+    return matches
 
 
 def _score_objects(objects: list[ObjectAnnotation], names: list[_Word],
@@ -210,8 +213,9 @@ def _score_objects(objects: list[ObjectAnnotation], names: list[_Word],
         best: tuple[int, MatchedWord] | None = None
         for i in indices:
             if passing >> i & 1:
-                if i not in best_by_name:
-                    best_by_name[i] = _best_noun_match(query_nouns, *names[i])
+                if i not in best_by_name:  # the first query noun of the lowest rank
+                    best_by_name[i] = min(_matches(query_nouns, *names[i]),
+                                          key=lambda match: match[0])
                 if best is None or best_by_name[i][0] < best[0]:
                     best = best_by_name[i]
         if selected_regions and not _inside_some_region(obj.box, selected_regions, cfg):
@@ -227,19 +231,6 @@ def _score_objects(objects: list[ObjectAnnotation], names: list[_Word],
         kept.append(obj)
         matched.append(match)
     return kept, matched
-
-
-def _best_noun_match(query_nouns: list[_Word], name: str, name_sig: WordSignature
-                     ) -> tuple[int, MatchedWord] | None:
-    """The lowest match condition of a normalized object name over the
-    query nouns (the first query noun reaching it), as (condition rank,
-    matched word)."""
-    best: tuple[int, MatchedWord] | None = None
-    for query_word, query_sig in query_nouns:
-        condition = match_signatures(query_sig, name_sig).condition
-        if condition is not MatchCondition.NONE and (best is None or condition.value < best[0]):
-            best = (condition.value, (query_word, name, _CONDITION_NAMES[condition]))
-    return best
 
 
 def _inside_some_region(box: BoundingBox, regions: list[RegionAnnotation],
@@ -313,7 +304,7 @@ def _box(corners: list) -> BoundingBox:
 
 def label_from_dict(data: dict) -> GroundingLabel:
     return GroundingLabel(
-        qa_id=qa_id_of(data),
+        qa_id=identifier(data, "qa_id"),
         region_boxes=[_box(b) for b in data["region_boxes"]],
         object_boxes=[_box(b) for b in data["object_boxes"]],
         is_counting=data["is_counting"],

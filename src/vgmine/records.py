@@ -50,13 +50,13 @@ def round9_array(values: np.ndarray) -> np.ndarray:
     return rounded[np.searchsorted(distinct, bits)]
 
 
-def qa_id_of(record: dict) -> Any:
-    """``record["qa_id"]``; a JSON array or object is rejected with
-    TypeError, since ids are used as dict keys."""
-    qa_id = record["qa_id"]
-    if isinstance(qa_id, (list, dict)):
-        raise TypeError(f"qa_id must be a string or a number, not {type(qa_id).__name__}")
-    return qa_id
+def identifier(record: dict, key: str) -> Any:
+    """``record[key]``, a qa or image id; a JSON array or object is rejected
+    with TypeError, since ids are used as dict keys."""
+    value = record[key]
+    if isinstance(value, (list, dict)):
+        raise TypeError(f"{key} must be a string or a number, not {type(value).__name__}")
+    return value
 
 
 def integer(record: dict, key: str, least: int | None = None) -> int:
@@ -66,6 +66,17 @@ def integer(record: dict, key: str, least: int | None = None) -> int:
     if type(value) is not int or (least is not None and value < least):
         rule = "an integer" if least is None else f"an integer >= {least}"
         raise TypeError(f"{key} must be {rule}, not {value!r}")
+    return value
+
+
+def string(record: dict, key: str, many: bool = False) -> Any:
+    """``record[key]``, which must be a string or, when ``many`` is set, a
+    list of strings; TypeError otherwise."""
+    value = record[key]
+    if not (type(value) is list and all(type(v) is str for v in value) if many
+            else type(value) is str):
+        raise TypeError(f"{key} must be {'a list of strings' if many else 'a string'}, "
+                        f"not {value!r}")
     return value
 
 

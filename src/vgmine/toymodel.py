@@ -27,8 +27,7 @@ from .attention import AttentionError, AttentionMap, GlimpseStack, kl_rows, rank
 # from here because perfbench/tracing.py wraps them by this module's name.
 from .attention import kl_divergence, rank_correlation  # noqa: F401
 from .records import fmt9, round9_array, write_csv, write_ndjson
-from .schedule import LossBreakdown, Schedule
-from .schedule import total_loss  # noqa: F401
+from .schedule import LossBreakdown, Schedule, total_loss
 
 
 class ToyModelError(Exception):
@@ -216,15 +215,13 @@ class _Pass:
 
     ce: np.ndarray      # (N,)
     kl: np.ndarray      # (N,), 0 for samples without supervision
-    alpha: np.ndarray   # (N,), 0 for samples without supervision
-    total: np.ndarray   # (N,) ce + alpha * kl
     act: _Activations
     grads: ToyModelParams
 
 
 def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
-    """Forward pass, cross-entropy plus alpha-weighted KL toward the
-    supervised glimpses, and exact analytic gradients."""
+    """Forward pass, per-sample cross-entropy and KL toward the supervised
+    glimpses, and the exact analytic gradients of ce + alpha * kl."""
     act = _forward(params, batch)
     n = len(batch.answers)
     rows = np.arange(n)
@@ -236,11 +233,6 @@ def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
 
     attn = act.attn
     kl = kl_rows(batch.targets, attn, batch.support)  # KL(target || attn)
-
-    if np.isnan(ce).any() or np.isnan(kl).any():
-        raise ValueError("loss inputs must not be NaN")
-    alphas = np.where(batch.supervised, alpha, 0.0)
-    total = ce + alphas * kl
 
     d = batch.q_feat.shape[1]
     g, c = params.w_attention.shape
@@ -254,7 +246,7 @@ def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     # is alpha * (attn - target), exact because each target sums to 1
     inner = (d_attn * attn).sum(axis=2, keepdims=True)
     d_attn_logits = attn * (d_attn - inner)
-    d_attn_logits += (alphas[:, None] * batch.kl_mask)[:, :, None] * (attn - batch.targets)
+    d_attn_logits += (alpha * batch.kl_mask)[:, :, None] * (attn - batch.targets)
     g_attention = d_attn_logits @ act.fused.transpose(0, 2, 1)            # (N, G, C)
     d_fused = params.w_attention.T @ d_attn_logits                        # (N, C, HW)
     d_pre = d_fused * (act.pre_fusion > 0)
@@ -268,7 +260,7 @@ def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
         w_attention=g_attention.sum(axis=0),
         w_classifier=g_classifier.sum(axis=0),
     )
-    return _Pass(ce=ce, kl=kl, alpha=alphas, total=total, act=act, grads=grads)
+    return _Pass(ce=ce, kl=kl, act=act, grads=grads)
 
 
 def forward(params: ToyModelParams, sample: ToySample) -> ForwardResult:
@@ -288,8 +280,8 @@ def loss_and_grads(params: ToyModelParams, sample: ToySample,
                    schedule: Schedule, t: int) -> tuple[LossBreakdown, ToyModelParams]:
     """Loss breakdown and exact analytic gradients for one sample."""
     step = _pass(params, _batch([sample], params), schedule.alpha(t))
-    breakdown = LossBreakdown(ce=float(step.ce[0]), kl=float(step.kl[0]),
-                              alpha=float(step.alpha[0]), total=float(step.total[0]))
+    kl = float(step.kl[0]) if sample.supervision is not None else None
+    breakdown = total_loss(float(step.ce[0]), kl, schedule, t)
     return breakdown, step.grads
 
 
@@ -324,7 +316,7 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
         alpha = schedule.alpha(t)
         try:
             step = _pass(params, batch, alpha)
-            if not np.isfinite(step.total).all():
+            if not (np.isfinite(step.ce).all() and np.isfinite(step.kl).all()):
                 raise ToyModelError("non-finite loss")
         except (AttentionError, ToyModelError) as exc:
             raise ToyModelError(f"training diverged at step {t}: {exc}") from exc

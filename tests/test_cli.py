@@ -458,6 +458,68 @@ class TestPipelineAndConfig:
         assert code == 2
 
 
+class TestConfigFile:
+    """A config value reads as the flag it names, typed right after the
+    command name, so it meets that flag's checks."""
+
+    def _config(self, tmp_path, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        return path
+
+    @pytest.mark.parametrize("config,key,expected", [
+        ({"stopwords": 5}, "stopwords", ["5"]),
+        ({"iou_threshold": [1]}, "iou_threshold", 1.0),
+        ({"full_containment": False, "counting_prefixes": ["how many"]},
+         "counting_prefixes", ["how many"]),
+    ], ids=["number-for-string", "one-entry-list", "false-and-list"])
+    def test_value_is_parsed_as_its_flag(self, run_cli, tmp_path, config, key, expected):
+        out = tmp_path / "labels.ndjson"
+        code, _, err = run_cli(*MINE_ARGS, "--out", out,
+                               "--config", self._config(tmp_path, config))
+        assert code == 0, err
+        manifest = json.loads(out.with_name(out.name + ".manifest.json").read_text())
+        assert manifest["config"][key] == expected
+        assert manifest["config"]["center_containment"] is True
+
+    @pytest.mark.parametrize("config,message", [
+        ({"full_containment": "no"}, "--full-containment: ignored explicit argument 'no'"),
+        ({"min_region_matches": 2.5}, "--min-region-matches: invalid int value: '2.5'"),
+        ({"iou-threshold": [0.3, 0.4]}, "unrecognized arguments: 0.4"),
+        ({"bogus": 1}, "unrecognized arguments: --bogus=1"),
+        ({"grid": [14, 14]}, "unrecognized arguments: --grid 14 14"),
+    ], ids=["string-for-switch", "float-for-int", "two-entry-list", "unknown-key",
+            "key-of-another-command"])
+    def test_value_failing_its_flag_exit_2(self, run_cli, tmp_path, config, message):
+        out = tmp_path / "labels.ndjson"
+        code, _, err = run_cli(*MINE_ARGS, "--out", out,
+                               "--config", self._config(tmp_path, config))
+        assert code == 2
+        assert message in err
+        assert "Traceback" not in err
+        assert list(tmp_path.glob("labels*")) == []
+
+    def test_grid_of_one_number_exit_2(self, run_cli, tmp_path):
+        out = tmp_path / "maps.ndjson"
+        code, _, err = run_cli("rasterize", "--labels", GOLDEN / "fig3_labels.ndjson",
+                               "--qa", FIG3 / "qa.json", "--out", out,
+                               "--config", self._config(tmp_path, {"grid": 5}))
+        assert code == 2
+        assert "--grid: expected 2 arguments" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", [None, {"h": 5}, ["a", True]],
+                             ids=["null", "object", "list-with-bool"])
+    def test_value_of_no_flag_type_names_file_and_key(self, run_cli, tmp_path, value):
+        config = self._config(tmp_path, {"iou_threshold": 0.5, "stopwords": value})
+        out = tmp_path / "labels.ndjson"
+        code, _, err = run_cli(*MINE_ARGS, "--out", out, "--config", config)
+        assert code == 2
+        assert err.startswith(f"error: {config}: stopwords: ")
+        assert list(tmp_path.glob("labels*")) == []
+
+
 # --- malformed input and partial output ------------------------------------
 
 def _tie_heavy_maps(rng, count, shapes=((7, 7), (3, 5))):
@@ -737,6 +799,46 @@ def _label_with_float_box(tmp_path):
             f"{bad}:2: a box must be 4 integers, not {box!r}")
 
 
+def _mine_qa_with(key, value, fault):
+    """Mine on a qa.json whose record 1 has ``key`` set to ``value``."""
+    def case(tmp_path):
+        bad = tmp_path / "qa.json"
+        qa = json.loads((FIG3 / "qa.json").read_text())
+        qa[1][key] = value
+        bad.write_text(json.dumps(qa))
+        argv = [str(a) for a in MINE_ARGS]
+        argv[argv.index("--qa") + 1] = str(bad)
+        return argv, f"{bad}: record 1: bad QA record: {TypeError(fault)!r}"
+    return case
+
+
+def _annotation_with_text(kind, key, value, rule):
+    """Record 1 of entry 0 with the text field ``key`` set to ``value``."""
+    def case(tmp_path):
+        name = f"{kind}s"
+        bad = tmp_path / f"{name}.json"
+        entries = json.loads((FIG3 / f"{name}.json").read_text())
+        entries[0][name][1][key] = value
+        bad.write_text(json.dumps(entries))
+        argv = [str(a) for a in MINE_ARGS]
+        argv[argv.index(f"--{name}") + 1] = str(bad)
+        return (argv, f"{bad}: entry 0: {kind} 1: bad {kind} record: "
+                      f"{key} must be {rule}, not {value!r}")
+    return case
+
+
+def _eval_acc_with(which, key, value, rule):
+    """eval-acc with line 2 of the predictions or references changed."""
+    def case(tmp_path):
+        files = dict(zip(("preds", "refs"), _fig3_preds_refs(tmp_path)))
+        records = [json.loads(text) for text in _lines(files[which])]
+        records[1][key] = value
+        bad = files[which] = _ndjson(tmp_path / f"bad_{which}.ndjson", records)
+        return (["eval-acc", "--preds", files["preds"], "--refs", files["refs"]],
+                f"{bad}:2: {key} must be {rule}, not {value!r}")
+    return case
+
+
 class TestMalformedInput:
     """Each malformed input exits 2 with a message naming the file and the
     line, offset or record, prints no traceback and leaves no output."""
@@ -758,6 +860,14 @@ class TestMalformedInput:
         _maps_with_field("eval-rank", "mask", "false"),
         _maps_with_field("render", "mask", "false"),
         _annotation_with_field("region", "width", 0), _annotation_with_field("object", "h", -3),
+        _annotation_with_text("region", "phrase", 7, "a string"),
+        _annotation_with_text("object", "names", ["man", 5], "a list of strings"),
+        _annotation_with_text("object", "names", "man", "a list of strings"),
+        _mine_qa_with("question", 5, "question must be a string, not 5"),
+        _mine_qa_with("answer", None, "answer must be a string, not None"),
+        _mine_qa_with("image_id", [1], "image_id must be a string or a number, not list"),
+        _eval_acc_with("preds", "answer", 5, "a string"),
+        _eval_acc_with("refs", "answers", "yyyyyyyyyy", "a list of strings"),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -768,7 +878,10 @@ class TestMalformedInput:
             "qa-string-width", "qa-bool-height", "region-without-width",
             "object-without-names", "object-float-x", "region-bool-height",
             "label-float-box", "maps-string-mask-eval-rank", "maps-string-mask-render",
-            "region-zero-width", "object-negative-h"])
+            "region-zero-width", "object-negative-h", "region-int-phrase",
+            "object-int-name", "object-string-names", "mine-qa-int-question",
+            "mine-qa-null-answer", "mine-qa-list-image_id", "preds-int-answer",
+            "refs-string-answers"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"
@@ -879,3 +992,53 @@ def test_fuzzed_ndjson_exits_0_or_2_and_leaves_no_partial_output(fuzz_inputs, da
         assert "Traceback" not in stderr.getvalue()
         if code == 2:
             assert sorted(p.name for p in Path(tmp).iterdir()) == [bad.name]
+
+
+# --- fuzzed corpus files ---------------------------------------------------
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                               max_size=3),
+    max_leaves=4)
+
+
+@given(data=st.data())
+@settings(max_examples=120, deadline=None)
+def test_fuzzed_corpus_exits_0_or_2_and_leaves_no_partial_output(data):
+    """``mine`` on Fig. 3 with one field of one QA record, annotation entry
+    or region or object record set to a JSON value or dropped; a field of
+    None stands for the record or entry itself."""
+    from vgmine.cli import main
+
+    files = {name: json.loads((FIG3 / f"{name}.json").read_text())
+             for name in ("qa", "regions", "objects")}
+    name = data.draw(st.sampled_from(sorted(files)), label="file")
+    parent = files[name]
+    index = data.draw(st.integers(0, len(parent) - 1), label="entry")
+    if name != "qa" and data.draw(st.booleans(), label="inner record"):
+        parent = parent[index][name]
+        index = data.draw(st.integers(0, len(parent) - 1), label="record")
+    record = parent[index]
+    key = data.draw(st.sampled_from([None] + sorted(record)), label="field")
+    owner, slot = (parent, index) if key is None else (record, key)
+    if data.draw(st.booleans(), label="drop"):
+        del owner[slot]
+    else:
+        owner[slot] = data.draw(JSON_VALUES, label="value")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = [str(a) for a in MINE_ARGS]
+        for kind, content in files.items():
+            path = Path(tmp) / f"{kind}.json"
+            path.write_text(json.dumps(content))
+            argv[argv.index(f"--{kind}") + 1] = str(path)
+        out = Path(tmp) / "labels.ndjson"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv + ["--out", str(out)])
+        assert code in (0, 2), stderr.getvalue()
+        assert "Traceback" not in stderr.getvalue()
+        left = {p.name for p in Path(tmp).iterdir()} - {f"{kind}.json" for kind in files}
+        assert left == ({out.name, out.name + ".manifest.json"} if code == 0 else set())
