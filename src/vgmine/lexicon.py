@@ -150,8 +150,9 @@ class Lexicon:
     offsets never collide. All stored words are lowercase and trimmed.
     """
 
-    noun_index: dict[str, list[str]] = field(default_factory=dict)
-    verb_index: dict[str, list[str]] = field(default_factory=dict)
+    # lowercase lemma -> its checked index line, split into ids on lookup
+    noun_index: dict[str, str] = field(default_factory=dict)
+    verb_index: dict[str, str] = field(default_factory=dict)
     noun_exceptions: dict[str, str] = field(default_factory=dict)
     verb_exceptions: dict[str, str] = field(default_factory=dict)
     aliases: dict[str, set[str]] = field(default_factory=dict)
@@ -160,20 +161,23 @@ class Lexicon:
     _signatures: dict[str, WordSignature] = field(
         default_factory=dict, repr=False, compare=False)
 
-    def _index(self, pos: Pos) -> dict[str, list[str]]:
+    def _index(self, pos: Pos) -> dict[str, str]:
         return self.noun_index if pos is Pos.NOUN else self.verb_index
 
     def _exceptions(self, pos: Pos) -> dict[str, str]:
         return self.noun_exceptions if pos is Pos.NOUN else self.verb_exceptions
 
     def _in_index(self, word: str, pos: Pos) -> bool:
-        return bool(self._index_ids(word, pos))  # every entry has a synset
+        index = self._index(pos)  # every stored line has a synset
+        return word in index or word.replace(" ", "_") in index
 
     def _index_ids(self, word: str, pos: Pos) -> list[str]:
         index = self._index(pos)
-        if word in index:
-            return index[word]
-        return index.get(word.replace(" ", "_"), [])
+        line = index.get(word) or index.get(word.replace(" ", "_"))
+        if line is None:
+            return []
+        fields = line.split()
+        return [f"{int(off):08d}-{pos.value}" for off in fields[6 + int(fields[3]):]]
 
     def morphy(self, word: str, pos: Pos) -> str | None:
         """Return the base form of ``word`` for the given part of speech.
@@ -249,9 +253,20 @@ class Lexicon:
         return match_signatures(self.signature(w1), self.signature(w2))
 
 
+def _count_skipped(path: Path, skipped: list[int], lexicon: Lexicon) -> None:
+    """Add one file's unparseable lines to the count; one warning names them."""
+    for lineno in skipped:
+        log.debug("%s:%d: skipping unparseable line", path, lineno)
+    if skipped:
+        lexicon.skipped_lines += len(skipped)
+        log.warning("%s: skipped %d unparseable lines (first at line %d)",
+                    path, len(skipped), skipped[0])
+
+
 def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
+    # stores each checked line as text; Lexicon._index_ids formats its ids
     index = lexicon._index(pos)
-    suffix = "-" + pos.value  # read once: each Enum.value read is a Python call
+    skipped = []
     with open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             if not line.strip():
@@ -265,35 +280,38 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
                 )
             fields = line.split()
             try:
-                lemma = fields[0]
                 n_synsets = int(fields[2])
-                n_pointers = int(fields[3])
-                offsets = fields[6 + n_pointers:]
+                offsets = fields[6 + int(fields[3]):]
                 if n_synsets < 1 or len(offsets) != n_synsets:
                     raise ValueError("synset count mismatch")
-                ids = [f"{int(off):08d}{suffix}" for off in offsets]
+                digits = "".join(offsets)
+                # int() parses any run of at most 640 decimal digits (its limit is >= 640)
+                if not (len(digits) <= 640 and digits.isdecimal()):
+                    for off in offsets:
+                        int(off)
             except (IndexError, ValueError):
-                lexicon.skipped_lines += 1
-                log.debug("%s:%d: skipping unparseable line", path, lineno)
+                skipped.append(lineno)
                 continue
-            index[lemma.lower()] = ids
+            index[fields[0].lower()] = line
+    _count_skipped(path, skipped, lexicon)
 
 
 def _parse_exception_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
     exceptions = lexicon._exceptions(pos)
+    skipped = []
     with open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             terms = line.split()
             if not terms:
                 continue
             if len(terms) < 2:
-                lexicon.skipped_lines += 1
-                log.debug("%s:%d: skipping unparseable line", path, lineno)
+                skipped.append(lineno)
                 continue
             inflected, bases = terms[0].lower(), [t.lower() for t in terms[1:]]
             # prefer the first base form that has an index entry
             base = next((b for b in bases if lexicon._in_index(b, pos)), bases[0])
             exceptions[inflected] = base
+    _count_skipped(path, skipped, lexicon)
 
 
 def load_wordnet(directory: str | Path) -> Lexicon:
@@ -314,8 +332,6 @@ def load_wordnet(directory: str | Path) -> Lexicon:
     _parse_index_file(directory / "index.verb", Pos.VERB, lexicon)
     _parse_exception_file(directory / "noun.exc", Pos.NOUN, lexicon)
     _parse_exception_file(directory / "verb.exc", Pos.VERB, lexicon)
-    if lexicon.skipped_lines:
-        log.warning("skipped %d unparseable WordNet lines", lexicon.skipped_lines)
     return lexicon
 
 

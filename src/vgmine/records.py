@@ -51,11 +51,13 @@ def round9_array(values: np.ndarray) -> np.ndarray:
 
 
 def identifier(record: dict, key: str) -> Any:
-    """``record[key]``, a qa or image id; a JSON array or object is rejected
-    with TypeError, since ids are used as dict keys."""
+    """``record[key]``, a qa or image id; a JSON array, object, boolean or
+    null is rejected with TypeError, since ids are used as dict keys and
+    ``true`` is the same key as ``1``."""
     value = record[key]
-    if isinstance(value, (list, dict)):
-        raise TypeError(f"{key} must be a string or a number, not {type(value).__name__}")
+    if value is None or isinstance(value, (bool, list, dict)):
+        shown = type(value).__name__ if isinstance(value, (list, dict)) else value
+        raise TypeError(f"{key} must be a string or a number, not {shown}")
     return value
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from vgmine.attention import AttentionMap, GlimpseStack, rank_correlation
 from vgmine.dataset import Dataset
-from vgmine.lexicon import Lexicon, MatchCondition, Pos, normalize_token
+from vgmine.lexicon import Lexicon, LexiconError, MatchCondition, Pos, normalize_token
 from vgmine.miner import MinerConfig
 from vgmine.toymodel import ToyConfig, ToyModelParams, ToySample, loss_and_grads
 
@@ -171,6 +171,44 @@ def finite_difference_check(params, sample, schedule, t):
             np.linalg.norm(numeric), np.linalg.norm(gflat), 1e-8)
         max_tensor_rel = max(max_tensor_rel, norm_rel)
     return max_entry_rel, max_tensor_rel
+
+
+# --- eager WNDB index parser ------------------------------------------------
+
+def reference_index_file(path, pos: Pos) -> tuple[dict[str, list[str]], int]:
+    """Parse an index file eagerly: lowercase lemma -> its synset ids, and the
+    number of skipped lines. A line is skipped when it has fewer than four
+    fields, a count is not an int, it has no synset or not as many offsets
+    as it says, or ``int()`` rejects an offset; a later line of the same
+    lemma replaces an earlier one. A header line with one leading space
+    raises LexiconError."""
+    index: dict[str, list[str]] = {}
+    skipped = 0
+    with open(path, encoding="utf-8") as fp:
+        for lineno, line in enumerate(fp, start=1):
+            if not line.strip():
+                continue
+            if line.startswith("  "):
+                continue  # license header
+            if line.startswith(" "):
+                raise LexiconError(
+                    f"{path}: malformed header at line {lineno} "
+                    "(header lines must begin with two spaces)"
+                )
+            fields = line.split()
+            try:
+                lemma = fields[0]
+                n_synsets = int(fields[2])
+                n_pointers = int(fields[3])
+                offsets = fields[6 + n_pointers:]
+                if n_synsets < 1 or len(offsets) != n_synsets:
+                    raise ValueError("synset count mismatch")
+                ids = [f"{int(off):08d}-{pos.value}" for off in offsets]
+            except (IndexError, ValueError):
+                skipped += 1
+                continue
+            index[lemma.lower()] = ids
+    return index, skipped
 
 
 # --- word normalization and four-condition word match ----------------------

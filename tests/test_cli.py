@@ -839,6 +839,20 @@ def _eval_acc_with(which, key, value, rule):
     return case
 
 
+
+def _ndjson_with_qa_id(command, value):
+    """rasterize (labels) or eval-rank (maps b) with line 2's qa_id set to ``value``."""
+    def case(tmp_path):
+        name = "labels" if command == "rasterize" else "maps"
+        bad = tmp_path / f"{name}.ndjson"
+        records = [json.loads(text) for text in _lines(GOLDEN / f"fig3_{name}.ndjson")]
+        records[1]["qa_id"] = value
+        _ndjson(bad, records)
+        argv = (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"] if name == "labels"
+                else ["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad])
+        return argv, f"{bad}:2: qa_id must be a string or a number, not {value}"
+    return case
+
 class TestMalformedInput:
     """Each malformed input exits 2 with a message naming the file and the
     line, offset or record, prints no traceback and leaves no output."""
@@ -868,6 +882,9 @@ class TestMalformedInput:
         _mine_qa_with("image_id", [1], "image_id must be a string or a number, not list"),
         _eval_acc_with("preds", "answer", 5, "a string"),
         _eval_acc_with("refs", "answers", "yyyyyyyyyy", "a list of strings"),
+        _mine_qa_with("image_id", True, "image_id must be a string or a number, not True"),
+        _ndjson_with_qa_id("rasterize", None), _ndjson_with_qa_id("eval-rank", True),
+        _eval_acc_with("preds", "qa_id", None, "a string or a number"),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -881,7 +898,8 @@ class TestMalformedInput:
             "region-zero-width", "object-negative-h", "region-int-phrase",
             "object-int-name", "object-string-names", "mine-qa-int-question",
             "mine-qa-null-answer", "mine-qa-list-image_id", "preds-int-answer",
-            "refs-string-answers"])
+            "refs-string-answers", "mine-qa-bool-image_id", "labels-null-qa_id",
+            "maps-bool-qa_id", "preds-null-qa_id"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"

@@ -1,3 +1,4 @@
+import logging
 import os
 
 import pytest
@@ -15,7 +16,7 @@ from vgmine.lexicon import (
 )
 
 from conftest import ALIASES, WORDNET_DIR
-from oracles import reference_normalize, reference_words_match
+from oracles import reference_index_file, reference_normalize, reference_words_match
 
 VOCAB = st.sampled_from([
     "man", "men", "person", "people", "car", "cars", "automobile", "dog",
@@ -51,6 +52,50 @@ class TestNormalizeToken:
         once = normalize_token(text)
         assert normalize_token(once) == once
         assert once == reference_normalize(text)
+
+
+# WNDB index text: license, blank and one-space header lines, and entries
+# with odd counts and offsets, one lemma in several cases, lines in any
+# order. The separators include characters that str.split() treats as
+# whitespace but that do not end a line read from a file (\x1c, \x85,
+# \u2028), and "\r\n", which does.
+_INDEX_LEMMAS = st.sampled_from(["dog", "Dog", "DOG", "hot_dog", "car", "\u0130"])
+_INDEX_OFFSETS = st.sampled_from(["02084071", "5", "+5", "-3", "1_0", "\u0663", "\u00b2",
+                                  "x", "0" * 700, "1" * 4301])
+_INDEX_SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "\x1c", "\x85", "\u2028", "\r\n"])
+
+
+@st.composite
+def _index_entry(draw):
+    offsets = draw(st.lists(_INDEX_OFFSETS, max_size=3))
+    pointers = draw(st.lists(st.sampled_from(["@", "~", "+"]), max_size=2))
+    n_synsets, n_pointers = len(offsets), len(pointers)
+    if draw(st.booleans()):  # a count that does not fit the entry
+        n_synsets = draw(st.sampled_from([n_synsets, n_synsets + 1, 0, "x"]))
+        n_pointers = draw(st.sampled_from([n_pointers, -1, -2, n_pointers + 1]))
+    fields = [draw(_INDEX_LEMMAS), "n", str(n_synsets), str(n_pointers), *pointers,
+              str(n_synsets), "0", *offsets]
+    fields = fields[:draw(st.integers(1, len(fields)))] if draw(st.booleans()) else fields
+    text = fields[0]
+    for field in fields[1:]:
+        text += draw(_INDEX_SEPARATORS) + field
+    return text
+
+
+_INDEX_TEXT = st.lists(st.one_of(
+    _index_entry(), _index_entry(),
+    st.sampled_from(["  1 This software and database is provided", "", "  \t", "\x1c",
+                     " 1 one-space header"]),
+), max_size=8).flatmap(lambda lines: st.sampled_from(["\n", "\r\n", "\r"]).map(
+    lambda end: "".join(line + end for line in lines)))
+
+
+@pytest.fixture(scope="module")
+def wordnet_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("wordnet")
+    for name in ("noun.exc", "verb.exc"):
+        (directory / name).write_text("")
+    return directory
 
 
 class TestLoadWordnet:
@@ -112,6 +157,42 @@ class TestLoadWordnet:
         lex = load_wordnet(tmp_path)
         assert "dog" in lex.noun_index
         assert lex.skipped_lines == 1
+
+    def test_skipped_lines_warning_names_each_file(self, tmp_path, caplog):
+        (tmp_path / "index.noun").write_text(
+            "dog n 1 2 @ ~ 1 1 02084071\nbroken\n\ncat n x 0 1 0 02121620\n")
+        (tmp_path / "index.verb").write_text("walk v 1 0 1 0 01904930\n")
+        (tmp_path / "noun.exc").write_text("geese goose\nlonely\n")
+        (tmp_path / "verb.exc").write_text("")
+        with caplog.at_level(logging.WARNING, logger="vgmine.lexicon"):
+            lex = load_wordnet(tmp_path)
+        assert lex.skipped_lines == 3
+        assert [r.getMessage() for r in caplog.records] == [
+            f"{tmp_path / 'index.noun'}: skipped 2 unparseable lines (first at line 2)",
+            f"{tmp_path / 'noun.exc'}: skipped 1 unparseable lines (first at line 2)",
+        ]
+
+    @given(noun=_INDEX_TEXT, verb=_INDEX_TEXT)
+    @example(noun="dog n 1 0\x1c1 0 02084071\n", verb="")
+    @example(noun="dog n 1 0 1 0 1\u20282\n", verb="walk v 1 0 1 0 01904930\x85\n")
+    @example(noun="dog n 1 0 1 0 " + "1" * 4301 + "\n", verb="")
+    @settings(max_examples=150)
+    def test_index_files_parse_as_the_eager_reference(self, wordnet_dir, noun, verb):
+        files = {Pos.NOUN: wordnet_dir / "index.noun", Pos.VERB: wordnet_dir / "index.verb"}
+        files[Pos.NOUN].write_bytes(noun.encode("utf-8"))
+        files[Pos.VERB].write_bytes(verb.encode("utf-8"))
+        try:
+            expected = {pos: reference_index_file(path, pos) for pos, path in files.items()}
+        except LexiconError as exc:
+            with pytest.raises(LexiconError) as raised:
+                load_wordnet(wordnet_dir)
+            assert str(raised.value) == str(exc)
+            return
+        lex = load_wordnet(wordnet_dir)
+        for pos, (index, _) in expected.items():
+            assert list(lex._index(pos)) == list(index)
+            assert {word: lex._index_ids(word, pos) for word in lex._index(pos)} == index
+        assert lex.skipped_lines == sum(skipped for _, skipped in expected.values())
 
 
 class TestLoadAliases:
@@ -195,8 +276,9 @@ class TestSynsets:
         assert lexicon.synsets("men", Pos.NOUN) == lexicon.synsets("man", Pos.NOUN)
 
     def test_pos_tagged_ids_never_collide(self, lexicon):
-        noun_ids = {i for ids in lexicon.noun_index.values() for i in ids}
-        verb_ids = {i for ids in lexicon.verb_index.values() for i in ids}
+        noun_ids = {i for word in lexicon.noun_index for i in lexicon._index_ids(word, Pos.NOUN)}
+        verb_ids = {i for word in lexicon.verb_index for i in lexicon._index_ids(word, Pos.VERB)}
+        assert noun_ids and verb_ids
         assert noun_ids.isdisjoint(verb_ids)
 
 
