@@ -10,6 +10,7 @@ accuracy over ten reference answers.
 
 from __future__ import annotations
 
+import json
 import math
 import string
 from dataclasses import dataclass
@@ -19,7 +20,7 @@ import numpy as np
 
 from .dataset import BoundingBox, QaTriplet
 from .miner import GroundingLabel
-from .records import identifier, integer, read_ndjson, round9_array
+from .records import identifier, integer, read_keyed, round9
 
 DEFAULT_GRID = 14
 
@@ -284,30 +285,51 @@ def vqa_accuracy(pred: str, refs: list[str]) -> float:
 
 # --- serialization -------------------------------------------------------
 
-def stack_to_rows(qa_ids: list, glimpses: np.ndarray, masks: np.ndarray) -> list[dict]:
-    """Maps records of a ``supervision_block``: one row per label and
-    glimpse, values rounded to 9 significant digits."""
+def round9_text(values: np.ndarray) -> np.ndarray:
+    """``json.dumps(round9(v))`` of every element, as an object array of
+    ``values``' shape, computed once per distinct float64 bit pattern (so
+    -0.0 and each NaN payload keep their own results)."""
+    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
+    ordered = np.sort(bits, axis=None)  # not np.unique: it imports numpy.ma
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    rounded = [round9(v) for v in distinct.view(np.float64).tolist()]
+    # one encoder call for all of them: no float's JSON text holds ", "
+    text = np.array(json.dumps(rounded)[1:-1].split(", "), dtype=object)
+    return text[np.searchsorted(distinct, bits)]
+
+
+def stack_to_rows(qa_ids: list, glimpses: np.ndarray, masks: np.ndarray) -> list[str]:
+    """Maps lines of a ``supervision_block``: one JSON object per label and
+    glimpse, values rounded to 9 significant digits, laid out as
+    ``json.dumps`` with ", " and ": " separators."""
     n, count, h, w = glimpses.shape
-    values = round9_array(glimpses).reshape(n, count, h * w).tolist()
+    values = round9_text(glimpses).reshape(n, count, h * w).tolist()
     mask = masks.tolist()
-    return [{"qa_id": qa_id, "glimpse": g, "h": h, "w": w, "mask": mask[i][g],
-             "values": values[i][g]}
+    return [f'{{"qa_id": {json.dumps(qa_id)}, "glimpse": {g}, "h": {h}, "w": {w}, '
+            f'"mask": {"true" if mask[i][g] else "false"}, '
+            f'"values": [{", ".join(values[i][g])}]}}\n'
             for i, qa_id in enumerate(qa_ids) for g in range(count)]
 
 
-def _map_from_row(row: dict) -> dict:
-    """The fields a command reads, each required but 'mask' (a bool, default
-    True), with 'values' as an (h, w) float64 array."""
+def _map_from_row(row: dict) -> tuple[tuple, dict]:
+    """The (qa_id, glimpse) key of a maps row and the fields a command reads,
+    each required but 'mask' (a bool, default True), with 'values' as an
+    (h, w) float64 array of finite cells."""
     glimpse, h, w = integer(row, "glimpse", 0), integer(row, "h", 1), integer(row, "w", 1)
     mask = row.get("mask", True)
     if type(mask) is not bool:
         raise ValueError(f"mask must be a bool, not {mask!r}")
-    return {"qa_id": identifier(row, "qa_id"), "glimpse": glimpse, "h": h, "w": w, "mask": mask,
-            "values": np.asarray(row["values"], dtype=np.float64).reshape(h, w)}
+    qa_id = identifier(row, "qa_id")
+    values = np.asarray(row["values"], dtype=np.float64).reshape(h, w)
+    if not np.isfinite(values).all():
+        raise ValueError("values must be finite numbers")
+    return (qa_id, glimpse), {"qa_id": qa_id, "glimpse": glimpse, "h": h, "w": w,
+                              "mask": mask, "values": values}
 
 
-def read_maps(path: str | Path) -> list[dict]:
-    return read_ndjson(path, _map_from_row)
+def read_maps(path: str | Path) -> dict:
+    """Maps rows keyed by (qa_id, glimpse), in file order."""
+    return read_keyed(path, _map_from_row)
 
 
 def pgm_bytes(amap: AttentionMap) -> bytes:

@@ -34,8 +34,8 @@ from .attention import build_supervision, rank_correlation  # noqa: F401
 from .dataset import check_image_size, load_dataset, read_qa
 from .lexicon import load_aliases, load_wordnet
 from .miner import MinerConfig, mine, read_labels, write_labels
-from .records import (InputError, fmt9, identifier, read_json, read_ndjson, string,
-                      write_csv, write_manifest, write_ndjson)
+from .records import (InputError, fmt9, identifier, read_json, read_keyed, string,
+                      write_csv, write_lines, write_manifest)
 from .schedule import MODE_COSINE, MODE_FIXED, Schedule
 from .toymodel import (
     ToyConfig,
@@ -135,7 +135,7 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
             yield from stack_to_rows([label.qa_id for label in block], glimpses, masks)
 
     out = Path(args.out)
-    write_ndjson(out, rows())
+    write_lines(out, rows())
     write_manifest(out, "rasterize", {"grid": [grid_h, grid_w]},
                    [labels_path, qa_path])
     return 0
@@ -143,17 +143,12 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
 
 # --- eval ----------------------------------------------------------------
 
-def _keyed_maps(rows: list[dict]) -> dict:
-    """Masked glimpses carry no supervision signal and are not evaluated."""
-    return {(row["qa_id"], row["glimpse"]): row["values"]
-            for row in rows if row["mask"]}
-
-
 def cmd_eval_rank(args: argparse.Namespace) -> int:
     path_a = _require_file(args.maps_a, "maps file")
     path_b = _require_file(args.maps_b, "maps file")
-    maps_a = _keyed_maps(read_maps(path_a))
-    maps_b = _keyed_maps(read_maps(path_b))
+    # masked glimpses carry no supervision signal and are not evaluated
+    maps_a, maps_b = ({key: row["values"] for key, row in read_maps(path).items() if row["mask"]}
+                      for path in (path_a, path_b))
     common = sorted(set(maps_a) & set(maps_b), key=lambda k: (str(k[0]), k[1]))
     if not common:
         raise InputError("no common (qa_id, glimpse) pairs between map files")
@@ -179,10 +174,9 @@ def cmd_eval_rank(args: argparse.Namespace) -> int:
 def cmd_eval_acc(args: argparse.Namespace) -> int:
     preds_path = _require_file(args.preds, "predictions file")
     refs_path = _require_file(args.refs, "references file")
-    preds = dict(read_ndjson(preds_path, lambda rec: (identifier(rec, "qa_id"),
-                                                      string(rec, "answer"))))
-    refs = dict(read_ndjson(refs_path, lambda rec: (identifier(rec, "qa_id"),
-                                                    string(rec, "answers", many=True))))
+    preds = read_keyed(preds_path, lambda rec: (identifier(rec, "qa_id"), string(rec, "answer")))
+    refs = read_keyed(refs_path, lambda rec: (identifier(rec, "qa_id"),
+                                              string(rec, "answers", many=True)))
     common = sorted(set(preds) & set(refs), key=str)
     if not common:
         raise InputError("no common qa_ids between predictions and references")
@@ -250,7 +244,7 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     maps_path = _require_file(args.maps, "maps file")
-    rows = read_maps(maps_path)
+    rows = list(read_maps(maps_path).values())
     maps = []
     for row in rows:  # every map is checked before the first file is written
         try:

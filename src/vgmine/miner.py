@@ -33,7 +33,7 @@ from pathlib import Path
 from .dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
 from .lexicon import (Lexicon, MatchCondition, WordSignature, match_signatures,
                       normalize_token, tokenize)
-from .records import identifier, read_ndjson, write_ndjson
+from .records import identifier, read_keyed, write_ndjson
 
 DEFAULT_STOPWORDS = frozenset({
     "a", "an", "the", "is", "are", "was", "were", "be", "been", "do", "does",
@@ -319,4 +319,7 @@ def write_labels(labels: list[GroundingLabel], path: str | Path) -> None:
 
 
 def read_labels(path: str | Path) -> list[GroundingLabel]:
-    return read_ndjson(path, label_from_dict)
+    """The labels of an NDJSON file in file order; a repeated qa_id is an
+    ``InputError`` naming both lines."""
+    return list(read_keyed(path, lambda data: (identifier(data, "qa_id"),
+                                               label_from_dict(data))).values())

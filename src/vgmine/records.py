@@ -19,8 +19,6 @@ from contextlib import contextmanager
 from pathlib import Path
 from typing import IO, Any
 
-import numpy as np
-
 from . import __version__
 
 
@@ -37,17 +35,6 @@ def fmt9(value: float) -> str:
 
 def round9(value: float) -> float:
     return float(format(value, _FORMAT9))
-
-
-def round9_array(values: np.ndarray) -> np.ndarray:
-    """``round9`` of every element, called once per distinct float64 bit
-    pattern (so -0.0 and each NaN payload keep their own results)."""
-    bits = np.ascontiguousarray(values, dtype=np.float64).view(np.uint64)
-    ordered = np.sort(bits, axis=None)  # not np.unique: it imports numpy.ma
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    rounded = np.array([round9(v) for v in distinct.view(np.float64).tolist()],
-                       dtype=np.float64)
-    return rounded[np.searchsorted(distinct, bits)]
 
 
 def identifier(record: dict, key: str) -> Any:
@@ -94,23 +81,28 @@ def read_json(path: str | Path) -> Any:
         raise InputError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
 
 
-def read_ndjson(path: str | Path, decode: Callable[[Any], Any]) -> list:
-    """``decode`` applied to each non-blank line. A line that is not JSON,
-    or that ``decode`` rejects with KeyError, TypeError or ValueError, is
-    reported as ``<path>:<line>``."""
+def read_keyed(path: str | Path, decode: Callable[[Any], tuple[Any, Any]]) -> dict:
+    """The ``(key, value)`` pairs that ``decode`` makes of the non-blank
+    lines, as a dict in file order. A line that is not JSON, that ``decode``
+    rejects with KeyError, TypeError or ValueError, or whose key an earlier
+    line holds is reported as ``<path>:<line>``."""
     path = Path(path)
-    records = []
+    records, lines = {}, {}
     try:
         with open(path, encoding="utf-8") as fp:
             for lineno, line in enumerate(fp, start=1):
                 if not line.strip():
                     continue
                 try:
-                    records.append(decode(json.loads(line)))
+                    key, value = decode(json.loads(line))
                 except KeyError as exc:
                     raise InputError(f"{path}:{lineno}: missing field {exc}") from exc
                 except (TypeError, ValueError) as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from exc
+                if key in lines:
+                    raise InputError(f"{path}:{lineno}: repeated key {key!r}, "
+                                     f"first on line {lines[key]}")
+                records[key], lines[key] = value, lineno
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return records
@@ -134,11 +126,14 @@ def _replacing(path: str | Path, newline: str | None = None) -> Iterator[IO[str]
         raise
 
 
-def write_ndjson(path: str | Path, records: Iterable[dict]) -> None:
+def write_lines(path: str | Path, lines: Iterable[str]) -> None:
+    """Lines of text, each ending in a newline."""
     with _replacing(path) as fp:
-        for record in records:
-            fp.write(json.dumps(record, separators=(", ", ": ")))
-            fp.write("\n")
+        fp.writelines(lines)
+
+
+def write_ndjson(path: str | Path, records: Iterable[dict]) -> None:
+    write_lines(path, (json.dumps(record, separators=(", ", ": ")) + "\n" for record in records))
 
 
 def write_csv(path: str | Path | None, rows: Iterable[list]) -> None:

@@ -17,16 +17,18 @@ so each sample gets the same BLAS call it would get on its own.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .attention import AttentionError, AttentionMap, GlimpseStack, kl_rows, rank_correlations
+from .attention import (AttentionError, AttentionMap, GlimpseStack, kl_rows, rank_correlations,
+                        round9_text)
 # The per-sample scalar forms of the batched loss and metric below, importable
 # from here because perfbench/tracing.py wraps them by this module's name.
 from .attention import kl_divergence, rank_correlation  # noqa: F401
-from .records import fmt9, round9_array, write_csv, write_ndjson
+from .records import fmt9, write_csv, write_lines
 from .schedule import LossBreakdown, Schedule, total_loss
 
 
@@ -393,6 +395,6 @@ def write_metrics(rows: list[MetricsRow], path: str | Path) -> None:
 
 def write_params(params: ToyModelParams, path: str | Path) -> None:
     """NDJSON of named flat arrays: {name, shape, values}."""
-    write_ndjson(path, ({"name": name, "shape": list(arr.shape),
-                         "values": round9_array(arr).ravel().tolist()}
-                        for name, arr in params.named_arrays()))
+    write_lines(path, (f'{{"name": {json.dumps(name)}, "shape": {json.dumps(list(arr.shape))}, '
+                       f'"values": [{", ".join(round9_text(arr).ravel().tolist())}]}}\n'
+                       for name, arr in params.named_arrays()))

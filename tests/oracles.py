@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import math
 
 import numpy as np
 
 from vgmine.attention import AttentionMap, GlimpseStack, rank_correlation
-from vgmine.dataset import Dataset
+from vgmine.dataset import BoundingBox, Dataset
 from vgmine.lexicon import Lexicon, LexiconError, MatchCondition, Pos, normalize_token
 from vgmine.miner import MinerConfig
 from vgmine.toymodel import ToyConfig, ToyModelParams, ToySample, loss_and_grads
@@ -43,6 +44,40 @@ def brute_force_rasterize(boxes, img_w: int, img_h: int,
                 if covers_x and covers_y:
                     grid[cy, cx] += 1.0
     return grid
+
+
+def _ndjson_line(record: dict) -> str:
+    return json.dumps(record, separators=(", ", ": ")) + "\n"
+
+
+def reference_maps_lines(labels: list[dict], qa: list[dict], grid_h: int, grid_w: int) -> str:
+    """The text of the maps file ``rasterize`` writes for label and QA
+    records: per-cell coverage counts, unmasked glimpses divided by their
+    totals, every cell rounded to 9 significant digits one at a time, and one
+    ``json.dumps`` per row."""
+    sizes = {rec["qa_id"]: (rec["image_width"], rec["image_height"]) for rec in qa}
+    lines = []
+    for label in labels:
+        for glimpse, key in enumerate(("object_boxes", "region_boxes")):
+            counts = brute_force_rasterize([BoundingBox(*b) for b in label[key]],
+                                           *sizes[label["qa_id"]], grid_h, grid_w)
+            total = sum(counts.ravel().tolist())
+            mask = bool(label[key]) and total > 0 and not (glimpse and label["is_counting"])
+            values = [float(format(c / total if mask else c, ".9g"))
+                      for c in counts.ravel().tolist()]
+            lines.append(_ndjson_line({"qa_id": label["qa_id"], "glimpse": glimpse,
+                                       "h": grid_h, "w": grid_w, "mask": mask,
+                                       "values": values}))
+    return "".join(lines)
+
+
+def reference_params_lines(params: ToyModelParams) -> str:
+    """The text of a ``--params-out`` file: one ``json.dumps`` per array, its
+    cells rounded to 9 significant digits one at a time."""
+    return "".join(_ndjson_line({"name": name, "shape": list(arr.shape),
+                                 "values": [float(format(v, ".9g"))
+                                            for v in arr.ravel().tolist()]})
+                   for name, arr in params.named_arrays())
 
 
 def kl_summation(p_glimpses, p_masks, q_glimpses) -> float:

@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ from vgmine.attention import (
     rank_correlation,
     rank_correlations,
     rasterize,
+    round9_text,
     vqa_accuracy,
 )
 from vgmine.dataset import BoundingBox, QaTriplet
 from vgmine.miner import GroundingLabel
+from vgmine.records import round9
 
 from oracles import (brute_force_rasterize, kl_summation, pgm_reference,
                      reference_fractional_ranks)
@@ -327,3 +331,27 @@ class TestPgm:
     def test_zero_map_renders_black(self):
         data = pgm_bytes(AttentionMap(np.zeros((2, 2))))
         assert data[len(b"P5\n2 2\n255\n"):] == bytes(4)
+
+
+def _bits(value: float) -> int:
+    return struct.unpack("<Q", struct.pack("<d", value))[0]
+
+
+_SPECIAL = [0.0, -0.0, float("nan"), float("inf"), -float("inf"), 5e-324, -5e-324,
+            2.2250738585072014e-308, 1e-310, 1e300, -1e300, 1.7976931348623157e308,
+            1 / 3, 2 / 7, 0.1234567895, 1.0, 2.0]
+_CELL_BITS = st.one_of(
+    st.integers(0, 2**64 - 1),  # any pattern: NaN payloads, subnormals, huge values
+    st.floats(width=64).map(_bits),
+    st.sampled_from(_SPECIAL).map(_bits),
+    st.sampled_from([0x7FF8000000000001, 0xFFF8000000000000, 0x7FF0000000000001]),
+)
+
+
+@given(cells=st.lists(_CELL_BITS, min_size=1, max_size=60), rows=st.integers(1, 4))
+@settings(max_examples=300)
+def test_round9_text_equals_per_cell_json_of_round9(cells, rows):
+    values = np.array(cells * rows, dtype=np.uint64).view(np.float64).reshape(rows, -1)
+    got = round9_text(values)
+    assert got.shape == values.shape
+    assert got.ravel().tolist() == [json.dumps(round9(v)) for v in values.ravel().tolist()]

@@ -14,7 +14,8 @@ from vgmine.attention import AttentionMap
 from vgmine.dataset import BoundingBox
 
 from conftest import ALIASES, FIG3, GOLDEN, WORDNET_DIR
-from oracles import brute_force_rasterize, pgm_reference, reference_eval_rank
+from oracles import (brute_force_rasterize, pgm_reference, reference_eval_rank,
+                     reference_maps_lines)
 
 MINE_ARGS = [
     "mine",
@@ -89,7 +90,7 @@ class TestRasterize:
         run_cli("rasterize", "--labels", mined, "--qa", FIG3 / "qa.json",
                 "--out", maps)
         labels = {lab.qa_id: lab for lab in read_labels(mined)}
-        for row in read_maps(maps):
+        for row in read_maps(maps).values():
             label = labels[row["qa_id"]]
             boxes = label.object_boxes if row["glimpse"] == 0 else label.region_boxes
             expected = brute_force_rasterize(boxes, 640, 480, 14, 14)
@@ -183,6 +184,22 @@ class TestRasterizeBlocks:
                 assert row["values"] == want
         assert next(rows, None) is None
 
+    @pytest.mark.parametrize("grid", [(1, 1), (9, 11)], ids=["1x1", "9x11"])
+    @pytest.mark.parametrize("escaped", [False, True], ids=["plain-ids", "escaped-ids"])
+    def test_file_equals_reference_writer_byte_for_byte(self, run_cli, tmp_path, grid,
+                                                        escaped):
+        labels, qa = _random_labels(np.random.default_rng(43), 150)
+        if escaped:  # string ids that json.dumps escapes: quote, backslash, non-ASCII, controls
+            for i, (label, rec) in enumerate(zip(labels, qa)):
+                if i % 2:
+                    label["qa_id"] = rec["qa_id"] = f'q"{i}\\ é☃\x01\n\t\x7f'
+        labels_path, qa_path = _write_labels(tmp_path, labels, qa)
+        maps = tmp_path / "maps.ndjson"
+        code, _, err = run_cli("rasterize", "--labels", labels_path, "--qa", qa_path,
+                               "--out", maps, "--grid", *grid)
+        assert code == 0, err
+        assert maps.read_bytes() == reference_maps_lines(labels, qa, *grid).encode()
+
     @pytest.mark.parametrize("faults,reported", [
         ([(70, "no-boxes"), (100, "missing-qa")], 70),
         ([(70, "missing-qa"), (100, "no-boxes")], 70),
@@ -268,7 +285,7 @@ class TestEvalRank:
 
         rng = np.random.default_rng(30)
         noisy = tmp_path / "noisy.ndjson"
-        rows = read_maps(fig3_maps)
+        rows = list(read_maps(fig3_maps).values())
         entries = []
         perturbed = {}
         for row in rows:
@@ -853,6 +870,43 @@ def _ndjson_with_qa_id(command, value):
         return argv, f"{bad}:2: qa_id must be a string or a number, not {value}"
     return case
 
+
+def _maps_with_cell(command, value):
+    """render, or eval-rank (maps b), with one cell of line 2 set to ``value``."""
+    def case(tmp_path):
+        bad = tmp_path / "maps.ndjson"
+        records = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
+        records[1]["values"][5] = value
+        _ndjson(bad, records)
+        argv = (["render", "--maps", bad] if command == "render"
+                else ["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad])
+        return argv, f"{bad}:2: values must be finite numbers"
+    return case
+
+
+def _with_repeated_line(command):
+    """``command`` with line 2 of its NDJSON input repeated after the last line."""
+    def case(tmp_path):
+        refs = None
+        if command == "eval-acc":
+            source, refs = _fig3_preds_refs(tmp_path)
+        else:
+            source = GOLDEN / f"fig3_{'labels' if command == 'rasterize' else 'maps'}.ndjson"
+        lines = _lines(source)
+        bad = tmp_path / f"bad_{source.name}"
+        bad.write_text("".join(lines + [lines[1]]))
+        argv = {"rasterize": ["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"],
+                "eval-rank": ["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson",
+                              "--maps-b", bad],
+                "render": ["render", "--maps", bad],
+                "eval-acc": ["eval-acc", "--preds", bad, "--refs", refs]}[command]
+        record = json.loads(lines[1])
+        key = record["qa_id"] if command in ("rasterize", "eval-acc") else (
+            record["qa_id"], record["glimpse"])
+        return argv, f"{bad}:{len(lines) + 1}: repeated key {key!r}, first on line 2"
+    return case
+
+
 class TestMalformedInput:
     """Each malformed input exits 2 with a message naming the file and the
     line, offset or record, prints no traceback and leaves no output."""
@@ -885,6 +939,10 @@ class TestMalformedInput:
         _mine_qa_with("image_id", True, "image_id must be a string or a number, not True"),
         _ndjson_with_qa_id("rasterize", None), _ndjson_with_qa_id("eval-rank", True),
         _eval_acc_with("preds", "qa_id", None, "a string or a number"),
+        _maps_with_cell("eval-rank", float("nan")), _maps_with_cell("render", float("nan")),
+        _maps_with_cell("eval-rank", float("inf")), _maps_with_cell("render", -float("inf")),
+        _with_repeated_line("eval-rank"), _with_repeated_line("render"),
+        _with_repeated_line("rasterize"), _with_repeated_line("eval-acc"),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -899,7 +957,10 @@ class TestMalformedInput:
             "object-int-name", "object-string-names", "mine-qa-int-question",
             "mine-qa-null-answer", "mine-qa-list-image_id", "preds-int-answer",
             "refs-string-answers", "mine-qa-bool-image_id", "labels-null-qa_id",
-            "maps-bool-qa_id", "preds-null-qa_id"])
+            "maps-bool-qa_id", "preds-null-qa_id", "maps-nan-cell-eval-rank",
+            "maps-nan-cell-render", "maps-infinity-cell-eval-rank",
+            "maps-minus-infinity-cell-render", "maps-repeated-row-eval-rank",
+            "maps-repeated-row-render", "labels-repeated-qa_id", "preds-repeated-qa_id"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"

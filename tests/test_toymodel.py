@@ -12,7 +12,7 @@ from vgmine.attention import (
     rank_correlation,
 )
 from vgmine import toymodel
-from vgmine.records import round9_array
+from vgmine.records import round9
 from vgmine.schedule import Schedule
 from vgmine.toymodel import (
     MetricsRow,
@@ -29,7 +29,7 @@ from vgmine.toymodel import (
     write_params,
 )
 
-from oracles import finite_difference_check, random_toy_pair
+from oracles import finite_difference_check, random_toy_pair, reference_params_lines
 
 CFG = ToyConfig()
 FIXED_1 = Schedule(t_max=2000, mode="fixed", fixed_value=1.0)
@@ -334,7 +334,14 @@ class TestSerialization:
         assert [r["name"] for r in records] == [name for name, _ in params.named_arrays()]
         for record, (_, arr) in zip(records, params.named_arrays()):
             assert record["shape"] == list(arr.shape)
-            assert record["values"] == round9_array(arr).ravel().tolist()
+            assert record["values"] == [round9(v) for v in arr.ravel().tolist()]
+
+    def test_params_file_equals_reference_writer_byte_for_byte(self, tmp_path):
+        params = init_params(CFG, np.random.default_rng(9))
+        params.w_classifier.flat[:8] = [-0.0, 0.0, 1e300, -5e-324, 1 / 3, 0.1234567895, 1.0, -0.0]
+        path = tmp_path / "params.ndjson"
+        write_params(params, path)
+        assert path.read_bytes() == reference_params_lines(params).encode()
 
     def test_metrics_csv_layout(self, tmp_path):
         rows = [MetricsRow(0, 1.5, 2.5, 1.0, 0.25, 0.125)]
