@@ -18,6 +18,7 @@ from __future__ import annotations
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .records import InputError, identifier, integer, read_json, string
 
@@ -26,8 +27,7 @@ class DatasetError(InputError):
     """Fatal problem reading or decoding an annotation file."""
 
 
-@dataclass(frozen=True)
-class BoundingBox:
+class BoundingBox(NamedTuple):
     """Axis-aligned pixel box with inclusive integer corners."""
 
     x_min: int
@@ -61,25 +61,22 @@ class BoundingBox:
         return inter / (self.area() + other.area() - inter)
 
     def as_list(self) -> list[int]:
-        return [self.x_min, self.y_min, self.x_max, self.y_max]
+        return list(self)
 
 
-@dataclass(frozen=True)
-class RegionAnnotation:
+class RegionAnnotation(NamedTuple):
     region_id: int | str
     phrase: str
     box: BoundingBox
 
 
-@dataclass(frozen=True)
-class ObjectAnnotation:
+class ObjectAnnotation(NamedTuple):
     object_id: int | str
     names: tuple[str, ...]
     box: BoundingBox
 
 
-@dataclass(frozen=True)
-class QaTriplet:
+class QaTriplet(NamedTuple):
     qa_id: int | str
     image_id: int | str
     question: str
@@ -111,23 +108,23 @@ def _read_array(path: Path) -> list:
     return data
 
 
-def _corner_box(rec: dict, width_key: str, height_key: str) -> BoundingBox:
-    x, y = integer(rec, "x"), integer(rec, "y")
-    return BoundingBox(x, y, x + integer(rec, width_key, least=1) - 1,
-                       y + integer(rec, height_key, least=1) - 1)
-
-
 def read_qa(path: str | Path) -> list[QaTriplet]:
-    """The QA records of one file, in file order."""
-    triplets = []
+    """The QA records of one file, in file order; a repeated qa_id is an
+    error naming both records."""
+    triplets: list[QaTriplet] = []
+    first: dict[int | str, int] = {}
     for index, rec in enumerate(_read_array(Path(path))):
         try:
-            triplets.append(QaTriplet(identifier(rec, "qa_id"), identifier(rec, "image_id"),
-                                      string(rec, "question"), string(rec, "answer"),
-                                      integer(rec, "image_width"),
-                                      integer(rec, "image_height")))
+            triplet = QaTriplet(identifier(rec, "qa_id"), identifier(rec, "image_id"),
+                                string(rec, "question"), string(rec, "answer"),
+                                integer(rec, "image_width"), integer(rec, "image_height"))
         except (KeyError, TypeError) as exc:
             raise DatasetError(f"{path}: record {index}: bad QA record: {exc!r}") from exc
+        if triplet.qa_id in first:
+            raise DatasetError(f"{path}: record {index}: repeated qa_id {triplet.qa_id!r}, "
+                               f"first in record {first[triplet.qa_id]}")
+        first[triplet.qa_id] = index
+        triplets.append(triplet)
     return triplets
 
 
@@ -144,35 +141,31 @@ def _annotation_error(path: str | Path, entry: int, kind: str, index: int | None
     return DatasetError(f"{path}: {where}: bad {kind} record: {what}")
 
 
-def _clamp_box(box: BoundingBox, size: tuple[int, int] | None,
-               report: LoadReport) -> BoundingBox:
-    """``box`` clamped into a (width, height) image and counted when that
-    changes it; unchanged when no size is known."""
-    if size is None:
-        return box
-    width, height = size
-    x_min, y_min = max(box.x_min, 0), max(box.y_min, 0)
-    x_max, y_max = max(box.x_max, x_min), max(box.y_max, y_min)
-    clamped = BoundingBox(min(x_min, width - 1), min(y_min, height - 1),
-                          min(x_max, width - 1), min(y_max, height - 1))
-    if clamped != box:
-        report.clamped_boxes += 1
-    return clamped
-
-
 def _annotations(path: str | Path, kind: str, size_keys: tuple[str, str],
                  sizes: dict, report: LoadReport, make: Callable) -> dict[int | str, list]:
     """The ``kind`` records of one annotation file by image id, in file
-    order; ``make(rec, box)`` builds each from its clamped box."""
+    order; ``make(rec, box)`` builds each from its box, whose corners are
+    clamped into the image's (width, height) when that is known, and
+    counted when that changes them."""
+    width_key, height_key = size_keys
     by_image: dict[int | str, list] = {}
     for e, entry in enumerate(_read_array(Path(path))):
         r = None
         try:
-            size = sizes.get(entry["image_id"])
-            items = by_image.setdefault(entry["image_id"], [])
+            image_id = identifier(entry, "image_id")
+            size = sizes.get(image_id)
+            items = by_image.setdefault(image_id, [])
             for r, rec in enumerate(entry.get(f"{kind}s", [])):
-                box = _clamp_box(_corner_box(rec, *size_keys), size, report)
-                items.append(make(rec, box))
+                x, y = integer(rec, "x"), integer(rec, "y")
+                x_max = x + integer(rec, width_key, least=1) - 1
+                y_max = y + integer(rec, height_key, least=1) - 1
+                if size is not None and (x < 0 or y < 0 or x_max >= size[0]
+                                         or y_max >= size[1]):
+                    w, h = size[0] - 1, size[1] - 1
+                    x, y = min(max(x, 0), w), min(max(y, 0), h)
+                    x_max, y_max = max(min(x_max, w), x), max(min(y_max, h), y)
+                    report.clamped_boxes += 1
+                items.append(make(rec, BoundingBox(x, y, x_max, y_max)))
         except (KeyError, TypeError) as exc:
             raise _annotation_error(path, e, kind, r, exc) from exc
     return by_image

@@ -18,6 +18,7 @@ import logging
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from .records import InputError
 
@@ -77,6 +78,59 @@ _DETACHMENT_RULES: dict[Pos, list[tuple[str, str]]] = {
         ("ing", ""),
     ],
 }
+
+
+class _PosTable(NamedTuple):
+    """What lemmatization and synset lookup read for one part of speech."""
+
+    index: dict[str, str]  # lowercase lemma -> its checked index line
+    exceptions: dict[str, str]
+    rules: list[tuple[str, str]]
+    suffixes: tuple[str, ...]  # the rules' suffixes, screened with one endswith
+    tag: str  # the synset id suffix, "-n" or "-v"
+
+
+def _line(index: dict[str, str], word: str) -> str | None:
+    """The index line of ``word``, or of ``word`` with spaces as underscores."""
+    line = index.get(word)
+    if line is None and " " in word:
+        line = index.get(word.replace(" ", "_"))
+    return line
+
+
+def _base_form(table: _PosTable, word: str, line: str | None) -> str | None:
+    """The morphy lemma of a normalized ``word`` whose own index line is
+    ``line``: its exception entry, else the first detachment rule whose
+    candidate is in the index, else the word itself when it has a line."""
+    exc = table.exceptions.get(word)
+    if exc is not None:
+        return exc
+    if word.endswith(table.suffixes):
+        for suffix, replacement in table.rules:
+            if word.endswith(suffix):
+                candidate = word[: len(word) - len(suffix)] + replacement
+                if candidate and _line(table.index, candidate) is not None:
+                    return candidate
+    return word if line is not None else None
+
+
+def _synset_ids(line: str, tag: str) -> list[str]:
+    """The synset ids of one checked index line."""
+    fields = line.split()
+    return [f"{int(off):08d}{tag}" for off in fields[6 + int(fields[3]):]]
+
+
+def _lemma_and_ids(table: _PosTable, word: str) -> tuple[str | None, list[str]]:
+    """The morphy lemma of a normalized ``word`` and the synset ids of the
+    word and, when different, of its lemma."""
+    line = _line(table.index, word)
+    lemma = _base_form(table, word, line)
+    ids = _synset_ids(line, table.tag) if line is not None else []
+    if lemma is not None and lemma != word:
+        lemma_line = _line(table.index, lemma)
+        if lemma_line is not None:
+            ids += _synset_ids(lemma_line, table.tag)
+    return lemma, ids
 
 
 # surrounding characters normalize_token trims: punctuation and the space
@@ -160,24 +214,16 @@ class Lexicon:
     # word -> its compiled signature; load_aliases clears it, never serialized
     _signatures: dict[str, WordSignature] = field(
         default_factory=dict, repr=False, compare=False)
+    # the tables above, grouped by part of speech, noun first
+    _tables: dict[Pos, _PosTable] = field(init=False, repr=False, compare=False)
 
-    def _index(self, pos: Pos) -> dict[str, str]:
-        return self.noun_index if pos is Pos.NOUN else self.verb_index
-
-    def _exceptions(self, pos: Pos) -> dict[str, str]:
-        return self.noun_exceptions if pos is Pos.NOUN else self.verb_exceptions
-
-    def _in_index(self, word: str, pos: Pos) -> bool:
-        index = self._index(pos)  # every stored line has a synset
-        return word in index or word.replace(" ", "_") in index
-
-    def _index_ids(self, word: str, pos: Pos) -> list[str]:
-        index = self._index(pos)
-        line = index.get(word) or index.get(word.replace(" ", "_"))
-        if line is None:
-            return []
-        fields = line.split()
-        return [f"{int(off):08d}-{pos.value}" for off in fields[6 + int(fields[3]):]]
+    def __post_init__(self) -> None:
+        self._tables = {}
+        for pos, index, exceptions in ((Pos.NOUN, self.noun_index, self.noun_exceptions),
+                                       (Pos.VERB, self.verb_index, self.verb_exceptions)):
+            rules = _DETACHMENT_RULES[pos]
+            suffixes = tuple(dict.fromkeys(suffix for suffix, _ in rules))
+            self._tables[pos] = _PosTable(index, exceptions, rules, suffixes, f"-{pos.value}")
 
     def morphy(self, word: str, pos: Pos) -> str | None:
         """Return the base form of ``word`` for the given part of speech.
@@ -186,30 +232,12 @@ class Lexicon:
         detachment rules (first candidate found in the index), then the word
         itself if it is in the index. None when nothing resolves.
         """
-        word = normalize_token(word)
-        return self._base_form(word, pos) if word else None
-
-    def _base_form(self, word: str, pos: Pos) -> str | None:
-        exc = self._exceptions(pos).get(word)
-        if exc is not None:
-            return exc
-        for suffix, replacement in _DETACHMENT_RULES[pos]:
-            if word.endswith(suffix):
-                candidate = word[: len(word) - len(suffix)] + replacement
-                if candidate and self._in_index(candidate, pos):
-                    return candidate
-        if self._in_index(word, pos):
-            return word
-        return None
+        word, table = normalize_token(word), self._tables[pos]
+        return _base_form(table, word, _line(table.index, word))
 
     def synsets(self, word: str, pos: Pos) -> frozenset[str]:
         """Synset ids of ``word`` and, when different, of its morphy lemma."""
-        word = normalize_token(word)
-        ids = set(self._index_ids(word, pos))
-        lemma = self._base_form(word, pos)
-        if lemma is not None and lemma != word:
-            ids.update(self._index_ids(lemma, pos))
-        return frozenset(ids)
+        return frozenset(_lemma_and_ids(self._tables[pos], normalize_token(word))[1])
 
     def signature(self, word: str) -> WordSignature:
         """The compiled signature of ``word``, built on first use."""
@@ -223,19 +251,16 @@ class Lexicon:
         if not norm:
             return _BLANK
         # the lemmas and synset ids that morphy() and synsets() give for norm
-        lemmas = self._base_form(norm, Pos.NOUN), self._base_form(norm, Pos.VERB)
-        ids: set[str] = set()
-        for pos, lemma in zip((Pos.NOUN, Pos.VERB), lemmas):
-            ids.update(self._index_ids(norm, pos))
-            if lemma is not None and lemma != norm:
-                ids.update(self._index_ids(lemma, pos))
-        forms = (norm,) + tuple(lemma for lemma in lemmas if lemma is not None)
-        aliases: set[str] = set()
-        for form in forms:
-            aliases.update(self.aliases.get(form, ()))
-        return WordSignature(norm, lemmas[0], lemmas[1],
-                             frozenset(ids) if ids else _EMPTY, forms,
-                             frozenset(aliases) if aliases else _EMPTY)
+        noun_table, verb_table = self._tables.values()
+        noun, noun_ids = _lemma_and_ids(noun_table, norm)
+        verb, verb_ids = _lemma_and_ids(verb_table, norm)
+        ids = noun_ids + verb_ids
+        forms = (norm,) if noun is None else (norm, noun)
+        if verb is not None:
+            forms += (verb,)
+        aliases = [self.aliases[form] for form in forms if form in self.aliases]
+        return WordSignature(norm, noun, verb, frozenset(ids) if ids else _EMPTY, forms,
+                             _EMPTY.union(*aliases) if aliases else _EMPTY)
 
     def has_entry(self, word: str, pos: Pos | None = None) -> bool:
         """True when the word (directly or via morphy) is in the index."""
@@ -264,27 +289,27 @@ def _count_skipped(path: Path, skipped: list[int], lexicon: Lexicon) -> None:
 
 
 def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
-    # stores each checked line as text; Lexicon._index_ids formats its ids
-    index = lexicon._index(pos)
+    # stores each checked line as text; _synset_ids formats its ids on lookup
+    index = lexicon._tables[pos].index
     skipped = []
     with open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
-            if not line.strip():
+            fields = line.split()
+            if not fields:
                 continue
-            if line.startswith("  "):
-                continue  # license header
-            if line.startswith(" "):
+            if line[0] == " ":
+                if line.startswith("  "):
+                    continue  # license header
                 raise LexiconError(
                     f"{path}: malformed header at line {lineno} "
                     "(header lines must begin with two spaces)"
                 )
-            fields = line.split()
             try:
                 n_synsets = int(fields[2])
                 offsets = fields[6 + int(fields[3]):]
                 if n_synsets < 1 or len(offsets) != n_synsets:
                     raise ValueError("synset count mismatch")
-                digits = "".join(offsets)
+                digits = offsets[0] if n_synsets == 1 else "".join(offsets)
                 # int() parses any run of at most 640 decimal digits (its limit is >= 640)
                 if not (len(digits) <= 640 and digits.isdecimal()):
                     for off in offsets:
@@ -297,7 +322,7 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
 
 
 def _parse_exception_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
-    exceptions = lexicon._exceptions(pos)
+    table = lexicon._tables[pos]
     skipped = []
     with open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
@@ -309,8 +334,8 @@ def _parse_exception_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
                 continue
             inflected, bases = terms[0].lower(), [t.lower() for t in terms[1:]]
             # prefer the first base form that has an index entry
-            base = next((b for b in bases if lexicon._in_index(b, pos)), bases[0])
-            exceptions[inflected] = base
+            base = next((b for b in bases if _line(table.index, b) is not None), bases[0])
+            table.exceptions[inflected] = base
     _count_skipped(path, skipped, lexicon)
 
 

@@ -38,13 +38,13 @@ def round9(value: float) -> float:
 
 
 def identifier(record: dict, key: str) -> Any:
-    """``record[key]``, a qa or image id; a JSON array, object, boolean or
-    null is rejected with TypeError, since ids are used as dict keys and
-    ``true`` is the same key as ``1``."""
+    """``record[key]``, a qa or image id, which must be a string or an int
+    (not a bool); TypeError otherwise, since ids are used as dict keys and
+    ``true`` and ``1.0`` are the same key as ``1``."""
     value = record[key]
-    if value is None or isinstance(value, (bool, list, dict)):
+    if type(value) is not str and type(value) is not int:
         shown = type(value).__name__ if isinstance(value, (list, dict)) else value
-        raise TypeError(f"{key} must be a string or a number, not {shown}")
+        raise TypeError(f"{key} must be a string or an integer, not {shown}")
     return value
 
 

@@ -6,7 +6,9 @@ pair-enumeration mining instead of the pipeline, plain summation loops
 instead of vectorized math. The reference miner shares the Lexicon queries
 with the code under test; the word-match predicate itself is checked
 against ``reference_words_match``, which spells it out from morphy, synsets
-and the alias table instead of the compiled word signatures.
+and the alias table instead of the compiled word signatures, and each
+compiled signature against ``reference_signature``, which reads the index
+lines, exception lists and alias table itself.
 """
 
 from __future__ import annotations
@@ -246,6 +248,27 @@ def reference_index_file(path, pos: Pos) -> tuple[dict[str, list[str]], int]:
     return index, skipped
 
 
+# --- annotation boxes -------------------------------------------------------
+
+def reference_box(rec: dict, width_key: str, height_key: str,
+                  size: tuple[int, int] | None) -> tuple[BoundingBox, bool]:
+    """The box of an annotation record with valid fields and whether it was
+    clamped, in two steps: first the inclusive corners (x_max = x + width - 1),
+    then, when the image's (width, height) is known, the low corners raised
+    to 0, the high corners raised to the low ones, and all four lowered to
+    the last pixel. A box counts as clamped when that changes it."""
+    x, y = rec["x"], rec["y"]
+    box = BoundingBox(x, y, x + rec[width_key] - 1, y + rec[height_key] - 1)
+    if size is None:
+        return box, False
+    width, height = size
+    x_min, y_min = max(box.x_min, 0), max(box.y_min, 0)
+    x_max, y_max = max(box.x_max, x_min), max(box.y_max, y_min)
+    clamped = BoundingBox(min(x_min, width - 1), min(y_min, height - 1),
+                          min(x_max, width - 1), min(y_max, height - 1))
+    return clamped, clamped != box
+
+
 # --- word normalization and four-condition word match ----------------------
 
 _STRIP = "\"'`.,:;!?()[]{}<>/\\|~*+=#&%$@^"
@@ -284,6 +307,64 @@ def reference_words_match(lex: Lexicon, w1: str, w2: str) -> MatchCondition:
         if lex.aliases.get(form, set()) & forms2:
             return MatchCondition.ALIAS
     return MatchCondition.NONE
+
+
+# WNDB detachment rules (morphy(7WN)), tried in order.
+_NOUN_RULES = [("s", ""), ("ses", "s"), ("ves", "f"), ("xes", "x"), ("zes", "z"),
+               ("ches", "ch"), ("shes", "sh"), ("men", "man"), ("ies", "y")]
+_VERB_RULES = [("s", ""), ("ies", "y"), ("es", "e"), ("es", ""), ("ed", "e"), ("ed", ""),
+               ("ing", "e"), ("ing", "")]
+
+
+def _ref_index_line(index: dict[str, str], word: str) -> str | None:
+    if word in index:
+        return index[word]
+    return index.get("_".join(word.split(" ")))
+
+
+def _ref_morphy(index: dict[str, str], exceptions: dict[str, str], rules, word: str):
+    if word in exceptions:
+        return exceptions[word]
+    for suffix, replacement in rules:
+        if word[-len(suffix):] == suffix:
+            candidate = word[:-len(suffix)] + replacement
+            if candidate != "" and _ref_index_line(index, candidate) is not None:
+                return candidate
+    return word if _ref_index_line(index, word) is not None else None
+
+
+def _ref_ids(index: dict[str, str], word: str, pos: str) -> set[str]:
+    line = _ref_index_line(index, word)
+    if line is None:
+        return set()
+    fields = line.split()
+    n_synsets = int(fields[2])
+    return {"%08d-%s" % (int(offset), pos) for offset in fields[len(fields) - n_synsets:]}
+
+
+def reference_signature(lex: Lexicon, word: str) -> tuple:
+    """``(norm, noun lemma, verb lemma, synset ids, alias-lookup forms,
+    aliases)`` of ``word``, read from the lexicon's index lines, exception
+    lists and alias table: the lemmas by morphy on the normalized word, the
+    synset ids of the word and, when different, of each lemma, the forms
+    the word and its lemmas, and the aliases the union of theirs."""
+    norm = reference_normalize(word)
+    if not norm:
+        return "", None, None, frozenset(), (), frozenset()
+    lemmas, ids = [], set()
+    for index, exceptions, rules, pos in (
+            (lex.noun_index, lex.noun_exceptions, _NOUN_RULES, "n"),
+            (lex.verb_index, lex.verb_exceptions, _VERB_RULES, "v")):
+        lemma = _ref_morphy(index, exceptions, rules, norm)
+        lemmas.append(lemma)
+        ids |= _ref_ids(index, norm, pos)
+        if lemma is not None and lemma != norm:
+            ids |= _ref_ids(index, lemma, pos)
+    forms = tuple([norm] + [lemma for lemma in lemmas if lemma is not None])
+    aliases = set()
+    for form in forms:
+        aliases |= lex.aliases.get(form, set())
+    return norm, lemmas[0], lemmas[1], frozenset(ids), forms, frozenset(aliases)
 
 
 # --- literal reference miner ----------------------------------------------

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import re
 import tempfile
 from pathlib import Path
@@ -718,7 +719,7 @@ def _preds_with_list_qa_id(tmp_path):
     bad = tmp_path / "bad_preds.ndjson"
     _ndjson(bad, [{"qa_id": "qa1", "answer": "x"}, {"qa_id": [1], "answer": "x"}])
     return (["eval-acc", "--preds", bad, "--refs", refs],
-            f"{bad}:2: qa_id must be a string or a number, not list")
+            f"{bad}:2: qa_id must be a string or an integer, not list")
 
 
 def _list_qa_id(command):
@@ -729,21 +730,21 @@ def _list_qa_id(command):
             records[1]["qa_id"] = [1]
             _ndjson(bad, records)
             return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad],
-                    f"{bad}:2: qa_id must be a string or a number, not list")
+                    f"{bad}:2: qa_id must be a string or an integer, not list")
         if command == "rasterize-labels":
             bad = tmp_path / "labels.ndjson"
             records = [json.loads(text) for text in _lines(GOLDEN / "fig3_labels.ndjson")]
             records[1]["qa_id"] = {"id": 1}
             _ndjson(bad, records)
             return (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"],
-                    f"{bad}:2: qa_id must be a string or a number, not dict")
+                    f"{bad}:2: qa_id must be a string or an integer, not dict")
         bad = tmp_path / "qa.json"
         qa = json.loads((FIG3 / "qa.json").read_text())
         qa[1]["qa_id"] = [1]
         bad.write_text(json.dumps(qa))
         return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
                 f"{bad}: record 1: bad QA record: "
-                "TypeError('qa_id must be a string or a number, not list')")
+                "TypeError('qa_id must be a string or an integer, not list')")
     return case
 
 
@@ -829,6 +830,36 @@ def _mine_qa_with(key, value, fault):
     return case
 
 
+def _qa_with_repeated_qa_id(command):
+    """``mine`` or ``rasterize`` on a qa.json with record 0 repeated as record 2."""
+    def case(tmp_path):
+        bad = tmp_path / "qa.json"
+        qa = json.loads((FIG3 / "qa.json").read_text())
+        bad.write_text(json.dumps(qa + qa[:1]))
+        if command == "mine":
+            argv = [str(a) for a in MINE_ARGS]
+            argv[argv.index("--qa") + 1] = str(bad)
+        else:
+            argv = ["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad]
+        return argv, f"{bad}: record 2: repeated qa_id 'qa1', first in record 0"
+    return case
+
+
+def _annotation_entry_with_image_id(kind, value):
+    """Mine on an annotation file whose entry 0 has ``image_id`` set to ``value``."""
+    def case(tmp_path):
+        name = f"{kind}s"
+        bad = tmp_path / f"{name}.json"
+        entries = json.loads((FIG3 / f"{name}.json").read_text())
+        entries[0]["image_id"] = value
+        bad.write_text(json.dumps(entries))
+        argv = [str(a) for a in MINE_ARGS]
+        argv[argv.index(f"--{name}") + 1] = str(bad)
+        return argv, (f"{bad}: entry 0: bad {kind} record: "
+                      f"image_id must be a string or an integer, not {value!r}")
+    return case
+
+
 def _annotation_with_text(kind, key, value, rule):
     """Record 1 of entry 0 with the text field ``key`` set to ``value``."""
     def case(tmp_path):
@@ -867,7 +898,7 @@ def _ndjson_with_qa_id(command, value):
         _ndjson(bad, records)
         argv = (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"] if name == "labels"
                 else ["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad])
-        return argv, f"{bad}:2: qa_id must be a string or a number, not {value}"
+        return argv, f"{bad}:2: qa_id must be a string or an integer, not {value}"
     return case
 
 
@@ -933,16 +964,20 @@ class TestMalformedInput:
         _annotation_with_text("object", "names", "man", "a list of strings"),
         _mine_qa_with("question", 5, "question must be a string, not 5"),
         _mine_qa_with("answer", None, "answer must be a string, not None"),
-        _mine_qa_with("image_id", [1], "image_id must be a string or a number, not list"),
+        _mine_qa_with("image_id", [1], "image_id must be a string or an integer, not list"),
         _eval_acc_with("preds", "answer", 5, "a string"),
         _eval_acc_with("refs", "answers", "yyyyyyyyyy", "a list of strings"),
-        _mine_qa_with("image_id", True, "image_id must be a string or a number, not True"),
+        _mine_qa_with("image_id", True, "image_id must be a string or an integer, not True"),
         _ndjson_with_qa_id("rasterize", None), _ndjson_with_qa_id("eval-rank", True),
-        _eval_acc_with("preds", "qa_id", None, "a string or a number"),
+        _eval_acc_with("preds", "qa_id", None, "a string or an integer"),
         _maps_with_cell("eval-rank", float("nan")), _maps_with_cell("render", float("nan")),
         _maps_with_cell("eval-rank", float("inf")), _maps_with_cell("render", -float("inf")),
         _with_repeated_line("eval-rank"), _with_repeated_line("render"),
         _with_repeated_line("rasterize"), _with_repeated_line("eval-acc"),
+        _qa_with_repeated_qa_id("mine"), _qa_with_repeated_qa_id("rasterize"),
+        _mine_qa_with("image_id", 1.0, "image_id must be a string or an integer, not 1.0"),
+        _annotation_entry_with_image_id("region", 1.0),
+        _annotation_entry_with_image_id("object", True),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -960,7 +995,9 @@ class TestMalformedInput:
             "maps-bool-qa_id", "preds-null-qa_id", "maps-nan-cell-eval-rank",
             "maps-nan-cell-render", "maps-infinity-cell-eval-rank",
             "maps-minus-infinity-cell-render", "maps-repeated-row-eval-rank",
-            "maps-repeated-row-render", "labels-repeated-qa_id", "preds-repeated-qa_id"])
+            "maps-repeated-row-render", "labels-repeated-qa_id", "preds-repeated-qa_id",
+            "mine-qa-repeated-qa_id", "rasterize-qa-repeated-qa_id", "mine-qa-float-image_id",
+            "region-entry-float-image_id", "object-entry-bool-image_id"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"
@@ -1052,13 +1089,29 @@ def test_fuzzed_ndjson_exits_0_or_2_and_leaves_no_partial_output(fuzz_inputs, da
 
     source, command = data.draw(st.sampled_from(_fuzz_targets(fuzz_inputs)))
     raw = source.read_bytes()
-    if data.draw(st.booleans(), label="truncate"):
+    mutation = data.draw(st.sampled_from(["truncate", "drop", "non-finite", "repeat"]),
+                         label="mutation")
+    if mutation == "truncate":
         mutated = raw[:data.draw(st.integers(0, len(raw) - 1), label="cut")]
     else:
-        records = [json.loads(line) for line in raw.decode().splitlines()]
-        index = data.draw(st.integers(0, len(records) - 1), label="record")
-        del records[index][data.draw(st.sampled_from(sorted(records[index])), label="key")]
-        mutated = "".join(json.dumps(r) + "\n" for r in records).encode()
+        lines = raw.decode().splitlines(keepends=True)
+        index = data.draw(st.integers(0, len(lines) - 1), label="line")
+        if mutation == "repeat":
+            lines.insert(data.draw(st.integers(0, len(lines)), label="at"), lines[index])
+        else:
+            record = json.loads(lines[index])
+            key = data.draw(st.sampled_from(sorted(record)), label="key")
+            if mutation == "drop":
+                del record[key]
+            else:  # json.dumps writes NaN, Infinity and -Infinity
+                value = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+                owner, slot = record, key
+                if isinstance(record[key], list) and record[key]:
+                    owner, slot = record[key], data.draw(
+                        st.integers(0, len(record[key]) - 1), label="cell")
+                owner[slot] = value
+            lines[index] = json.dumps(record) + "\n"
+        mutated = "".join(lines).encode()
 
     with tempfile.TemporaryDirectory() as tmp:
         bad = Path(tmp) / source.name

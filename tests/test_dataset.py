@@ -1,10 +1,15 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from vgmine.dataset import BoundingBox, DatasetError, load_dataset
 
 from conftest import FIG3
+from oracles import reference_box
 
 
 def _write_corpus(tmp_path, regions, objects, qa):
@@ -86,6 +91,54 @@ class TestLoadDataset:
         second, _ = load_dataset(*paths)
         assert first == second
         assert report.clamped_boxes == 0
+
+
+# Annotation entries name images 1-4 and QA rows images 1-5, so some
+# annotated images have no size, some have several sizes (the first counts)
+# and some QA rows name an image without annotations. Corners reach past
+# both sides of the image.
+_IMAGES = [1, 2, 3, 4]
+_CORNER = st.one_of(st.integers(0, 20), st.integers(-120, 140))
+_EXTENT = st.one_of(st.integers(1, 10), st.integers(1, 200))
+
+
+@st.composite
+def _annotated_corpus(draw):
+    def entries(kind, width_key, height_key):
+        return [{"image_id": image, f"{kind}s": [
+            {f"{kind}_id": i, width_key: draw(_EXTENT), height_key: draw(_EXTENT),
+             "x": draw(_CORNER), "y": draw(_CORNER),
+             **({"phrase": "a dog"} if kind == "region" else {"names": ["dog"]})}
+            for i in range(draw(st.integers(0, 3)))]}
+            for image in draw(st.lists(st.sampled_from(_IMAGES), unique=True))]
+
+    qa = [{"image_id": image, "qa_id": i, "question": "?", "answer": "dog",
+           "image_width": width, "image_height": height}
+          for i, (image, width, height) in enumerate(draw(st.lists(st.tuples(
+              st.sampled_from(_IMAGES + [5]), st.integers(1, 100), st.integers(1, 100)),
+              max_size=5)))]
+    return entries("region", "width", "height"), entries("object", "w", "h"), qa
+
+
+class TestBoxesEqualReference:
+    @given(corpus=_annotated_corpus())
+    def test_boxes_and_clamped_count(self, corpus):
+        regions, objects, qa = corpus
+        with tempfile.TemporaryDirectory() as tmp:
+            dataset, report = load_dataset(*_write_corpus(Path(tmp), regions, objects, qa))
+        sizes = {}
+        for rec in qa:
+            sizes.setdefault(rec["image_id"], (rec["image_width"], rec["image_height"]))
+        clamped = 0
+        for entries, by_image, kind, keys in (
+                (regions, dataset.regions_by_image, "regions", ("width", "height")),
+                (objects, dataset.objects_by_image, "objects", ("w", "h"))):
+            for entry in entries:
+                expected = [reference_box(rec, *keys, sizes.get(entry["image_id"]))
+                            for rec in entry[kind]]
+                assert [a.box for a in by_image[entry["image_id"]]] == [b for b, _ in expected]
+                clamped += sum(changed for _, changed in expected)
+        assert report.clamped_boxes == clamped
 
 
 class TestBoundingBox:

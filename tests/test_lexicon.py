@@ -12,11 +12,13 @@ from vgmine.lexicon import (
     Pos,
     load_aliases,
     load_wordnet,
+    _synset_ids,
     normalize_token,
 )
 
 from conftest import ALIASES, WORDNET_DIR
-from oracles import reference_index_file, reference_normalize, reference_words_match
+from oracles import (reference_index_file, reference_normalize, reference_signature,
+                     reference_words_match)
 
 VOCAB = st.sampled_from([
     "man", "men", "person", "people", "car", "cars", "automobile", "dog",
@@ -190,8 +192,10 @@ class TestLoadWordnet:
             return
         lex = load_wordnet(wordnet_dir)
         for pos, (index, _) in expected.items():
-            assert list(lex._index(pos)) == list(index)
-            assert {word: lex._index_ids(word, pos) for word in lex._index(pos)} == index
+            table = lex._tables[pos]
+            assert list(table.index) == list(index)
+            assert {word: _synset_ids(line, table.tag) for word, line in table.index.items()} \
+                == index
         assert lex.skipped_lines == sum(skipped for _, skipped in expected.values())
 
 
@@ -276,8 +280,8 @@ class TestSynsets:
         assert lexicon.synsets("men", Pos.NOUN) == lexicon.synsets("man", Pos.NOUN)
 
     def test_pos_tagged_ids_never_collide(self, lexicon):
-        noun_ids = {i for word in lexicon.noun_index for i in lexicon._index_ids(word, Pos.NOUN)}
-        verb_ids = {i for word in lexicon.verb_index for i in lexicon._index_ids(word, Pos.VERB)}
+        noun_ids = set().union(*(lexicon.synsets(word, Pos.NOUN) for word in lexicon.noun_index))
+        verb_ids = set().union(*(lexicon.synsets(word, Pos.VERB) for word in lexicon.verb_index))
         assert noun_ids and verb_ids
         assert noun_ids.isdisjoint(verb_ids)
 
@@ -336,3 +340,60 @@ class TestWordsMatch:
         if before.condition in (MatchCondition.RAW, MatchCondition.LEMMA,
                                 MatchCondition.SYNSET):
             assert after == before
+
+
+# Lemmas added to the fixture WordNet so that every detachment rule has a
+# base to reach, some lemmas hold an underscore, and an exception's base is
+# a multiword lemma.
+_EXTRA_NOUNS = ["hot_dog", "fire_truck", "fireman", "wolf", "box", "quiz", "church",
+                "dish", "fly", "bus_stop"]
+_EXTRA_VERBS = ["ice_skate", "bake", "tie", "box", "pick_up", "fly"]
+_EXTRA_EXCEPTIONS = {"noun.exc": "hot_dogs_galore hot_dog\n", "verb.exc": "picked_up pick_up\n"}
+
+
+@pytest.fixture(scope="module")
+def signature_lexicon(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("signature_wordnet")
+    offsets = iter(range(9_000_000, 9_100_000))
+    for name, pos, extra in (("index.noun", "n", _EXTRA_NOUNS),
+                             ("index.verb", "v", _EXTRA_VERBS)):
+        lines = [f"{lemma} {pos} 1 0 1 0 {next(offsets):08d}\n" for lemma in extra]
+        (directory / name).write_text((WORDNET_DIR / name).read_text() + "".join(lines))
+    for name, line in _EXTRA_EXCEPTIONS.items():
+        (directory / name).write_text((WORDNET_DIR / name).read_text() + line)
+    (directory / "aliases.txt").write_text(ALIASES.read_text() + "hot dog, frankfurter\n")
+    return load_aliases(load_wordnet(directory), directory / "aliases.txt")
+
+
+# Lemmas (with the fixture's exception keys) that the signature test
+# inflects: a few characters cut, a rule suffix added, underscores spaced.
+_SIGNATURE_LEMMAS = ["man", "woman", "child", "bench", "bus", "glass", "dog", "sky", "people",
+                     "sitting", "talk", "walk", "ride", "drive", "swim", "sit", "watch", "catch",
+                     "men", "children", "ran", "hot_dogs_galore", "picked_up", "frankfurter",
+                     "qzxv", *_EXTRA_NOUNS, *_EXTRA_VERBS]
+_SIGNATURE_SUFFIXES = ["", "s", "es", "ies", "ves", "xes", "zes", "ches", "shes", "men", "ed",
+                       "ing", "e"]
+
+
+def _inflected(lemma, spaced, cut, suffix, wrap, upper):
+    word = (lemma.replace("_", " ") if spaced else lemma)[:len(lemma) - cut] + suffix
+    return wrap.format(word.upper() if upper else word)
+
+
+SIGNATURE_WORDS = st.builds(
+    _inflected, st.sampled_from(_SIGNATURE_LEMMAS), st.booleans(), st.integers(0, 2),
+    st.sampled_from(_SIGNATURE_SUFFIXES), st.sampled_from(["{}", "{} ", ". {}", "{}?", "'{}'"]),
+    st.booleans())
+
+
+class TestSignature:
+    @given(word=SIGNATURE_WORDS)
+    @example(word="hot dogs")
+    @example(word="firemen")
+    @example(word="Wolves")
+    @example(word="picked up")
+    @settings(max_examples=400)
+    def test_equals_reference(self, signature_lexicon, word):
+        sig = signature_lexicon.signature(word)
+        assert (sig.norm, sig.noun, sig.verb, sig.synsets, sig.forms, sig.aliases) \
+            == reference_signature(signature_lexicon, word)
