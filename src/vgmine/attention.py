@@ -20,7 +20,7 @@ import numpy as np
 
 from .dataset import BoundingBox, QaTriplet
 from .miner import GroundingLabel
-from .records import identifier, integer, read_keyed, round9
+from .records import boolean, identifier, integer, read_keyed, round9
 
 DEFAULT_GRID = 14
 
@@ -218,17 +218,31 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
+def centred_ranks(values: np.ndarray) -> np.ndarray:
+    """The ranking step of the Spearman coefficient: the midranks of each
+    row of a (rows, cells) array minus their row mean. Each row's result
+    depends on that row alone."""
+    ranks = midranks(values)
+    ranks -= ranks.mean(axis=1, keepdims=True)
+    return ranks
+
+
+def pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Pearson step of the Spearman coefficient: the correlation of the
+    matching rows of two same-shaped arrays of ``centred_ranks``. NaN where
+    either row is constant."""
+    var_a, var_b = _row_dots(a, a), _row_dots(b, b)
+    return np.divide(_row_dots(a, b), np.sqrt(var_a * var_b),
+                     out=np.full(len(a), np.nan), where=(var_a != 0.0) & (var_b != 0.0))
+
+
 def rank_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Spearman coefficient between the matching rows of two same-shaped
-    (rows, cells) arrays: midranks, then Pearson correlation of the rank
-    rows. NaN where either row is constant."""
+    (rows, cells) arrays: ``centred_ranks``, then ``pearson_rows``. NaN
+    where either row is constant."""
     k = len(a)
-    ranks = midranks(np.concatenate([a, b]))  # one kernel call for both sides
-    ranks -= ranks.mean(axis=1, keepdims=True)
-    var = _row_dots(ranks, ranks)
-    var_a, var_b = var[:k], var[k:]
-    return np.divide(_row_dots(ranks[:k], ranks[k:]), np.sqrt(var_a * var_b),
-                     out=np.full(k, np.nan), where=(var_a != 0.0) & (var_b != 0.0))
+    ranks = centred_ranks(np.concatenate([a, b]))  # one kernel call for both sides
+    return pearson_rows(ranks[:k], ranks[k:])
 
 
 def correlation_block(maps_a: list[np.ndarray], maps_b: list[np.ndarray]
@@ -316,9 +330,7 @@ def _map_from_row(row: dict) -> tuple[tuple, dict]:
     each required but 'mask' (a bool, default True), with 'values' as an
     (h, w) float64 array of finite cells."""
     glimpse, h, w = integer(row, "glimpse", 0), integer(row, "h", 1), integer(row, "w", 1)
-    mask = row.get("mask", True)
-    if type(mask) is not bool:
-        raise ValueError(f"mask must be a bool, not {mask!r}")
+    mask = boolean(row, "mask") if "mask" in row else True
     qa_id = identifier(row, "qa_id")
     values = np.asarray(row["values"], dtype=np.float64).reshape(h, w)
     if not np.isfinite(values).all():

@@ -33,7 +33,7 @@ from pathlib import Path
 from .dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
 from .lexicon import (Lexicon, MatchCondition, WordSignature, match_signatures,
                       normalize_token, tokenize)
-from .records import identifier, read_keyed, write_ndjson
+from .records import boolean, identifier, integer, read_keyed, write_ndjson
 
 DEFAULT_STOPWORDS = frozenset({
     "a", "an", "the", "is", "are", "was", "were", "be", "been", "do", "does",
@@ -302,14 +302,22 @@ def _box(corners: list) -> BoundingBox:
     return BoundingBox(*corners)
 
 
+def _matched_words(data: dict) -> list[MatchedWord]:
+    words = data["matched_words"]
+    if type(words) is not list or not all(
+            type(m) is list and len(m) == 3 and all(type(w) is str for w in m) for m in words):
+        raise TypeError(f"matched_words must be a list of 3-string lists, not {words!r}")
+    return [tuple(m) for m in words]
+
+
 def label_from_dict(data: dict) -> GroundingLabel:
     return GroundingLabel(
         qa_id=identifier(data, "qa_id"),
         region_boxes=[_box(b) for b in data["region_boxes"]],
         object_boxes=[_box(b) for b in data["object_boxes"]],
-        is_counting=data["is_counting"],
-        region_match_count=data["region_match_count"],
-        matched_words=[tuple(m) for m in data["matched_words"]],
+        is_counting=boolean(data, "is_counting"),
+        region_match_count=integer(data, "region_match_count", least=0),
+        matched_words=_matched_words(data),
     )
 
 

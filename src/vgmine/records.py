@@ -58,6 +58,15 @@ def integer(record: dict, key: str, least: int | None = None) -> int:
     return value
 
 
+def boolean(record: dict, key: str) -> bool:
+    """``record[key]``, which must be a JSON bool; TypeError otherwise (the
+    string "false" would be truthy)."""
+    value = record[key]
+    if type(value) is not bool:
+        raise TypeError(f"{key} must be a bool, not {value!r}")
+    return value
+
+
 def string(record: dict, key: str, many: bool = False) -> Any:
     """``record[key]``, which must be a string or, when ``many`` is set, a
     list of strings; TypeError otherwise."""

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import (AttentionError, AttentionMap, GlimpseStack, kl_rows, rank_correlations,
-                        round9_text)
+from .attention import (BLOCK_SIZE, AttentionError, AttentionMap, GlimpseStack, centred_ranks,
+                        kl_rows, pearson_rows, round9_text)
 # The per-sample scalar forms of the batched loss and metric below, importable
 # from here because perfbench/tracing.py wraps them by this module's name.
 from .attention import kl_divergence, rank_correlation  # noqa: F401
@@ -125,7 +125,8 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 @dataclass(frozen=True)
 class _Batch:
     """N samples as arrays, built once: features, answers, the KL targets
-    with their mask, and the glimpse-0 maps the rank metric compares with."""
+    with their mask, and the ranks of the glimpse-0 maps the rank metric
+    compares with."""
 
     q_feat: np.ndarray        # (N, D)
     img: np.ndarray           # (N, C, H*W)
@@ -134,7 +135,7 @@ class _Batch:
     kl_mask: np.ndarray       # (N, G) bool: the glimpse enters KL
     targets: np.ndarray       # (N, G, H*W), zero where kl_mask is off
     support: np.ndarray       # (N, G, H*W) bool: targets > 0, the cells KL sums
-    rank_targets: np.ndarray  # (supervised samples, H*W) their glimpse-0 maps
+    target_ranks: np.ndarray  # (supervised samples, H*W) centred_ranks of their glimpse-0 maps
 
 
 def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
@@ -177,7 +178,7 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
         kl_mask=kl_mask,
         targets=targets,
         support=targets > 0,
-        rank_targets=np.array(rank_targets).reshape(len(rank_targets), h * w),
+        target_ranks=centred_ranks(np.array(rank_targets).reshape(len(rank_targets), h * w)),
     )
 
 
@@ -287,23 +288,51 @@ def loss_and_grads(params: ToyModelParams, sample: ToySample,
     return breakdown, step.grads
 
 
-def _sample_metrics(attn: np.ndarray, batch: _Batch) -> np.ndarray:
+def _sample_metrics(attn0: np.ndarray, target_ranks: np.ndarray) -> np.ndarray:
     """Rank correlation of each supervised sample's glimpse-0 attention with
-    its glimpse-0 supervision; NaN where undefined (a constant map)."""
-    return rank_correlations(attn[batch.supervised, 0], batch.rank_targets)
+    its glimpse-0 supervision over a block of steps: (steps, samples, cells)
+    attention against the (samples, cells) ``_Batch.target_ranks`` gives
+    (steps, samples) coefficients, NaN where undefined (a constant map)."""
+    steps, m, cells = attn0.shape
+    ranks = centred_ranks(attn0.reshape(steps * m, cells))
+    return pearson_rows(ranks, np.tile(target_ranks, (steps, 1))).reshape(steps, m)
 
 
-def _mean_in_order(values: np.ndarray, empty: float) -> float:
-    """Mean with the sum taken left to right, as a running total adds."""
-    if len(values) == 0:
-        return empty
-    return float(np.cumsum(values)[-1] / len(values))
+def _row_means(values: np.ndarray, counts: int | np.ndarray, empty: float) -> np.ndarray:
+    """Each row of a (steps, k) array summed left to right, as a running
+    total adds, and divided by its count; ``empty`` where the count is 0."""
+    steps, k = values.shape
+    totals = np.cumsum(values, axis=1)[:, -1] if k else np.zeros(steps)
+    return np.divide(totals, counts, out=np.full(steps, empty), where=counts > 0)
+
+
+def _metrics_rows(first: int, pending: list[tuple], batch: _Batch) -> list[MetricsRow]:
+    """The metrics rows of consecutive steps from ``first`` on, made in one
+    batched pass from each step's (alpha, ce, kl, attention, logits)."""
+    alphas, ce, kl, attn, logits = zip(*pending)
+    supervised = batch.supervised
+    kl = np.stack(kl)[:, supervised]
+    corr = _sample_metrics(np.stack(attn)[:, supervised, 0], batch.target_ranks)
+    defined = ~np.isnan(corr)
+    n, m = len(supervised), kl.shape[1]
+    correct = np.count_nonzero(np.argmax(np.stack(logits), axis=2) == batch.answers, axis=1)
+    columns = (
+        _row_means(np.stack(ce), n, 0.0).tolist(),
+        _row_means(kl, m, 0.0).tolist(),
+        alphas,
+        (correct / n).tolist(),
+        # -0.0, not 0.0: adding it leaves every running total as it was, -0.0 too
+        _row_means(np.where(defined, corr, -0.0), defined.sum(axis=1), float("nan")).tolist(),
+    )
+    return [MetricsRow(first + i, *row) for i, row in enumerate(zip(*columns))]
 
 
 def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
           ) -> tuple[ToyModelParams, list[MetricsRow]]:
     """Full-batch gradient descent for cfg.steps; one metrics row per step
     (evaluated before the update) plus a final row after the last update.
+    The rows are made per block of steps, up to ``BLOCK_SIZE`` rank rows
+    each, from the losses, attention and logits kept for the block.
     Deterministic given cfg.seed. A numeric failure at step t raises
     ToyModelError("training diverged at step t: <reason>")."""
     if not data:
@@ -312,7 +341,9 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
     params = init_params(cfg, rng)
     batch = _batch(data, params)
     n = len(data)
+    block = max(1, BLOCK_SIZE // max(len(batch.target_ranks), 1))
     metrics: list[MetricsRow] = []
+    pending: list[tuple] = []
 
     for t in range(cfg.steps + 1):
         alpha = schedule.alpha(t)
@@ -322,16 +353,10 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
                 raise ToyModelError("non-finite loss")
         except (AttentionError, ToyModelError) as exc:
             raise ToyModelError(f"training diverged at step {t}: {exc}") from exc
-        corr = _sample_metrics(step.act.attn, batch)
-        predicted = np.argmax(step.act.logits, axis=1)
-        metrics.append(MetricsRow(
-            step=t,
-            ce=_mean_in_order(step.ce, 0.0),
-            kl=_mean_in_order(step.kl[batch.supervised], 0.0),
-            alpha=alpha,
-            accuracy=int(np.count_nonzero(predicted == batch.answers)) / n,
-            rank_corr=_mean_in_order(corr[~np.isnan(corr)], float("nan")),
-        ))
+        pending.append((alpha, step.ce, step.kl, step.act.attn, step.act.logits))
+        if len(pending) == block or t == cfg.steps:
+            metrics += _metrics_rows(len(metrics), pending, batch)
+            pending = []
         if t == cfg.steps:
             break
         for (_, arr), (_, grad) in zip(params.named_arrays(), step.grads.named_arrays()):

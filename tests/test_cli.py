@@ -817,6 +817,18 @@ def _label_with_float_box(tmp_path):
             f"{bad}:2: a box must be 4 integers, not {box!r}")
 
 
+def _label_with(key, value, fault):
+    """Rasterize golden labels whose first line has ``key`` set to ``value``."""
+    def case(tmp_path):
+        bad = tmp_path / "labels.ndjson"
+        records = [json.loads(text) for text in _lines(GOLDEN / "fig3_labels.ndjson")]
+        records[0][key] = value
+        _ndjson(bad, records)
+        return (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"],
+                f"{bad}:1: {key} must be {fault}, not {value!r}")
+    return case
+
+
 def _mine_qa_with(key, value, fault):
     """Mine on a qa.json whose record 1 has ``key`` set to ``value``."""
     def case(tmp_path):
@@ -978,6 +990,9 @@ class TestMalformedInput:
         _mine_qa_with("image_id", 1.0, "image_id must be a string or an integer, not 1.0"),
         _annotation_entry_with_image_id("region", 1.0),
         _annotation_entry_with_image_id("object", True),
+        _label_with("is_counting", "false", "a bool"),
+        _label_with("region_match_count", "two", "an integer >= 0"),
+        _label_with("matched_words", [["a"]], "a list of 3-string lists"),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -997,7 +1012,9 @@ class TestMalformedInput:
             "maps-minus-infinity-cell-render", "maps-repeated-row-eval-rank",
             "maps-repeated-row-render", "labels-repeated-qa_id", "preds-repeated-qa_id",
             "mine-qa-repeated-qa_id", "rasterize-qa-repeated-qa_id", "mine-qa-float-image_id",
-            "region-entry-float-image_id", "object-entry-bool-image_id"])
+            "region-entry-float-image_id", "object-entry-bool-image_id",
+            "labels-string-is_counting", "labels-string-region_match_count",
+            "labels-short-matched_words"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"

@@ -1,15 +1,22 @@
 import copy
+import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from vgmine.attention import (
     AttentionError,
     AttentionMap,
     GlimpseStack,
+    centred_ranks,
     kl_divergence,
     rank_correlation,
+    rank_correlations,
 )
 from vgmine import toymodel
 from vgmine.records import round9
@@ -262,7 +269,7 @@ class TestTrain:
         def broken(a, b):
             raise RuntimeError("metric bug")
 
-        monkeypatch.setattr(toymodel, "rank_correlations", broken)
+        monkeypatch.setattr(toymodel, "pearson_rows", broken)
         cfg = ToyConfig(steps=0)
         with pytest.raises(RuntimeError, match="metric bug"):
             train(make_synthetic(cfg, 2, seed=2), cfg, FIXED_1)
@@ -306,9 +313,10 @@ def _train_one_sample_at_a_time(data, cfg, schedule):
             for acc, (_, arr) in zip(grad_sums, grads.named_arrays()):
                 acc += arr
         n = len(data)
-        rows.append(MetricsRow(step=t, ce=ce_sum / n, kl=kl_sum / supervised,
+        rows.append(MetricsRow(step=t, ce=ce_sum / n,
+                               kl=kl_sum / supervised if supervised else 0.0,
                                alpha=schedule.alpha(t), accuracy=correct / n,
-                               rank_corr=corr_sum / corr_count))
+                               rank_corr=corr_sum / corr_count if corr_count else math.nan))
         if t < cfg.steps:
             for (_, arr), grad in zip(params.named_arrays(), grad_sums):
                 arr -= cfg.learning_rate * (grad / n)
@@ -316,13 +324,68 @@ def _train_one_sample_at_a_time(data, cfg, schedule):
 
 
 def test_train_equals_single_sample_calls_on_mixed_batch():
-    cfg = ToyConfig(steps=6)
-    schedule = Schedule(t_max=4, mode="cosine")
+    # 3 supervised samples: 64 // 3 = 21 steps per block, so 46 rows cross two
+    cfg = ToyConfig(steps=45)
+    schedule = Schedule(t_max=30, mode="cosine")
     params, rows = train(_mixed_batch(cfg), cfg, schedule)
     ref_params, ref_rows = _train_one_sample_at_a_time(_mixed_batch(cfg), cfg, schedule)
     assert rows == ref_rows
     for (name, a), (_, b) in zip(params.named_arrays(), ref_params.named_arrays()):
         assert np.array_equal(a, b), name
+
+
+def test_unsupervised_batch_over_three_blocks():
+    # no supervised sample: 64 steps per block, so 131 rows make three blocks
+    cfg = ToyConfig(steps=130)
+    data = make_synthetic(cfg, 3, seed=4)
+    for sample in data:
+        sample.supervision = None
+    _, rows = train(data, cfg, FIXED_1)
+    _, ref_rows = _train_one_sample_at_a_time(data, cfg, FIXED_1)
+    assert [row.step for row in rows] == list(range(131))
+    assert all(math.isnan(row.rank_corr) and row.kl == 0.0 for row in rows)
+    assert ([dataclasses.replace(row, rank_corr=0.0) for row in rows]
+            == [dataclasses.replace(row, rank_corr=0.0) for row in ref_rows])
+
+
+def test_metrics_made_once_per_block_of_steps(monkeypatch):
+    # 8 supervised samples: 8 steps per block, 2001 rows in ceil(2001 / 8) blocks
+    calls = []
+    sample_metrics = toymodel._sample_metrics
+
+    def counted(*args):
+        calls.append(args[0].shape[0])
+        return sample_metrics(*args)
+
+    monkeypatch.setattr(toymodel, "_sample_metrics", counted)
+    _, rows = train(make_synthetic(CFG, 8, seed=1), CFG, FIXED_1)
+    assert len(rows) == 2001
+    assert len(calls) == 251
+    assert calls == [8] * 250 + [1]
+
+
+_CELLS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def _metric_block(draw):
+    steps, m, cells = (draw(st.integers(1, 9)), draw(st.integers(0, 8)),
+                       draw(st.integers(1, 20)))
+    attn = draw(hnp.arrays(np.float64, (steps, m, cells), elements=_CELLS))
+    targets = draw(hnp.arrays(np.float64, (m, cells), elements=_CELLS))
+    if m and draw(st.booleans()):  # a constant attention row and target row
+        attn[draw(st.integers(0, steps - 1)), draw(st.integers(0, m - 1))] = 0.5
+        targets[draw(st.integers(0, m - 1))] = 0.25
+    return attn, targets
+
+
+@given(_metric_block())
+@settings(max_examples=200, deadline=None)
+def test_sample_metrics_equal_per_step_rank_correlations(block):
+    attn, targets = block
+    corr = toymodel._sample_metrics(attn, centred_ranks(targets))
+    expected = np.array([rank_correlations(step, targets) for step in attn])
+    assert np.array_equal(corr, expected.reshape(corr.shape), equal_nan=True)
 
 
 class TestSerialization:
