@@ -288,10 +288,13 @@ def normalize_answer(answer: str) -> str:
     return answer.lower().strip().translate(_PUNCT_TABLE)
 
 
+REFERENCE_ANSWERS = 10
+
+
 def vqa_accuracy(pred: str, refs: list[str]) -> float:
     """min(matches/3, 1) over exactly ten normalized reference answers."""
-    if len(refs) != 10:
-        raise AttentionError(f"expected 10 reference answers, got {len(refs)}")
+    if len(refs) != REFERENCE_ANSWERS:
+        raise AttentionError(f"expected {REFERENCE_ANSWERS} reference answers, got {len(refs)}")
     pred_n = normalize_answer(pred)
     hits = sum(1 for ref in refs if normalize_answer(ref) == pred_n)
     return min(hits / 3.0, 1.0)

@@ -19,6 +19,7 @@ from . import __version__
 from .attention import (
     BLOCK_SIZE,
     DEFAULT_GRID,
+    REFERENCE_ANSWERS,
     AttentionError,
     AttentionMap,
     correlation_block,
@@ -32,7 +33,7 @@ from .attention import (
 # here because perfbench/tracing.py wraps them by this module's name.
 from .attention import build_supervision, rank_correlation  # noqa: F401
 from .dataset import check_image_size, load_dataset, read_qa
-from .lexicon import load_aliases, load_wordnet
+from .lexicon import WNDB_FILES, load_aliases, load_wordnet
 from .miner import MinerConfig, mine, read_labels, write_labels
 from .records import (InputError, fmt9, identifier, read_json, read_keyed, string,
                       write_csv, write_lines, write_manifest)
@@ -83,8 +84,7 @@ def cmd_mine(args: argparse.Namespace) -> int:
     if not wordnet_dir.is_dir():
         raise InputError(f"wordnet directory not found: {wordnet_dir}")
     lexicon = load_wordnet(wordnet_dir)
-    inputs = [wordnet_dir / name for name in
-              ("index.noun", "index.verb", "noun.exc", "verb.exc")]
+    inputs = [wordnet_dir / name for name in WNDB_FILES]
     if args.aliases:
         alias_path = _require_file(args.aliases, "alias file")
         load_aliases(lexicon, alias_path)
@@ -143,13 +143,19 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
 
 # --- eval ----------------------------------------------------------------
 
+def _row_order(qa_id: int | str, glimpse: int = 0) -> tuple:
+    """The order of output rows: by the id's text, an integer id before an
+    equal string one (1 before "1"), then by glimpse."""
+    return str(qa_id), type(qa_id) is str, glimpse
+
+
 def cmd_eval_rank(args: argparse.Namespace) -> int:
     path_a = _require_file(args.maps_a, "maps file")
     path_b = _require_file(args.maps_b, "maps file")
     # masked glimpses carry no supervision signal and are not evaluated
     maps_a, maps_b = ({key: row["values"] for key, row in read_maps(path).items() if row["mask"]}
                       for path in (path_a, path_b))
-    common = sorted(set(maps_a) & set(maps_b), key=lambda k: (str(k[0]), k[1]))
+    common = sorted(set(maps_a) & set(maps_b), key=lambda key: _row_order(*key))
     if not common:
         raise InputError("no common (qa_id, glimpse) pairs between map files")
 
@@ -171,23 +177,27 @@ def cmd_eval_rank(args: argparse.Namespace) -> int:
     return 0
 
 
+def _reference(record: dict) -> tuple:
+    qa_id, answers = identifier(record, "qa_id"), string(record, "answers", many=True)
+    if len(answers) != REFERENCE_ANSWERS:
+        raise ValueError(f"qa_id {qa_id}: expected {REFERENCE_ANSWERS} reference answers, "
+                         f"got {len(answers)}")
+    return qa_id, answers
+
+
 def cmd_eval_acc(args: argparse.Namespace) -> int:
     preds_path = _require_file(args.preds, "predictions file")
     refs_path = _require_file(args.refs, "references file")
     preds = read_keyed(preds_path, lambda rec: (identifier(rec, "qa_id"), string(rec, "answer")))
-    refs = read_keyed(refs_path, lambda rec: (identifier(rec, "qa_id"),
-                                              string(rec, "answers", many=True)))
-    common = sorted(set(preds) & set(refs), key=str)
+    refs = read_keyed(refs_path, _reference)
+    common = sorted(set(preds) & set(refs), key=_row_order)
     if not common:
         raise InputError("no common qa_ids between predictions and references")
 
     lines = [["qa_id", "accuracy"]]
     total = 0.0
     for qa_id in common:
-        try:
-            acc = vqa_accuracy(preds[qa_id], refs[qa_id])
-        except AttentionError as exc:
-            raise InputError(f"qa_id {qa_id}: {exc}") from exc
+        acc = vqa_accuracy(preds[qa_id], refs[qa_id])
         total += acc
         lines.append([str(qa_id), fmt9(acc)])
     lines.append(["mean", fmt9(total / len(common))])
@@ -222,15 +232,9 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
     params, metrics = train(data, cfg, schedule)
     metrics_out = Path(args.metrics_out)
     write_metrics(metrics, metrics_out)
-    config_snapshot = {
-        "question_dim": cfg.question_dim, "channels": cfg.image_channels,
-        "grid": [cfg.grid_h, cfg.grid_w], "glimpses": cfg.glimpses,
-        "answers": cfg.num_answers, "seed": cfg.seed,
-        "steps": cfg.steps, "learning_rate": cfg.learning_rate,
-        "alpha_mode": schedule.mode, "alpha_value": schedule.fixed_value,
-        "t_max": schedule.t_max, "samples": args.samples,
-        "data_seed": args.data_seed,
-    }
+    config_snapshot = {key: value for key, value in vars(args).items()
+                       if key not in ("command", "func", "metrics_out", "params_out")}
+    config_snapshot["t_max"] = t_max
     write_manifest(metrics_out, "train-toy", config_snapshot, [])
     if args.params_out:
         write_params(params, args.params_out)
@@ -244,20 +248,25 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
 
 def cmd_render(args: argparse.Namespace) -> int:
     maps_path = _require_file(args.maps, "maps file")
-    rows = list(read_maps(maps_path).values())
-    maps = []
-    for row in rows:  # every map is checked before the first file is written
+    maps = {}  # PGM file name -> (key, map); every map is checked before the first write
+    for key, row in read_maps(maps_path).items():
+        name = f"{key[0]}_g{key[1]}.pgm"
+        where = f"{maps_path}: qa_id {key[0]} glimpse {key[1]}"
+        if "/" in name or "\0" in name:
+            raise InputError(f"{where}: file name {name!r} contains '/' or NUL")
+        if name in maps:
+            raise InputError(f"{where}: file name {name!r} is that of the earlier map "
+                             f"{maps[name][0]!r}")
         try:
-            maps.append(AttentionMap(row["values"]))
+            maps[name] = key, AttentionMap(row["values"])
         except AttentionError as exc:
-            raise InputError(f"{maps_path}: qa_id {row['qa_id']} glimpse {row['glimpse']}: "
-                             f"{exc}") from exc
+            raise InputError(f"{where}: {exc}") from exc
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    for row, amap in zip(rows, maps):
-        (out_dir / f"{row['qa_id']}_g{row['glimpse']}.pgm").write_bytes(pgm_bytes(amap))
+    for name, (_, amap) in maps.items():
+        (out_dir / name).write_bytes(pgm_bytes(amap))
     write_manifest(out_dir / "render", "render", {}, [maps_path])
-    print(f"rendered {len(rows)} maps to {out_dir}")
+    print(f"rendered {len(maps)} maps to {out_dir}")
     return 0
 
 

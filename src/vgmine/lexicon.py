@@ -54,6 +54,9 @@ class MatchResult:
 
 NO_MATCH = MatchResult(False, MatchCondition.NONE)
 
+# The WNDB files that ``load_wordnet`` reads from its directory.
+WNDB_FILES = ("index.noun", "index.verb", "noun.exc", "verb.exc")
+
 # WNDB detachment rules: (suffix, replacement), tried in order.
 _DETACHMENT_RULES: dict[Pos, list[tuple[str, str]]] = {
     Pos.NOUN: [
@@ -347,8 +350,7 @@ def load_wordnet(directory: str | Path) -> Lexicon:
     ``Lexicon.skipped_lines``.
     """
     directory = Path(directory)
-    required = ["index.noun", "index.verb", "noun.exc", "verb.exc"]
-    for name in required:
+    for name in WNDB_FILES:
         if not (directory / name).is_file():
             raise LexiconError(f"missing WordNet file: {directory / name}")
 

@@ -2,7 +2,10 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -362,6 +365,35 @@ class TestEvalAcc:
         assert lines[3] == "3,0"
         mean = (2 / 3 + 1.0 + 0.0) / 3
         assert lines[4] == f"mean,{mean:.9g}"
+
+
+def test_eval_row_order_does_not_depend_on_the_hash_seed(tmp_path):
+    """An integer id and a string id with the same text (1 and "1") are two
+    rows, ordered by the id's type (the integer first), not by set iteration."""
+    ids = [qa_id for n in range(6) for qa_id in (n, str(n))]
+    rng = np.random.default_rng(5)
+    maps_a, maps_b = (_ndjson(tmp_path / f"maps_{side}.ndjson",
+                              [{"qa_id": qa_id, "glimpse": 0, "h": 2, "w": 2,
+                                "values": rng.permutation(4).tolist()} for qa_id in ids])
+                      for side in "ab")
+    preds = _ndjson(tmp_path / "preds.ndjson",
+                    [{"qa_id": "1", "answer": "no"}, {"qa_id": 1, "answer": "yes"}])
+    refs = _ndjson(tmp_path / "refs.ndjson",
+                   [{"qa_id": qa_id, "answers": ["yes"] * 10} for qa_id in ("1", 1)])
+    commands = [["eval-rank", "--maps-a", str(maps_a), "--maps-b", str(maps_b)],
+                ["eval-acc", "--preds", str(preds), "--refs", str(refs)]]
+    script = ("import json, sys\nfrom vgmine.cli import main\n"
+              "sys.exit(max(main(argv) for argv in json.loads(sys.argv[1])))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    outputs = {subprocess.run([sys.executable, "-c", script, json.dumps(commands)],
+                              env={**os.environ, "PYTHONHASHSEED": str(seed),
+                                   "PYTHONPATH": str(src)},
+                              capture_output=True, text=True, check=True).stdout
+               for seed in range(10)}
+    assert len(outputs) == 1
+    lines = outputs.pop().splitlines()
+    assert len(lines) == 1 + len(ids) + 1 + 1 + 2 + 1
+    assert lines[-3:] == ["1,1", "1,0", "mean,0.5"]
 
 
 class TestTrainToy:
@@ -950,6 +982,31 @@ def _with_repeated_line(command):
     return case
 
 
+def _render_with_qa_ids(ids, fault):
+    """render on the golden maps with the qa_ids of the first lines replaced."""
+    def case(tmp_path):
+        bad = tmp_path / "maps.ndjson"
+        records = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
+        for record, qa_id in zip(records, ids):
+            if qa_id is not None:
+                record["qa_id"] = qa_id
+        _ndjson(bad, records)
+        line = max(i for i, qa_id in enumerate(ids) if qa_id is not None)
+        record = records[line]
+        return (["render", "--maps", bad],
+                f"{bad}: qa_id {record['qa_id']} glimpse {record['glimpse']}: {fault}")
+    return case
+
+
+def _refs_with_unmatched_row(tmp_path):
+    preds, refs = _fig3_preds_refs(tmp_path)
+    lines = _lines(refs)
+    bad = tmp_path / "bad_refs.ndjson"
+    bad.write_text("".join(lines) + json.dumps({"qa_id": "unmatched", "answers": []}) + "\n")
+    return (["eval-acc", "--preds", preds, "--refs", bad],
+            f"{bad}:{len(lines) + 1}: qa_id unmatched: expected 10 reference answers, got 0")
+
+
 class TestMalformedInput:
     """Each malformed input exits 2 with a message naming the file and the
     line, offset or record, prints no traceback and leaves no output."""
@@ -993,6 +1050,11 @@ class TestMalformedInput:
         _label_with("is_counting", "false", "a bool"),
         _label_with("region_match_count", "two", "an integer >= 0"),
         _label_with("matched_words", [["a"]], "a list of 3-string lists"),
+        _render_with_qa_ids(["../escaped"], "file name '../escaped_g0.pgm' contains '/' or NUL"),
+        _render_with_qa_ids([None, None, "a\0b"], "file name 'a\\x00b_g0.pgm' contains '/' or NUL"),
+        _render_with_qa_ids([1, None, "1"],
+                            "file name '1_g0.pgm' is that of the earlier map (1, 0)"),
+        _refs_with_unmatched_row,
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -1014,7 +1076,8 @@ class TestMalformedInput:
             "mine-qa-repeated-qa_id", "rasterize-qa-repeated-qa_id", "mine-qa-float-image_id",
             "region-entry-float-image_id", "object-entry-bool-image_id",
             "labels-string-is_counting", "labels-string-region_match_count",
-            "labels-short-matched_words"])
+            "labels-short-matched_words", "render-qa_id-escapes-out-dir",
+            "render-qa_id-with-nul", "render-file-name-collision", "refs-unmatched-short-row"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"
