@@ -331,13 +331,15 @@ def stack_to_rows(qa_ids: list, glimpses: np.ndarray, masks: np.ndarray) -> list
 def _map_from_row(row: dict) -> tuple[tuple, dict]:
     """The (qa_id, glimpse) key of a maps row and the fields a command reads,
     each required but 'mask' (a bool, default True), with 'values' as an
-    (h, w) float64 array of finite cells."""
+    (h, w) float64 array of finite numbers; a row of strings or of bools only
+    is rejected."""
     glimpse, h, w = integer(row, "glimpse", 0), integer(row, "h", 1), integer(row, "w", 1)
     mask = boolean(row, "mask") if "mask" in row else True
     qa_id = identifier(row, "qa_id")
-    values = np.asarray(row["values"], dtype=np.float64).reshape(h, w)
-    if not np.isfinite(values).all():
+    values = np.array(row["values"])
+    if values.dtype.kind not in "fi" or not np.isfinite(values).all():
         raise ValueError("values must be finite numbers")
+    values = values.astype(np.float64, copy=False).reshape(h, w)
     return (qa_id, glimpse), {"qa_id": qa_id, "glimpse": glimpse, "h": h, "w": w,
                               "mask": mask, "values": values}
 

@@ -1,10 +1,10 @@
 """Command-line surface: mine labels, rasterize maps, evaluate rank
 correlation and answer accuracy, train the toy model, render heatmaps.
 
-Exit codes: 0 success, 1 internal error, 2 usage or input error. Every
-command writes a run manifest (<output>.manifest.json) capturing the
-command name, configuration snapshot, input content digests, and tool
-version; equal inputs and flags give byte-identical outputs.
+Exit codes: 0 success, 1 internal error, 2 usage or input error. ``main``
+runs each command in one ``records.commit`` block, in which it adds the run
+manifest (<output>.manifest.json: command name, configuration snapshot, input
+digests, tool version); equal inputs and flags give byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -35,8 +35,8 @@ from .attention import build_supervision, rank_correlation  # noqa: F401
 from .dataset import check_image_size, load_dataset, read_qa
 from .lexicon import WNDB_FILES, load_aliases, load_wordnet
 from .miner import MinerConfig, mine, read_labels, write_labels
-from .records import (InputError, fmt9, identifier, read_json, read_keyed, string,
-                      write_csv, write_lines, write_manifest)
+from .records import (InputError, commit, fmt9, identifier, make_dir, read_json, read_keyed,
+                      string, write_bytes, write_csv, write_lines, write_manifest)
 from .schedule import MODE_COSINE, MODE_FIXED, Schedule
 from .toymodel import (
     ToyConfig,
@@ -79,7 +79,7 @@ def _miner_config(args: argparse.Namespace) -> MinerConfig:
         raise InputError(str(exc)) from exc
 
 
-def cmd_mine(args: argparse.Namespace) -> int:
+def cmd_mine(args: argparse.Namespace) -> tuple:
     wordnet_dir = Path(args.wordnet_dir)
     if not wordnet_dir.is_dir():
         raise InputError(f"wordnet directory not found: {wordnet_dir}")
@@ -98,18 +98,16 @@ def cmd_mine(args: argparse.Namespace) -> int:
     cfg = _miner_config(args)
 
     labels = mine(dataset, lexicon, cfg)
-    out = Path(args.out)
-    write_labels(labels, out)
-    write_manifest(out, "mine", dict(asdict(cfg), stopwords=sorted(cfg.stopwords)), inputs)
+    write_labels(labels, args.out)
     print(f"mined {len(labels)} labels from {len(dataset.triplets)} triplets "
           f"({report.clamped_boxes} boxes clamped, "
           f"{report.dropped_triplets} triplets dropped)")
-    return 0
+    return args.out, dict(asdict(cfg), stopwords=sorted(cfg.stopwords)), inputs
 
 
 # --- rasterize -----------------------------------------------------------
 
-def cmd_rasterize(args: argparse.Namespace) -> int:
+def cmd_rasterize(args: argparse.Namespace) -> tuple:
     labels_path = _require_file(args.labels, "labels file")
     qa_path = _require_file(args.qa, "qa file")
     labels = read_labels(labels_path)
@@ -134,11 +132,8 @@ def cmd_rasterize(args: argparse.Namespace) -> int:
                                                 grid_h, grid_w)
             yield from stack_to_rows([label.qa_id for label in block], glimpses, masks)
 
-    out = Path(args.out)
-    write_lines(out, rows())
-    write_manifest(out, "rasterize", {"grid": [grid_h, grid_w]},
-                   [labels_path, qa_path])
-    return 0
+    write_lines(args.out, rows())
+    return args.out, {"grid": [grid_h, grid_w]}, [labels_path, qa_path]
 
 
 # --- eval ----------------------------------------------------------------
@@ -149,7 +144,7 @@ def _row_order(qa_id: int | str, glimpse: int = 0) -> tuple:
     return str(qa_id), type(qa_id) is str, glimpse
 
 
-def cmd_eval_rank(args: argparse.Namespace) -> int:
+def cmd_eval_rank(args: argparse.Namespace) -> tuple:
     path_a = _require_file(args.maps_a, "maps file")
     path_b = _require_file(args.maps_b, "maps file")
     # masked glimpses carry no supervision signal and are not evaluated
@@ -172,9 +167,7 @@ def cmd_eval_rank(args: argparse.Namespace) -> int:
             lines.append([str(key[0]), str(key[1]), fmt9(corr)])
     lines.append(["mean", "", fmt9(total / len(common))])
     write_csv(args.out, lines)
-    if args.out:
-        write_manifest(Path(args.out), "eval-rank", {}, [path_a, path_b])
-    return 0
+    return args.out, {}, [path_a, path_b]
 
 
 def _reference(record: dict) -> tuple:
@@ -185,7 +178,7 @@ def _reference(record: dict) -> tuple:
     return qa_id, answers
 
 
-def cmd_eval_acc(args: argparse.Namespace) -> int:
+def cmd_eval_acc(args: argparse.Namespace) -> tuple:
     preds_path = _require_file(args.preds, "predictions file")
     refs_path = _require_file(args.refs, "references file")
     preds = read_keyed(preds_path, lambda rec: (identifier(rec, "qa_id"), string(rec, "answer")))
@@ -202,14 +195,12 @@ def cmd_eval_acc(args: argparse.Namespace) -> int:
         lines.append([str(qa_id), fmt9(acc)])
     lines.append(["mean", fmt9(total / len(common))])
     write_csv(args.out, lines)
-    if args.out:
-        write_manifest(Path(args.out), "eval-acc", {}, [preds_path, refs_path])
-    return 0
+    return args.out, {}, [preds_path, refs_path]
 
 
 # --- train-toy -----------------------------------------------------------
 
-def cmd_train_toy(args: argparse.Namespace) -> int:
+def cmd_train_toy(args: argparse.Namespace) -> tuple:
     try:
         cfg = ToyConfig(
             question_dim=args.question_dim,
@@ -230,44 +221,40 @@ def cmd_train_toy(args: argparse.Namespace) -> int:
         raise InputError(str(exc)) from exc
 
     params, metrics = train(data, cfg, schedule)
-    metrics_out = Path(args.metrics_out)
-    write_metrics(metrics, metrics_out)
+    write_metrics(metrics, args.metrics_out)
+    if args.params_out:
+        write_params(params, args.params_out)
     config_snapshot = {key: value for key, value in vars(args).items()
                        if key not in ("command", "func", "metrics_out", "params_out")}
     config_snapshot["t_max"] = t_max
-    write_manifest(metrics_out, "train-toy", config_snapshot, [])
-    if args.params_out:
-        write_params(params, args.params_out)
     final = metrics[-1]
     print(f"final: ce={fmt9(final.ce)} kl={fmt9(final.kl)} "
           f"accuracy={fmt9(final.accuracy)} rank_corr={fmt9(final.rank_corr)}")
-    return 0
+    return args.metrics_out, config_snapshot, []
 
 
 # --- render --------------------------------------------------------------
 
-def cmd_render(args: argparse.Namespace) -> int:
+def cmd_render(args: argparse.Namespace) -> tuple:
     maps_path = _require_file(args.maps, "maps file")
-    maps = {}  # PGM file name -> (key, map); every map is checked before the first write
+    out_dir = Path(args.out_dir)
+    make_dir(out_dir)
+    names = {}  # PGM file name -> key of its map
     for key, row in read_maps(maps_path).items():
         name = f"{key[0]}_g{key[1]}.pgm"
         where = f"{maps_path}: qa_id {key[0]} glimpse {key[1]}"
         if "/" in name or "\0" in name:
             raise InputError(f"{where}: file name {name!r} contains '/' or NUL")
-        if name in maps:
+        if name in names:
             raise InputError(f"{where}: file name {name!r} is that of the earlier map "
-                             f"{maps[name][0]!r}")
+                             f"{names[name]!r}")
+        names[name] = key
         try:
-            maps[name] = key, AttentionMap(row["values"])
+            write_bytes(out_dir / name, pgm_bytes(AttentionMap(row["values"])))
         except AttentionError as exc:
             raise InputError(f"{where}: {exc}") from exc
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    for name, (_, amap) in maps.items():
-        (out_dir / name).write_bytes(pgm_bytes(amap))
-    write_manifest(out_dir / "render", "render", {}, [maps_path])
-    print(f"rendered {len(maps)} maps to {out_dir}")
-    return 0
+    print(f"rendered {len(names)} maps to {out_dir}")
+    return out_dir / "render", {}, [maps_path]
 
 
 # --- parser --------------------------------------------------------------
@@ -383,7 +370,11 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = build_parser().parse_args(_with_config_flags(argv))
-        return args.func(args)
+        with commit():
+            out, config, inputs = args.func(args)
+            if out:  # eval-rank and eval-acc print to stdout without --out
+                write_manifest(Path(out), args.command, config, inputs)
+        return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

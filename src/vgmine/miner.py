@@ -26,6 +26,7 @@ is kept.
 
 from __future__ import annotations
 
+import json
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +34,7 @@ from pathlib import Path
 from .dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
 from .lexicon import (Lexicon, MatchCondition, WordSignature, match_signatures,
                       normalize_token, tokenize)
-from .records import boolean, identifier, integer, read_keyed, write_ndjson
+from .records import boolean, identifier, integer, read_keyed, write_lines
 
 DEFAULT_STOPWORDS = frozenset({
     "a", "an", "the", "is", "are", "was", "were", "be", "been", "do", "does",
@@ -323,7 +324,8 @@ def label_from_dict(data: dict) -> GroundingLabel:
 
 def write_labels(labels: list[GroundingLabel], path: str | Path) -> None:
     """NDJSON, one label per line, stable field order."""
-    write_ndjson(path, map(label_to_dict, labels))
+    write_lines(path, (json.dumps(label_to_dict(label), separators=(", ", ": ")) + "\n"
+                       for label in labels))
 
 
 def read_labels(path: str | Path) -> list[GroundingLabel]:

@@ -2,9 +2,9 @@
 
 Readers raise ``InputError`` naming the file and the line (NDJSON) or the
 character offset (JSON) of a malformed record. Writers write a sibling
-``<name>.tmp`` and rename it over the target, so a command that fails
-leaves no partial output; a run manifest is written after the output it
-describes. Floats are stored with 9 significant digits for stable diffs.
+``<name>.tmp`` staged in the open ``commit`` block, which renames them all
+over their targets only once it completes, so a failed command leaves no
+output. Floats are stored with 9 significant digits for stable diffs.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections.abc import Callable, Iterable, Iterator
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, Any
 
@@ -117,32 +117,75 @@ def read_keyed(path: str | Path, decode: Callable[[Any], tuple[Any, Any]]) -> di
     return records
 
 
+# The open commit block's staged files as (tmp, target), directories it made as (dir, None).
+_staged: list[tuple[Path, Path | None]] | None = None
+
+
 @contextmanager
-def _replacing(path: str | Path, newline: str | None = None) -> Iterator[IO[str]]:
-    """A text file that replaces ``path`` only once the block completes."""
-    path = Path(path)
-    tmp = path.with_name(path.name + ".tmp")
+def _naming(path: Path) -> Iterator[None]:
+    """An ``OSError`` in the block as an ``InputError`` naming ``path``."""
     try:
-        fp = open(tmp, "w", encoding="utf-8", newline=newline)
+        yield
     except OSError as exc:
         raise InputError(f"cannot write {path}: {exc.strerror}") from exc
+
+
+@contextmanager
+def commit() -> Iterator[None]:
+    """A block whose writers stage their files: when it completes, each one
+    replaces its target; when it fails, they and the directories it made are
+    removed. A block opened inside another joins it."""
+    global _staged
+    if _staged is not None:
+        yield
+        return
+    _staged = staged = []
     try:
+        yield
+        for tmp, path in staged:
+            if path is not None:
+                os.replace(tmp, path)
+    except BaseException:
+        for made, path in reversed(staged):
+            with suppress(OSError):
+                (made.rmdir if path is None else made.unlink)()
+        raise
+    finally:
+        _staged = None
+
+
+@contextmanager
+def _staging(path: str | Path, mode: str, **kwargs: Any) -> Iterator[IO]:
+    """``<path>.tmp`` open for writing, staged to replace ``path``."""
+    path = Path(path)
+    with commit(), _naming(path):
+        if path.is_dir():  # checked before any rename of the block
+            raise InputError(f"cannot write {path}: it is a directory")
+        fp = open(path.with_name(path.name + ".tmp"), mode, **kwargs)
+        _staged.append((Path(fp.name), path))  # once opened: its name may be unusable
         with fp:
             yield fp
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+
+
+def make_dir(path: Path) -> None:
+    """``path`` and its missing parents, removed again if the block fails."""
+    with commit():
+        for made in reversed([path, *path.parents]):
+            if not made.is_dir():
+                with _naming(made):
+                    made.mkdir()
+                _staged.append((made, None))
 
 
 def write_lines(path: str | Path, lines: Iterable[str]) -> None:
     """Lines of text, each ending in a newline."""
-    with _replacing(path) as fp:
+    with _staging(path, "w", encoding="utf-8") as fp:
         fp.writelines(lines)
 
 
-def write_ndjson(path: str | Path, records: Iterable[dict]) -> None:
-    write_lines(path, (json.dumps(record, separators=(", ", ": ")) + "\n" for record in records))
+def write_bytes(path: str | Path, data: bytes) -> None:
+    with _staging(path, "wb") as fp:
+        fp.write(data)
 
 
 def write_csv(path: str | Path | None, rows: Iterable[list]) -> None:
@@ -150,14 +193,14 @@ def write_csv(path: str | Path | None, rows: Iterable[list]) -> None:
     if not path:
         csv.writer(sys.stdout).writerows(rows)
         return
-    with _replacing(path, newline="") as fp:
+    with _staging(path, "w", encoding="utf-8", newline="") as fp:
         csv.writer(fp).writerows(rows)
 
 
 def write_manifest(out_path: Path, command: str, config: dict,
                    inputs: list[Path]) -> None:
     """``<out_path>.manifest.json``: command, configuration snapshot, sha256
-    of each input and tool version. Write it after ``out_path`` itself."""
+    of each input and tool version."""
     manifest = {
         "command": command,
         "config": config,
@@ -165,5 +208,5 @@ def write_manifest(out_path: Path, command: str, config: dict,
                           for p in sorted(inputs)},
         "tool_version": __version__,
     }
-    with _replacing(out_path.with_name(out_path.name + ".manifest.json")) as fp:
-        fp.write(json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+    write_lines(out_path.with_name(out_path.name + ".manifest.json"),
+                [json.dumps(manifest, indent=1, sort_keys=True) + "\n"])

@@ -946,17 +946,23 @@ def _ndjson_with_qa_id(command, value):
     return case
 
 
-def _maps_with_cell(command, value):
-    """render, or eval-rank (maps b), with one cell of line 2 set to ``value``."""
+def _maps_with_values(command, change):
+    """render, or eval-rank (maps b), with the values of line 2 replaced by
+    ``change(values)``."""
     def case(tmp_path):
         bad = tmp_path / "maps.ndjson"
         records = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
-        records[1]["values"][5] = value
+        records[1]["values"] = change(records[1]["values"])
         _ndjson(bad, records)
         argv = (["render", "--maps", bad] if command == "render"
                 else ["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad])
         return argv, f"{bad}:2: values must be finite numbers"
     return case
+
+
+def _maps_with_cell(command, value):
+    """render, or eval-rank (maps b), with one cell of line 2 set to ``value``."""
+    return _maps_with_values(command, lambda values: values[:5] + [value] + values[6:])
 
 
 def _with_repeated_line(command):
@@ -1007,6 +1013,40 @@ def _refs_with_unmatched_row(tmp_path):
             f"{bad}:{len(lines) + 1}: qa_id unmatched: expected 10 reference answers, got 0")
 
 
+def _params_out_in_missing_directory(tmp_path):
+    params = tmp_path / "nowhere" / "params.ndjson"
+    return (["train-toy", "--steps", 3, "--metrics-out", tmp_path / "metrics.csv",
+             "--params-out", params], params, "No such file or directory")
+
+
+def _render_name_too_long(tmp_path):
+    """render whose third map has a qa_id too long for a file name, after
+    two PGMs are written."""
+    maps = tmp_path / "maps.ndjson"
+    records = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
+    records[2]["qa_id"] = "x" * 300
+    _ndjson(maps, records)
+    out = tmp_path / "out"
+    return (["render", "--maps", maps, "--out-dir", out],
+            out / f"{'x' * 300}_g{records[2]['glimpse']}.pgm", "File name too long")
+
+
+def _out_is_a_directory(tmp_path):
+    out = tmp_path / "rank.csv"
+    out.mkdir()
+    return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson",
+             "--maps-b", GOLDEN / "fig3_maps.ndjson", "--out", out], out, "it is a directory")
+
+
+def _manifest_is_a_directory(tmp_path):
+    out = tmp_path / "rank.csv"
+    manifest = tmp_path / "rank.csv.manifest.json"
+    manifest.mkdir()
+    return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson",
+             "--maps-b", GOLDEN / "fig3_maps.ndjson", "--out", out], manifest,
+            "it is a directory")
+
+
 class TestMalformedInput:
     """Each malformed input exits 2 with a message naming the file and the
     line, offset or record, prints no traceback and leaves no output."""
@@ -1041,6 +1081,9 @@ class TestMalformedInput:
         _eval_acc_with("preds", "qa_id", None, "a string or an integer"),
         _maps_with_cell("eval-rank", float("nan")), _maps_with_cell("render", float("nan")),
         _maps_with_cell("eval-rank", float("inf")), _maps_with_cell("render", -float("inf")),
+        _maps_with_values("eval-rank", lambda values: [str(v) for v in values]),
+        _maps_with_values("render", lambda values: [str(v) for v in values]),
+        _maps_with_values("eval-rank", lambda values: [v > 0 for v in values]),
         _with_repeated_line("eval-rank"), _with_repeated_line("render"),
         _with_repeated_line("rasterize"), _with_repeated_line("eval-acc"),
         _qa_with_repeated_qa_id("mine"), _qa_with_repeated_qa_id("rasterize"),
@@ -1071,7 +1114,8 @@ class TestMalformedInput:
             "refs-string-answers", "mine-qa-bool-image_id", "labels-null-qa_id",
             "maps-bool-qa_id", "preds-null-qa_id", "maps-nan-cell-eval-rank",
             "maps-nan-cell-render", "maps-infinity-cell-eval-rank",
-            "maps-minus-infinity-cell-render", "maps-repeated-row-eval-rank",
+            "maps-minus-infinity-cell-render", "maps-string-cells-eval-rank",
+            "maps-string-cells-render", "maps-bool-cells-eval-rank", "maps-repeated-row-eval-rank",
             "maps-repeated-row-render", "labels-repeated-qa_id", "preds-repeated-qa_id",
             "mine-qa-repeated-qa_id", "rasterize-qa-repeated-qa_id", "mine-qa-float-image_id",
             "region-entry-float-image_id", "object-entry-bool-image_id",
@@ -1086,6 +1130,20 @@ class TestMalformedInput:
         assert expected in err
         assert "Traceback" not in err
         assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("case", [
+        _params_out_in_missing_directory, _render_name_too_long, _out_is_a_directory,
+        _manifest_is_a_directory,
+    ], ids=["train-toy-params-out-missing-directory", "render-name-too-long",
+            "eval-rank-out-is-a-directory", "eval-rank-manifest-is-a-directory"])
+    def test_unwritable_output_exit_2_leaves_no_new_file(self, run_cli, tmp_path, case):
+        argv, target, reason = case(tmp_path)
+        before = sorted(tmp_path.rglob("*"))
+        code, _, err = run_cli(*argv)
+        assert code == 2
+        assert f"cannot write {target}: {reason}" in err
+        assert "Traceback" not in err
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("flags,message", [
         (["--samples", 0], "n must be >= 1"),
