@@ -1,4 +1,4 @@
-"""Every JSON, NDJSON and CSV file vgmine reads or writes.
+"""Every JSON, NDJSON and CSV file vgmine reads, and every file it writes.
 
 Readers raise ``InputError`` naming the file and the line (NDJSON) or the
 character offset (JSON) of a malformed record. Writers write a sibling
