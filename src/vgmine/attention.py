@@ -13,8 +13,10 @@ from __future__ import annotations
 import json
 import math
 import string
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 import numpy as np
 
@@ -344,9 +346,10 @@ def _map_from_row(row: dict) -> tuple[tuple, dict]:
                               "mask": mask, "values": values}
 
 
-def read_maps(path: str | Path) -> dict:
-    """Maps rows keyed by (qa_id, glimpse), in file order."""
-    return read_keyed(path, _map_from_row)
+def read_maps(path: str | Path, printed: Callable[[tuple], Any] | None = None) -> dict:
+    """Maps rows keyed by (qa_id, glimpse), in file order; ``printed`` as
+    in ``read_keyed``."""
+    return read_keyed(path, _map_from_row, printed)
 
 
 def pgm_bytes(amap: AttentionMap) -> bytes:

@@ -4,7 +4,10 @@ correlation and answer accuracy, train the toy model, render heatmaps.
 Exit codes: 0 success, 1 internal error, 2 usage or input error. ``main``
 runs each command in one ``records.commit`` block, in which it adds the run
 manifest (<output>.manifest.json: command name, configuration snapshot, input
-digests, tool version); equal inputs and flags give byte-identical outputs.
+digests, tool version), and prints the command's summary line only once the
+block has completed; equal inputs and flags give byte-identical outputs.
+``eval-rank`` reads its two maps files concurrently (``records.read_pair``),
+with the same outputs and errors as reading them in turn.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .dataset import check_image_size, load_dataset, read_qa
 from .lexicon import WNDB_FILES, load_aliases, load_wordnet
 from .miner import MinerConfig, mine, read_labels, write_labels
 from .records import (InputError, commit, fmt9, identifier, make_dir, read_json, read_keyed,
-                      string, write_bytes, write_csv, write_lines, write_manifest)
+                      read_pair, string, write_bytes, write_csv, write_lines, write_manifest)
 from .schedule import MODE_COSINE, MODE_FIXED, Schedule
 from .toymodel import (
     ToyConfig,
@@ -99,10 +102,10 @@ def cmd_mine(args: argparse.Namespace) -> tuple:
 
     labels = mine(dataset, lexicon, cfg)
     write_labels(labels, args.out)
-    print(f"mined {len(labels)} labels from {len(dataset.triplets)} triplets "
-          f"({report.clamped_boxes} boxes clamped, "
-          f"{report.dropped_triplets} triplets dropped)")
-    return args.out, dict(asdict(cfg), stopwords=sorted(cfg.stopwords)), inputs
+    summary = (f"mined {len(labels)} labels from {len(dataset.triplets)} triplets "
+               f"({report.clamped_boxes} boxes clamped, "
+               f"{report.dropped_triplets} triplets dropped)")
+    return args.out, dict(asdict(cfg), stopwords=sorted(cfg.stopwords)), inputs, summary
 
 
 # --- rasterize -----------------------------------------------------------
@@ -133,24 +136,28 @@ def cmd_rasterize(args: argparse.Namespace) -> tuple:
             yield from stack_to_rows([label.qa_id for label in block], glimpses, masks)
 
     write_lines(args.out, rows())
-    return args.out, {"grid": [grid_h, grid_w]}, [labels_path, qa_path]
+    return args.out, {"grid": [grid_h, grid_w]}, [labels_path, qa_path], None
 
 
 # --- eval ----------------------------------------------------------------
 
-def _row_order(qa_id: int | str, glimpse: int = 0) -> tuple:
-    """The order of output rows: by the id's text, an integer id before an
-    equal string one (1 before "1"), then by glimpse."""
-    return str(qa_id), type(qa_id) is str, glimpse
+def _printed(key: tuple) -> tuple:
+    """A (qa_id, glimpse) key as its CSV row shows it. The ids 1 and "1" show
+    alike, so an input holding both is refused, and rows sort by this."""
+    return str(key[0]), key[1]
+
+
+def _unmasked(path: Path) -> dict:
+    """The values of the unmasked rows of a maps file: masked glimpses carry
+    no supervision signal and are not evaluated."""
+    return {key: row["values"] for key, row in read_maps(path, _printed).items() if row["mask"]}
 
 
 def cmd_eval_rank(args: argparse.Namespace) -> tuple:
     path_a = _require_file(args.maps_a, "maps file")
     path_b = _require_file(args.maps_b, "maps file")
-    # masked glimpses carry no supervision signal and are not evaluated
-    maps_a, maps_b = ({key: row["values"] for key, row in read_maps(path).items() if row["mask"]}
-                      for path in (path_a, path_b))
-    common = sorted(set(maps_a) & set(maps_b), key=lambda key: _row_order(*key))
+    maps_a, maps_b = read_pair(_unmasked, path_a, path_b)
+    common = sorted(set(maps_a) & set(maps_b), key=_printed)
     if not common:
         raise InputError("no common (qa_id, glimpse) pairs between map files")
 
@@ -167,7 +174,7 @@ def cmd_eval_rank(args: argparse.Namespace) -> tuple:
             lines.append([str(key[0]), str(key[1]), fmt9(corr)])
     lines.append(["mean", "", fmt9(total / len(common))])
     write_csv(args.out, lines)
-    return args.out, {}, [path_a, path_b]
+    return args.out, {}, [path_a, path_b], None
 
 
 def _reference(record: dict) -> tuple:
@@ -181,9 +188,10 @@ def _reference(record: dict) -> tuple:
 def cmd_eval_acc(args: argparse.Namespace) -> tuple:
     preds_path = _require_file(args.preds, "predictions file")
     refs_path = _require_file(args.refs, "references file")
-    preds = read_keyed(preds_path, lambda rec: (identifier(rec, "qa_id"), string(rec, "answer")))
-    refs = read_keyed(refs_path, _reference)
-    common = sorted(set(preds) & set(refs), key=_row_order)
+    preds = read_keyed(preds_path, lambda rec: (identifier(rec, "qa_id"), string(rec, "answer")),
+                       str)
+    refs = read_keyed(refs_path, _reference, str)
+    common = sorted(set(preds) & set(refs), key=str)
     if not common:
         raise InputError("no common qa_ids between predictions and references")
 
@@ -195,7 +203,7 @@ def cmd_eval_acc(args: argparse.Namespace) -> tuple:
         lines.append([str(qa_id), fmt9(acc)])
     lines.append(["mean", fmt9(total / len(common))])
     write_csv(args.out, lines)
-    return args.out, {}, [preds_path, refs_path]
+    return args.out, {}, [preds_path, refs_path], None
 
 
 # --- train-toy -----------------------------------------------------------
@@ -228,9 +236,9 @@ def cmd_train_toy(args: argparse.Namespace) -> tuple:
                        if key not in ("command", "func", "metrics_out", "params_out")}
     config_snapshot["t_max"] = t_max
     final = metrics[-1]
-    print(f"final: ce={fmt9(final.ce)} kl={fmt9(final.kl)} "
-          f"accuracy={fmt9(final.accuracy)} rank_corr={fmt9(final.rank_corr)}")
-    return args.metrics_out, config_snapshot, []
+    summary = (f"final: ce={fmt9(final.ce)} kl={fmt9(final.kl)} "
+               f"accuracy={fmt9(final.accuracy)} rank_corr={fmt9(final.rank_corr)}")
+    return args.metrics_out, config_snapshot, [], summary
 
 
 # --- render --------------------------------------------------------------
@@ -253,8 +261,7 @@ def cmd_render(args: argparse.Namespace) -> tuple:
             write_bytes(out_dir / name, pgm_bytes(AttentionMap(row["values"])))
         except AttentionError as exc:
             raise InputError(f"{where}: {exc}") from exc
-    print(f"rendered {len(names)} maps to {out_dir}")
-    return out_dir / "render", {}, [maps_path]
+    return out_dir / "render", {}, [maps_path], f"rendered {len(names)} maps to {out_dir}"
 
 
 # --- parser --------------------------------------------------------------
@@ -371,9 +378,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = build_parser().parse_args(_with_config_flags(argv))
         with commit():
-            out, config, inputs = args.func(args)
+            out, config, inputs, summary = args.func(args)
             if out:  # eval-rank and eval-acc print to stdout without --out
                 write_manifest(Path(out), args.command, config, inputs)
+        if summary:
+            print(summary)
         return 0
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,6 +5,8 @@ character offset (JSON) of a malformed record. Writers write a sibling
 ``<name>.tmp`` staged in the open ``commit`` block, which renames them all
 over their targets only once it completes, so a failed command leaves no
 output. Floats are stored with 9 significant digits for stable diffs.
+``read_pair`` reads two inputs concurrently, with the results and the error
+of reading them in turn.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import csv
 import hashlib
 import json
 import os
+import pickle
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
@@ -90,13 +93,15 @@ def read_json(path: str | Path) -> Any:
         raise InputError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
 
 
-def read_keyed(path: str | Path, decode: Callable[[Any], tuple[Any, Any]]) -> dict:
+def read_keyed(path: str | Path, decode: Callable[[Any], tuple[Any, Any]],
+               printed: Callable[[Any], Any] | None = None) -> dict:
     """The ``(key, value)`` pairs that ``decode`` makes of the non-blank
     lines, as a dict in file order. A line that is not JSON, that ``decode``
     rejects with KeyError, TypeError or ValueError, or whose key an earlier
-    line holds is reported as ``<path>:<line>``."""
+    line holds is reported as ``<path>:<line>``; so is, when ``printed`` is
+    given, a key that prints as an earlier one (equal ``printed(key)``)."""
     path = Path(path)
-    records, lines = {}, {}
+    records, lines = {}, {}  # lines: printed key -> (key, line)
     try:
         with open(path, encoding="utf-8") as fp:
             for lineno, line in enumerate(fp, start=1):
@@ -108,13 +113,54 @@ def read_keyed(path: str | Path, decode: Callable[[Any], tuple[Any, Any]]) -> di
                     raise InputError(f"{path}:{lineno}: missing field {exc}") from exc
                 except (TypeError, ValueError) as exc:
                     raise InputError(f"{path}:{lineno}: {exc}") from exc
-                if key in lines:
-                    raise InputError(f"{path}:{lineno}: repeated key {key!r}, "
-                                     f"first on line {lines[key]}")
-                records[key], lines[key] = value, lineno
+                shown = key if printed is None else printed(key)
+                if shown in lines:
+                    first, at = lines[shown]
+                    fault = (f"repeated key {key!r}, first on line {at}" if first == key
+                             else f"key {key!r} prints as the key {first!r} on line {at}")
+                    raise InputError(f"{path}:{lineno}: {fault}")
+                records[key], lines[shown] = value, (key, lineno)
     except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return records
+
+
+def read_pair(read: Callable[[Any], Any], first: Any, second: Any) -> tuple[Any, Any]:
+    """``(read(first), read(second))``. With ``fork`` and a second usable CPU,
+    a child reads ``first`` while this process reads ``second``; a child that
+    fails sends nothing and ``first`` is read here, so the results and the
+    error (``first``'s before ``second``'s) are those of two reads in turn."""
+    probe = getattr(os, "sched_getaffinity", None)
+    if not hasattr(os, "fork") or (len(probe(0)) if probe else os.cpu_count() or 1) < 2:
+        return read(first), read(second)
+    fd_in, fd_out = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(fd_in)
+        os.close(fd_out)
+        return read(first), read(second)
+    if pid == 0:  # the child never returns into the caller, nor unwinds its commit block
+        code = 1
+        try:
+            with open(fd_out, "wb") as fp:
+                fp.write(pickle.dumps(read(first), pickle.HIGHEST_PROTOCOL))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(fd_out)
+    try:
+        result = read(second)
+    finally:
+        with open(fd_in, "rb") as fp:
+            try:  # unpickled as it arrives, so that no copy of the payload is held
+                value = pickle.load(fp)
+            except (EOFError, pickle.UnpicklingError):  # nothing sent, or cut short
+                value = None
+            fp.read()  # to EOF before the wait: the payload outgrows a pipe buffer
+        if os.waitpid(pid, 0)[1] != 0:
+            value = read(first)
+    return value, result
 
 
 # The open commit block's staged files as (tmp, target), directories it made as (dir, None).

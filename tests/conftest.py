@@ -1,3 +1,5 @@
+import os
+import signal
 import sys
 from pathlib import Path
 
@@ -41,3 +43,29 @@ def run_cli(capsys):
         return code, captured.out, captured.err
 
     return run
+
+
+def no_child_left():
+    """Fails if this process has a child left to reap."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
+def cpus(request, monkeypatch):
+    """``records.read_pair`` with one usable CPU (reads in turn) or two (one
+    forked reader); returns the CPU count and the list of forks made. The
+    test fails if it has not finished within 60 s."""
+    forks, fork = [], os.fork
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
+                        raising=False)
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+
+    def timeout(*_):
+        raise TimeoutError("not finished within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(60)
+    yield request.param, forks
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import math
@@ -14,10 +15,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vgmine import __version__
 from vgmine.attention import AttentionMap
 from vgmine.dataset import BoundingBox
 
-from conftest import ALIASES, FIG3, GOLDEN, WORDNET_DIR
+from conftest import ALIASES, FIG3, GOLDEN, WORDNET_DIR, no_child_left
 from oracles import (brute_force_rasterize, pgm_reference, reference_eval_rank,
                      reference_maps_lines)
 
@@ -368,18 +370,18 @@ class TestEvalAcc:
 
 
 def test_eval_row_order_does_not_depend_on_the_hash_seed(tmp_path):
-    """An integer id and a string id with the same text (1 and "1") are two
-    rows, ordered by the id's type (the integer first), not by set iteration."""
-    ids = [qa_id for n in range(6) for qa_id in (n, str(n))]
+    """Integer and string ids are ordered by the id's text ("10" before 9),
+    not by set iteration."""
+    ids = [qa_id for n in range(6) for qa_id in (n, f"{n}s")]
     rng = np.random.default_rng(5)
     maps_a, maps_b = (_ndjson(tmp_path / f"maps_{side}.ndjson",
                               [{"qa_id": qa_id, "glimpse": 0, "h": 2, "w": 2,
                                 "values": rng.permutation(4).tolist()} for qa_id in ids])
                       for side in "ab")
     preds = _ndjson(tmp_path / "preds.ndjson",
-                    [{"qa_id": "1", "answer": "no"}, {"qa_id": 1, "answer": "yes"}])
+                    [{"qa_id": 9, "answer": "yes"}, {"qa_id": "10", "answer": "no"}])
     refs = _ndjson(tmp_path / "refs.ndjson",
-                   [{"qa_id": qa_id, "answers": ["yes"] * 10} for qa_id in ("1", 1)])
+                   [{"qa_id": qa_id, "answers": ["yes"] * 10} for qa_id in ("10", 9)])
     commands = [["eval-rank", "--maps-a", str(maps_a), "--maps-b", str(maps_b)],
                 ["eval-acc", "--preds", str(preds), "--refs", str(refs)]]
     script = ("import json, sys\nfrom vgmine.cli import main\n"
@@ -393,7 +395,7 @@ def test_eval_row_order_does_not_depend_on_the_hash_seed(tmp_path):
     assert len(outputs) == 1
     lines = outputs.pop().splitlines()
     assert len(lines) == 1 + len(ids) + 1 + 1 + 2 + 1
-    assert lines[-3:] == ["1,1", "1,0", "mean,0.5"]
+    assert lines[-3:] == ["10,0", "9,1", "mean,0.5"]
 
 
 class TestTrainToy:
@@ -646,6 +648,59 @@ class TestEvalRankBlocks:
         assert code == 2
         assert err == f"error: qa_id p{reported:03d} glimpse 0: {messages[dict(faults)[reported]]}\n"
         assert not out.exists()
+
+
+class TestEvalRankConcurrentRead:
+    """The two maps files are read concurrently when a second CPU is usable;
+    outputs, messages and exit codes are those of reading them in turn."""
+
+    def _inputs(self, tmp_path, which):
+        if which == "fig3":
+            rows = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
+            rng = np.random.default_rng(31)
+            noisy = [dict(row, values=(np.array(row["values"])
+                                       + rng.uniform(0, 1e-3, len(row["values"]))).tolist())
+                     for row in rows]
+            return GOLDEN / "fig3_maps.ndjson", _ndjson(tmp_path / "noisy.ndjson", noisy)
+        rows_a, rows_b = _tie_heavy_maps(np.random.default_rng(52), 200)
+        return _ndjson(tmp_path / "a.ndjson", rows_a), _ndjson(tmp_path / "b.ndjson", rows_b)
+
+    @pytest.mark.parametrize("which", ["fig3", "generated"])
+    def test_outputs_equal_those_of_reads_in_turn(self, run_cli, tmp_path, cpus, which):
+        maps_a, maps_b = self._inputs(tmp_path, which)
+        out = tmp_path / "rank.csv"
+        code, _, err = run_cli("eval-rank", "--maps-a", maps_a, "--maps-b", maps_b, "--out", out)
+        assert code == 0, err
+        assert len(cpus[1]) == (cpus[0] > 1)
+        expected = reference_eval_rank(*(_as_arrays(json.loads(text) for text in _lines(path))
+                                         for path in (maps_a, maps_b)))
+        assert out.read_bytes() == expected.encode()
+        manifest = {"command": "eval-rank", "config": {}, "tool_version": __version__,
+                    "input_digests": {str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+                                      for path in sorted((maps_a, maps_b))}}
+        assert (out.with_name("rank.csv.manifest.json").read_text()
+                == json.dumps(manifest, indent=1, sort_keys=True) + "\n")
+        no_child_left()
+
+    @pytest.mark.parametrize("bad", ["a", "b", "ab"])
+    def test_malformed_input_gives_the_message_of_reads_in_turn(self, run_cli, tmp_path,
+                                                                 cpus, bad):
+        truncated = (GOLDEN / "fig3_maps.ndjson").read_bytes()[:-100]
+        paths = {}
+        for side in "ab":
+            paths[side] = tmp_path / f"{side}.ndjson"
+            paths[side].write_bytes(truncated if side in bad else
+                                    (GOLDEN / "fig3_maps.ndjson").read_bytes())
+        out = tmp_path / "rank.csv"
+        code, stdout, err = run_cli("eval-rank", "--maps-a", paths["a"], "--maps-b", paths["b"],
+                                    "--out", out)
+        assert code == 2
+        assert stdout == ""
+        assert err.startswith(f"error: {paths[bad[0]]}:4: ")
+        assert "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["a.ndjson", "b.ndjson"]
+        assert len(cpus[1]) == (cpus[0] > 1)
+        no_child_left()
 
 
 def _lines(path):
@@ -988,6 +1043,27 @@ def _with_repeated_line(command):
     return case
 
 
+def _with_alike_qa_ids(command):
+    """eval-rank (maps a or b) or eval-acc (predictions) with the qa_id 1 on
+    line 1 and "1" on line 3 of one input: their CSV rows would read alike."""
+    def case(tmp_path):
+        files = dict(zip(("preds", "refs"), _fig3_preds_refs(tmp_path)))
+        source = files["preds"] if command == "eval-acc" else GOLDEN / "fig3_maps.ndjson"
+        records = [json.loads(text) for text in _lines(source)]
+        if command == "eval-acc":
+            records.append(dict(records[0]))
+        records[0]["qa_id"], records[2]["qa_id"] = 1, "1"
+        bad = _ndjson(tmp_path / f"bad_{source.name}", records)
+        argv = {"eval-rank-a": ["eval-rank", "--maps-a", bad,
+                                "--maps-b", GOLDEN / "fig3_maps.ndjson"],
+                "eval-rank-b": ["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson",
+                                "--maps-b", bad],
+                "eval-acc": ["eval-acc", "--preds", bad, "--refs", files["refs"]]}[command]
+        first, key = (1, "'1'") if command == "eval-acc" else ((1, 0), "('1', 0)")
+        return argv, f"{bad}:3: key {key} prints as the key {first!r} on line 1"
+    return case
+
+
 def _render_with_qa_ids(ids, fault):
     """render on the golden maps with the qa_ids of the first lines replaced."""
     def case(tmp_path):
@@ -1097,7 +1173,8 @@ class TestMalformedInput:
         _render_with_qa_ids([None, None, "a\0b"], "file name 'a\\x00b_g0.pgm' contains '/' or NUL"),
         _render_with_qa_ids([1, None, "1"],
                             "file name '1_g0.pgm' is that of the earlier map (1, 0)"),
-        _refs_with_unmatched_row,
+        _refs_with_unmatched_row, _with_alike_qa_ids("eval-rank-a"),
+        _with_alike_qa_ids("eval-rank-b"), _with_alike_qa_ids("eval-acc"),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -1121,7 +1198,8 @@ class TestMalformedInput:
             "region-entry-float-image_id", "object-entry-bool-image_id",
             "labels-string-is_counting", "labels-string-region_match_count",
             "labels-short-matched_words", "render-qa_id-escapes-out-dir",
-            "render-qa_id-with-nul", "render-file-name-collision", "refs-unmatched-short-row"])
+            "render-qa_id-with-nul", "render-file-name-collision", "refs-unmatched-short-row",
+            "maps-a-alike-qa_ids", "maps-b-alike-qa_ids", "preds-alike-qa_ids"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"
@@ -1178,6 +1256,22 @@ class TestNoPartialOutput:
         assert code == 2
         assert out.read_text() == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["maps.ndjson", "qa.json"]
+
+    @pytest.mark.parametrize("argv,manifest", [
+        ([*MINE_ARGS, "--out", "labels.ndjson"], "labels.ndjson.manifest.json"),
+        (["train-toy", "--steps", 3, "--metrics-out", "metrics.csv"],
+         "metrics.csv.manifest.json"),
+        (["render", "--maps", GOLDEN / "fig3_maps.ndjson", "--out-dir", "pgm"],
+         "pgm/render.manifest.json"),
+    ], ids=["mine", "train-toy", "render"])
+    def test_failed_manifest_prints_no_summary(self, run_cli, tmp_path, argv, manifest):
+        (tmp_path / manifest).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run_cli(*argv[:-1], tmp_path / argv[-1])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: cannot write {tmp_path / manifest}: it is a directory\n"
+        assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("argv", [
         MINE_ARGS,

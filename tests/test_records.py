@@ -1,9 +1,14 @@
 import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from vgmine.records import (InputError, commit, make_dir, read_keyed, write_bytes, write_csv,
-                            write_lines)
+from conftest import no_child_left
+from vgmine.records import (InputError, commit, make_dir, read_keyed, read_pair, write_bytes,
+                            write_csv, write_lines)
 
 
 def test_written_file_mode_follows_umask(tmp_path):
@@ -73,3 +78,84 @@ def test_decode_value_error_names_line(tmp_path):
 
     with pytest.raises(InputError, match=rf"^{path}:3: n must be positive$"):
         read_keyed(path, positive)
+
+
+def test_read_pair_reads_first_in_a_child_with_a_second_cpu(cpus):
+    parent = os.getpid()
+    big = b"x" * (1 << 21)  # more than a pipe buffer holds
+
+    def read(name):
+        return name, os.getpid(), big if name == "first" else None
+
+    first, second = read_pair(read, "first", "second")
+    count, forks = cpus
+    assert len(forks) == (count > 1)
+    assert first[0] == "first" and (first[1] != parent) == (count > 1) and first[2] == big
+    assert second == ("second", parent, None)
+    no_child_left()
+
+
+def test_read_pair_reads_both_here_when_fork_fails(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def no_fork():
+        raise OSError("no process to spare")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    parent = os.getpid()
+    assert read_pair(lambda name: (name, os.getpid()), "a", "b") == (("a", parent), ("b", parent))
+
+
+@pytest.mark.parametrize("bad", ["a", "b", "ab"])
+def test_read_pair_raises_the_error_of_reads_in_turn(cpus, bad):
+    def read(name):
+        if name in bad:
+            raise InputError(f"bad {name}")
+        return name
+
+    with pytest.raises(InputError, match=f"^bad {bad[0]}$"):
+        read_pair(read, "a", "b")
+    no_child_left()
+
+
+def test_read_pair_reads_first_here_when_the_child_is_killed(cpus):
+    parent = os.getpid()
+
+    def read(name):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return name, os.getpid()
+
+    assert read_pair(read, "a", "b") == (("a", parent), ("b", parent))
+    no_child_left()
+
+
+def test_failing_child_keeps_the_staged_files_of_the_block(tmp_path):
+    """The child's read raises inside the caller's commit block. Were the
+    child to unwind it, it would remove the caller's staged file."""
+    script = ("import os, sys\n"
+              "from vgmine import records\n"
+              "os.sched_getaffinity = lambda pid: {0, 1}\n"
+              "parent = os.getpid()\n"
+              "def read(name):\n"
+              "    if os.getpid() != parent:\n"
+              "        raise records.InputError('in the child')\n"
+              "    return name\n"
+              "with records.commit():\n"
+              "    records.write_lines(sys.argv[1], ['x\\n'])\n"
+              "    print(records.read_pair(read, 'a', 'b'), sorted(os.listdir(sys.argv[2])))\n")
+    target = tmp_path / "out.txt"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run([sys.executable, "-c", script, str(target), str(tmp_path)],
+                          env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                          text=True, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "('a', 'b') ['out.txt.tmp']\n", "")
+    assert target.read_text() == "x\n"
+
+
+def test_key_printed_as_an_earlier_one_names_both_lines(tmp_path):
+    path = tmp_path / "rows.ndjson"
+    path.write_text('{"id": 1}\n{"id": 2}\n{"id": "1"}\n')
+    assert list(read_keyed(path, lambda rec: (rec["id"], rec))) == [1, 2, "1"]
+    with pytest.raises(InputError, match=rf"^{path}:3: key '1' prints as the key 1 on line 1$"):
+        read_keyed(path, lambda rec: (rec["id"], rec), str)
