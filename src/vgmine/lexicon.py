@@ -16,6 +16,8 @@ from __future__ import annotations
 import enum
 import logging
 import re
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -291,11 +293,22 @@ def _count_skipped(path: Path, skipped: list[int], lexicon: Lexicon) -> None:
                     path, len(skipped), skipped[0])
 
 
+@contextmanager
+def _utf8(path: Path) -> Iterator[None]:
+    """Report a file that is not UTF-8 by the line of its first bad byte."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        text = path.read_bytes().decode("utf-8", "surrogateescape")  # bad bytes: U+DC80-DCFF
+        line = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
+        raise LexiconError(f"{path}:{line}: not UTF-8 text") from None
+
+
 def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
     # stores each checked line as text; _synset_ids formats its ids on lookup
     index = lexicon._tables[pos].index
     skipped = []
-    with open(path, encoding="utf-8") as fp:
+    with _utf8(path), open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             fields = line.split()
             if not fields:
@@ -327,7 +340,7 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
 def _parse_exception_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
     table = lexicon._tables[pos]
     skipped = []
-    with open(path, encoding="utf-8") as fp:
+    with _utf8(path), open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             terms = line.split()
             if not terms:
@@ -371,7 +384,8 @@ def load_aliases(lexicon: Lexicon, path: str | Path) -> Lexicon:
     """
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
+        with _utf8(path):
+            text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LexiconError(f"cannot read alias file {path}: {exc}") from exc
     lexicon._signatures.clear()  # signatures carry alias sets

@@ -13,22 +13,25 @@ Pipeline per triplet:
      have been extracted under their containment constraint.
 
 Words are compared through their compiled ``WordSignature`` (see
-``vgmine.lexicon``). When ``mine`` reaches an image, it numbers the distinct
-informative words of the image's phrases (each distinct phrase is read
-once) and the distinct normalized object names, and gives each region and
-object the bitmask of its words. Per triplet, each numbered word is screened
-once against the key sets of the query words (forms, lemmas, synset ids,
-alias names), a region's count is the popcount of its mask AND the mask of
-passing words, and ``match_signatures`` runs only for words that pass, to
-find their first query word and condition. Only the current image's state
-is kept.
+``vgmine.lexicon``). ``mine`` takes one image run (the consecutive triplets
+of one image) at a time and numbers the distinct informative words of its
+phrases (each distinct phrase is read once), its distinct object names and
+its distinct query words. Each numbered word is screened once per run
+against the key sets of all its query words, which gives each query word
+the mask of the words it matches. A triplet ORs the masks of its query
+words (of its nouns for object names), a region's count is the popcount of
+its mask AND that, and ``match_signatures`` runs only for the passing words
+of selected regions and matching objects. Only the current run's state is
+kept.
 """
 
 from __future__ import annotations
 
 import json
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 
 from .dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
@@ -97,14 +100,11 @@ def is_counting_question(question: str, cfg: MinerConfig) -> bool:
     return normalized.startswith(cfg.counting_prefixes)
 
 
-def _query_words(triplet: QaTriplet, lexicon: Lexicon, cfg: MinerConfig) -> list[_Word]:
+def _query_words(triplet: QaTriplet, lexicon: Lexicon, cfg: MinerConfig) -> list[str]:
     """Informative words of the question, then those of the answer that the
     question lacks."""
-    words = informative_words(triplet.question, lexicon, cfg.stopwords)
-    for word in informative_words(triplet.answer, lexicon, cfg.stopwords):
-        if word not in words:
-            words.append(word)
-    return [(word, lexicon.signature(word)) for word in words]
+    return list(dict.fromkeys(informative_words(triplet.question, lexicon, cfg.stopwords)
+                              + informative_words(triplet.answer, lexicon, cfg.stopwords)))
 
 
 def _matching(query: list[_Word], words: list[_Word]) -> int:
@@ -134,6 +134,39 @@ def _matching(query: list[_Word], words: list[_Word]) -> int:
     return mask
 
 
+def _masks(query: list[_Word], *word_lists: list[_Word]) -> Iterator[list[int]]:
+    """For each of ``word_lists``, the bitmask of its words that each query
+    word matches: ``_matching`` screens each word once, and only a word that
+    passes is looked up in the query words' keys."""
+    # each key of a query word -> the bitmask of the query words holding it
+    forms, nouns, verbs, synsets, aliases = {}, {}, {}, {}, {}
+    for q, (_, sig) in enumerate(query):
+        if sig.norm:  # a blank word matches nothing
+            for table, keys in ((forms, (sig.norm,)), (nouns, (sig.noun,)), (verbs, (sig.verb,)),
+                                (synsets, sig.synsets), (aliases, sig.aliases)):
+                for key in keys:
+                    table[key] = table.get(key, 0) | 1 << q
+    nouns.pop(None, None)
+    verbs.pop(None, None)
+    for words in word_lists:
+        masks = [0] * len(query)
+        passing = _matching(query, words)
+        while passing:
+            i = passing.bit_length() - 1
+            passing ^= 1 << i
+            sig = words[i][1]
+            hits = forms.get(sig.norm, 0) | nouns.get(sig.noun, 0) | verbs.get(sig.verb, 0)
+            for key in sig.synsets:
+                hits |= synsets.get(key, 0)
+            for key in sig.forms:
+                hits |= aliases.get(key, 0)
+            while hits:
+                q = hits.bit_length() - 1
+                hits ^= 1 << q
+                masks[q] |= 1 << i
+        yield masks
+
+
 def _numbered(texts: list, split: Callable[..., list[str]], lexicon: Lexicon
               ) -> tuple[list[_Word], list[tuple[int, list[int]]]]:
     """The distinct words of ``split(text)`` over ``texts`` with their
@@ -157,17 +190,16 @@ def _numbered(texts: list, split: Callable[..., list[str]], lexicon: Lexicon
 
 
 def _score_regions(regions: list[RegionAnnotation], words: list[_Word],
-                   region_words: list[tuple[int, list[int]]], query: list[_Word],
+                   region_words: list[tuple[int, list[int]]], query: list[_Word], passing: int,
                    cfg: MinerConfig) -> tuple[list[RegionAnnotation], int, list[MatchedWord]]:
     """All regions achieving the maximum match count, when that count
     reaches ``min_region_matches``, with the count and their matched words.
 
     A region's count is the number of its distinct informative words that
-    match some query word: the bits its word mask shares with the mask of
-    the image's matching words. Each matched word of a selected region is
-    paired with the first query word it matches.
+    match some query word: the bits its word mask shares with ``passing``.
+    Each matched word of a selected region is paired with the first query
+    word it matches.
     """
-    passing = _matching(query, words)
     counts = [(mask & passing).bit_count() for mask, _ in region_words]
     best = max(counts, default=0)
     if best < cfg.min_region_matches:
@@ -200,12 +232,11 @@ def _matches(query: list[_Word], word: str, sig: WordSignature
 
 def _score_objects(objects: list[ObjectAnnotation], names: list[_Word],
                    object_names: list[tuple[int, list[int]]],
-                   selected_regions: list[RegionAnnotation], query_nouns: list[_Word],
+                   selected_regions: list[RegionAnnotation], query_nouns: list[_Word], passing: int,
                    cfg: MinerConfig) -> tuple[list[ObjectAnnotation], list[MatchedWord]]:
-    """Objects with a name matching a query noun (inside a selected region
-    when there are any), best condition first, then larger boxes first,
-    greedily deduplicated by IoU."""
-    passing = _matching(query_nouns, names)
+    """Objects with a name matching a query noun (the names in ``passing``),
+    inside a selected region when there are any, best condition first,
+    then larger boxes first, greedily deduplicated by IoU."""
     best_by_name: dict[int, tuple[int, MatchedWord]] = {}
     candidates: list[tuple[ObjectAnnotation, int, MatchedWord]] = []
     for obj, (mask, indices) in zip(objects, object_names):
@@ -248,41 +279,45 @@ def mine(dataset: Dataset, lexicon: Lexicon, cfg: MinerConfig | None = None
     in input triplet order. Counting questions keep only object boxes."""
     cfg = cfg or MinerConfig()
     labels: list[GroundingLabel] = []
-    image_id: object = object()
-    for triplet in dataset.triplets:
-        if triplet.image_id != image_id:  # state for the current image only
-            image_id = triplet.image_id
-            regions = dataset.regions_by_image.get(image_id, [])
-            objects = dataset.objects_by_image.get(image_id, [])
-            words, region_words = _numbered(
-                [r.phrase for r in regions],
-                lambda phrase: informative_words(phrase, lexicon, cfg.stopwords), lexicon)
-            names, object_names = _numbered(
-                [o.names for o in objects],
-                lambda names: [normalize_token(name) for name in names], lexicon)
-        query = _query_words(triplet, lexicon, cfg)
-        query_nouns = [(word, sig) for word, sig in query if sig.noun is not None]
-        selected_regions, best, region_matches = _score_regions(
-            regions, words, region_words, query, cfg)
-        selected_objects, object_matches = _score_objects(
-            objects, names, object_names, selected_regions, query_nouns, cfg)
-        counting = is_counting_question(triplet.question, cfg)
-        region_boxes = [] if counting else [r.box for r in selected_regions]
-        object_boxes = [o.box for o in selected_objects]
-        if not region_boxes and not object_boxes:
-            continue
-        matched: list[MatchedWord] = []
-        for m in region_matches + object_matches:
-            if m not in matched:
-                matched.append(m)
-        labels.append(GroundingLabel(
-            qa_id=triplet.qa_id,
-            region_boxes=region_boxes,
-            object_boxes=object_boxes,
-            is_counting=counting,
-            region_match_count=best,
-            matched_words=matched,
-        ))
+    for image_id, run in groupby(dataset.triplets, key=attrgetter("image_id")):
+        regions = dataset.regions_by_image.get(image_id, [])
+        objects = dataset.objects_by_image.get(image_id, [])
+        words, region_words = _numbered(
+            [r.phrase for r in regions],
+            lambda phrase: informative_words(phrase, lexicon, cfg.stopwords), lexicon)
+        names, object_names = _numbered(
+            [o.names for o in objects],
+            lambda names: [normalize_token(name) for name in names], lexicon)
+        run = list(run)
+        query_words, queries = _numbered(
+            run, lambda triplet: _query_words(triplet, lexicon, cfg), lexicon)
+        word_masks, name_masks = _masks(query_words, words, names)
+        name_masks = [mask if sig.noun is not None else 0
+                      for mask, (_, sig) in zip(name_masks, query_words)]
+        for triplet, (_, numbers) in zip(run, queries):
+            query = [query_words[q] for q in numbers]
+            query_nouns = [(word, sig) for word, sig in query if sig.noun is not None]
+            word_passing = name_passing = 0
+            for q in numbers:
+                word_passing |= word_masks[q]
+                name_passing |= name_masks[q]
+            selected_regions, best, region_matches = _score_regions(
+                regions, words, region_words, query, word_passing, cfg)
+            selected_objects, object_matches = _score_objects(
+                objects, names, object_names, selected_regions, query_nouns, name_passing, cfg)
+            counting = is_counting_question(triplet.question, cfg)
+            region_boxes = [] if counting else [r.box for r in selected_regions]
+            object_boxes = [o.box for o in selected_objects]
+            if not region_boxes and not object_boxes:
+                continue
+            labels.append(GroundingLabel(
+                qa_id=triplet.qa_id,
+                region_boxes=region_boxes,
+                object_boxes=object_boxes,
+                is_counting=counting,
+                region_match_count=best,
+                matched_words=list(dict.fromkeys(region_matches + object_matches)),
+            ))
     return labels
 
 

@@ -53,8 +53,8 @@ class ToyConfig:
                      "glimpses", "num_answers"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < float("inf"):  # NaN fails too
+            raise ValueError("learning_rate must be finite and positive")
         if self.steps < 0:
             raise ValueError("steps must be >= 0")
 

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import tempfile
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vgmine.miner
 from vgmine import __version__
 from vgmine.attention import AttentionMap
 from vgmine.dataset import BoundingBox
@@ -52,6 +54,20 @@ class TestMine:
         assert len(manifest["input_digests"]) == 8
         assert manifest["config"]["iou_threshold"] == 0.5
         assert "doing" not in manifest["config"]["stopwords"]
+
+    def test_reaches_the_miner_names_the_benchmark_tracer_wraps(self, run_cli, tmp_path,
+                                                                 monkeypatch):
+        """The tracer counts ``mine``'s calls through these module names, so
+        code that stops calling them would make those layer metrics read 0."""
+        calls = {}
+        for name in ("informative_words", "tokenize", "normalize_token"):
+            def counted(*args, _name=name, _wrapped=getattr(vgmine.miner, name), **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _wrapped(*args, **kwargs)
+            monkeypatch.setattr(vgmine.miner, name, counted)
+        code, _, err = run_cli(*MINE_ARGS, "--out", tmp_path / "labels.ndjson")
+        assert code == 0, err
+        assert sorted(calls) == ["informative_words", "normalize_token", "tokenize"]
 
     def test_empty_qa_gives_empty_labels_exit_zero(self, run_cli, tmp_path):
         empty_qa = tmp_path / "qa.json"
@@ -436,10 +452,13 @@ class TestTrainToy:
         assert list(tmp_path.iterdir()) == []
 
     def test_invalid_config_exit_2(self, run_cli, tmp_path):
-        code, _, err = run_cli("train-toy", "--learning-rate", 0,
-                               "--metrics-out", tmp_path / "m.csv")
-        assert code == 2
-        assert "learning_rate" in err
+        for rate in (0, "nan", "inf"):
+            code, _, err = run_cli("train-toy", "--learning-rate", rate,
+                                   "--metrics-out", tmp_path / "m.csv")
+            assert code == 2, rate
+            assert "learning_rate must be finite and positive" in err
+            assert "Traceback" not in err and "Warning" not in err
+            assert list(tmp_path.iterdir()) == []
 
 
 class TestRender:
@@ -929,6 +948,26 @@ def _mine_qa_with(key, value, fault):
     return case
 
 
+def _lexicon_file_not_utf8(name, line, byte):
+    """Mine with a copy of the WordNet fixture file or alias file ``name``
+    whose line ``line`` (the last, after its final newline, when None) ends
+    in ``byte``, which is not UTF-8."""
+    def case(tmp_path):
+        wordnet, aliases = tmp_path / "wordnet", tmp_path / "aliases.txt"
+        shutil.copytree(WORDNET_DIR, wordnet)
+        shutil.copyfile(ALIASES, aliases)
+        bad = aliases if name == "aliases.txt" else wordnet / name
+        lines = bad.read_bytes().split(b"\n")
+        at = line or len(lines)
+        lines[at - 1] += byte
+        bad.write_bytes(b"\n".join(lines))
+        argv = [str(a) for a in MINE_ARGS]
+        argv[argv.index("--wordnet-dir") + 1] = str(wordnet)
+        argv[argv.index("--aliases") + 1] = str(aliases)
+        return argv, f"error: {bad}:{at}: not UTF-8 text\n"
+    return case
+
+
 def _qa_with_repeated_qa_id(command):
     """``mine`` or ``rasterize`` on a qa.json with record 0 repeated as record 2."""
     def case(tmp_path):
@@ -1175,6 +1214,9 @@ class TestMalformedInput:
                             "file name '1_g0.pgm' is that of the earlier map (1, 0)"),
         _refs_with_unmatched_row, _with_alike_qa_ids("eval-rank-a"),
         _with_alike_qa_ids("eval-rank-b"), _with_alike_qa_ids("eval-acc"),
+        _lexicon_file_not_utf8("index.noun", None, b"\xe9"),
+        _lexicon_file_not_utf8("noun.exc", 3, b"\xff"),
+        _lexicon_file_not_utf8("aliases.txt", 2, b"\xff"),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -1199,7 +1241,8 @@ class TestMalformedInput:
             "labels-string-is_counting", "labels-string-region_match_count",
             "labels-short-matched_words", "render-qa_id-escapes-out-dir",
             "render-qa_id-with-nul", "render-file-name-collision", "refs-unmatched-short-row",
-            "maps-a-alike-qa_ids", "maps-b-alike-qa_ids", "preds-alike-qa_ids"])
+            "maps-a-alike-qa_ids", "maps-b-alike-qa_ids", "preds-alike-qa_ids",
+            "index-noun-not-utf8", "noun-exc-not-utf8", "aliases-not-utf8"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"

@@ -10,6 +10,7 @@ from vgmine.dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, Re
 from vgmine.lexicon import match_signatures, normalize_token, tokenize
 from vgmine.miner import (
     MinerConfig,
+    _masks,
     _matching,
     informative_words,
     is_counting_question,
@@ -117,6 +118,18 @@ class TestKeyTest:
                 expected |= 1 << i
         assert _matching(signed, [(p, lexicon.signature(p)) for p in probes]) == expected
 
+    @given(query=st.lists(WORD, max_size=6), probes=st.lists(WORD, max_size=6),
+           names=st.lists(WORD, max_size=6))
+    @settings(max_examples=400)
+    def test_mask_of_a_query_word_holds_exactly_the_words_it_matches(self, lexicon, query,
+                                                                     probes, names):
+        signed = [(word, lexicon.signature(word)) for word in query]
+        lists = [[(word, lexicon.signature(word)) for word in words] for words in (probes, names)]
+        for words, masks in zip(lists, _masks(signed, *lists), strict=True):
+            assert masks == [sum(1 << i for i, (_, sig) in enumerate(words)
+                                 if match_signatures(query_sig, sig).matched)
+                             for _, query_sig in signed]
+
 
 class TestSelectRegions:
     def test_fig3a_best_region_wins(self, lexicon, fig3_dataset):
@@ -158,6 +171,14 @@ class TestSelectObjects:
     def test_no_name_matches_gives_empty(self, lexicon):
         objects = [ObjectAnnotation(1, ("tree",), BoundingBox(0, 0, 9, 9))]
         assert _mine_one(lexicon, "Where is the dog?", "street", objects=objects) == []
+
+    def test_names_match_query_nouns_only(self, lexicon):
+        """A query word that is only a verb selects no object, not even one
+        that it names."""
+        dog = ObjectAnnotation(1, ("dog",), BoundingBox(0, 0, 9, 9))
+        eating = ObjectAnnotation(2, ("eating",), BoundingBox(50, 50, 90, 90))
+        [label] = _mine_one(lexicon, "Is the dog eating?", "yes", objects=[dog, eating])
+        assert label.object_boxes == [dog.box]
 
     def test_identical_boxes_collapse_to_one(self, lexicon):
         box = BoundingBox(10, 10, 40, 40)
