@@ -344,16 +344,19 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _with_config_flags(argv: list[str]) -> list[str]:
-    """``argv`` with ``--config PATH`` replaced by the JSON object in PATH as
-    flags right after the command name, checked as typed flags and beaten by
-    a later explicit one. Keys are flag names (dashes or underscores); true
-    gives a bare flag, false none, and a list one argument per entry."""
-    if "--config" not in argv:
+    """``argv`` with ``--config PATH`` (or ``--config=PATH``) replaced by the
+    JSON object in PATH as flags right after the command name, checked as
+    typed flags and beaten by a later explicit one. Keys are flag names
+    (dashes or underscores); true gives a bare flag, false none, and a list
+    one argument per entry."""
+    idx = next((i for i, arg in enumerate(argv) if arg.partition("=")[0] == "--config"), None)
+    if idx is None:
         return argv
-    idx = argv.index("--config")
-    if idx + 1 >= len(argv):
+    _, joined, path = argv[idx].partition("=")
+    end = idx + (1 if joined else 2)
+    if end > len(argv):
         raise InputError("--config requires a path")
-    config_path = _require_file(argv[idx + 1], "config file")
+    config_path = _require_file(path if joined else argv[idx + 1], "config file")
     config = read_json(config_path)
     if not isinstance(config, dict):
         raise InputError(f"{config_path}: expected a JSON object")
@@ -369,7 +372,7 @@ def _with_config_flags(argv: list[str]) -> list[str]:
         elif value is not False:
             raise InputError(f"{config_path}: {key}: a config value must be a string, "
                              f"number, boolean or list, not {value!r}")
-    argv = argv[:idx] + argv[idx + 2:]  # the top-level options exit: argv[0] is the command
+    argv = argv[:idx] + argv[end:]  # the top-level options exit: argv[0] is the command
     return argv[:1] + flags + argv[1:]
 
 

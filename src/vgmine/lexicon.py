@@ -7,8 +7,11 @@ set-disjointness tests.
 
 The lexicon is built from the plain-text WNDB database files (``index.noun``,
 ``index.verb``, ``noun.exc``, ``verb.exc``) plus an optional alias file with
-one comma-separated equivalence class per line. After loading, a Lexicon is
-immutable and safe for concurrent reads.
+one comma-separated equivalence class per line. An index line's counts are
+read from a table of the numerals WordNet writes (int() reads any other
+spelling) and its synset ids are formatted on lookup. A file that is not
+UTF-8 raises ``LexiconError`` naming the line of its first bad byte. After
+loading, a Lexicon is immutable and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -16,13 +19,11 @@ from __future__ import annotations
 import enum
 import logging
 import re
-from collections.abc import Iterator
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .records import InputError
+from .records import InputError, utf8
 
 log = logging.getLogger(__name__)
 
@@ -120,9 +121,11 @@ def _base_form(table: _PosTable, word: str, line: str | None) -> str | None:
 
 
 def _synset_ids(line: str, tag: str) -> list[str]:
-    """The synset ids of one checked index line."""
+    """The synset ids of one checked index line: an offset of eight ASCII
+    digits is its own ``08d`` form; int() reads any other spelling."""
     fields = line.split()
-    return [f"{int(off):08d}{tag}" for off in fields[6 + int(fields[3]):]]
+    return [off + tag if len(off) == 8 and off.isascii() and off.isdigit()
+            else f"{int(off):08d}{tag}" for off in fields[6 + int(fields[3]):]]
 
 
 def _lemma_and_ids(table: _PosTable, word: str) -> tuple[str | None, list[str]]:
@@ -293,22 +296,16 @@ def _count_skipped(path: Path, skipped: list[int], lexicon: Lexicon) -> None:
                     path, len(skipped), skipped[0])
 
 
-@contextmanager
-def _utf8(path: Path) -> Iterator[None]:
-    """Report a file that is not UTF-8 by the line of its first bad byte."""
-    try:
-        yield
-    except UnicodeDecodeError:
-        text = path.read_bytes().decode("utf-8", "surrogateescape")  # bad bytes: U+DC80-DCFF
-        line = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
-        raise LexiconError(f"{path}:{line}: not UTF-8 text") from None
+# The synset and pointer counts as WordNet spells them; int() reads any other
+# spelling (01, +1, a non-ASCII digit, 100).
+_COUNTS = {str(n): n for n in range(100)}
 
 
 def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
     # stores each checked line as text; _synset_ids formats its ids on lookup
     index = lexicon._tables[pos].index
     skipped = []
-    with _utf8(path), open(path, encoding="utf-8") as fp:
+    with utf8(path, LexiconError), open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             fields = line.split()
             if not fields:
@@ -321,8 +318,10 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
                     "(header lines must begin with two spaces)"
                 )
             try:
-                n_synsets = int(fields[2])
-                offsets = fields[6 + int(fields[3]):]
+                n_synsets, pointers = _COUNTS.get(fields[2]), _COUNTS.get(fields[3])
+                if n_synsets is None or pointers is None:
+                    n_synsets, pointers = int(fields[2]), int(fields[3])
+                offsets = fields[6 + pointers:]
                 if n_synsets < 1 or len(offsets) != n_synsets:
                     raise ValueError("synset count mismatch")
                 digits = offsets[0] if n_synsets == 1 else "".join(offsets)
@@ -340,7 +339,7 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
 def _parse_exception_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
     table = lexicon._tables[pos]
     skipped = []
-    with _utf8(path), open(path, encoding="utf-8") as fp:
+    with utf8(path, LexiconError), open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             terms = line.split()
             if not terms:
@@ -384,7 +383,7 @@ def load_aliases(lexicon: Lexicon, path: str | Path) -> Lexicon:
     """
     path = Path(path)
     try:
-        with _utf8(path):
+        with utf8(path, LexiconError):
             text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise LexiconError(f"cannot read alias file {path}: {exc}") from exc
@@ -394,5 +393,8 @@ def load_aliases(lexicon: Lexicon, path: str | Path) -> Lexicon:
         names = [n for n in names if n]
         for name in names:
             group = lexicon.aliases.setdefault(name, set())
-            group.update(other for other in names if other != name)
+            own = name in group  # only in a table given to Lexicon()
+            group.update(names)
+            if not own:
+                group.discard(name)
     return lexicon

@@ -1,12 +1,13 @@
 """Every JSON, NDJSON and CSV file vgmine reads, and every file it writes.
 
 Readers raise ``InputError`` naming the file and the line (NDJSON) or the
-character offset (JSON) of a malformed record. Writers write a sibling
-``<name>.tmp`` staged in the open ``commit`` block, which renames them all
-over their targets only once it completes, so a failed command leaves no
-output. Floats are stored with 9 significant digits for stable diffs.
-``read_pair`` reads two inputs concurrently, with the results and the error
-of reading them in turn.
+character offset (JSON) of a malformed record; a file that is not UTF-8 is
+named with the line of its first bad byte (``utf8``, which the lexicon's
+readers use too). Writers write a sibling ``<name>.tmp`` staged in the open
+``commit`` block, which renames them all over their targets only once it
+completes, so a failed command leaves no output. Floats are stored with 9
+significant digits for stable diffs. ``read_pair`` reads two inputs
+concurrently, with the results and the error of reading them in turn.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import json
 import os
 import pickle
+import re
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
@@ -81,11 +83,24 @@ def string(record: dict, key: str, many: bool = False) -> Any:
     return value
 
 
+@contextmanager
+def utf8(path: Path, error: type[InputError] = InputError) -> Iterator[None]:
+    """A file read as UTF-8 in the block that is not UTF-8 raises ``error``
+    naming the line of its first bad byte."""
+    try:
+        yield
+    except UnicodeDecodeError:
+        text = path.read_bytes().decode("utf-8", "surrogateescape")  # bad bytes: U+DC80-DCFF
+        line = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
+        raise error(f"{path}:{line}: not UTF-8 text") from None
+
+
 def read_json(path: str | Path) -> Any:
     path = Path(path)
     try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+        with utf8(path):
+            text = path.read_text(encoding="utf-8")
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     try:
         return json.loads(text)
@@ -103,7 +118,7 @@ def read_keyed(path: str | Path, decode: Callable[[Any], tuple[Any, Any]],
     path = Path(path)
     records, lines = {}, {}  # lines: printed key -> (key, line)
     try:
-        with open(path, encoding="utf-8") as fp:
+        with utf8(path), open(path, encoding="utf-8") as fp:
             for lineno, line in enumerate(fp, start=1):
                 if not line.strip():
                     continue
@@ -120,7 +135,7 @@ def read_keyed(path: str | Path, decode: Callable[[Any], tuple[Any, Any]],
                              else f"key {key!r} prints as the key {first!r} on line {at}")
                     raise InputError(f"{path}:{lineno}: {fault}")
                 records[key], lines[shown] = value, (key, lineno)
-    except (OSError, UnicodeDecodeError) as exc:
+    except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
     return records
 

@@ -367,6 +367,24 @@ def reference_signature(lex: Lexicon, word: str) -> tuple:
     return norm, lemmas[0], lemmas[1], frozenset(ids), forms, frozenset(aliases)
 
 
+def reference_aliases(texts: list[str]) -> dict[str, set[str]]:
+    """The alias table after loading alias files of these texts in turn, pair
+    by pair: each non-blank name of a line gets an entry, and each ordered
+    pair of different names on one line makes the second an alias of the
+    first."""
+    aliases: dict[str, set[str]] = {}
+    for text in texts:
+        for line in text.splitlines():
+            names = [reference_normalize(part) for part in line.split(",")]
+            for name in names:
+                if name:
+                    aliases.setdefault(name, set())
+                    for other in names:
+                        if other and other != name:
+                            aliases[name].add(other)
+    return aliases
+
+
 # --- literal reference miner ----------------------------------------------
 
 _WORD_CHARS = frozenset("abcdefghijklmnopqrstuvwxyz0123456789")

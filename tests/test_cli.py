@@ -580,6 +580,19 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not out.exists()
 
+    def test_path_after_equals_sign_is_the_same_flag(self, run_cli, tmp_path):
+        config = self._config(tmp_path, {"steps": 40, "learning_rate": 0.5, "seed": 3})
+        metrics, params = tmp_path / "m.csv", tmp_path / "p.ndjson"
+        outputs = []
+        for flags in (["--config", config], [f"--config={config}"]):
+            code, _, err = run_cli("train-toy", *flags, "--metrics-out", metrics,
+                                   "--params-out", params)
+            assert code == 0, err
+            outputs.append({path.name: path.read_bytes() for path in tmp_path.glob("[mp].*")})
+        assert sorted(outputs[0]) == ["m.csv", "m.csv.manifest.json", "p.ndjson"]
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0]["m.csv.manifest.json"])["config"]["steps"] == 40
+
     @pytest.mark.parametrize("value", [None, {"h": 5}, ["a", True]],
                              ids=["null", "object", "list-with-bool"])
     def test_value_of_no_flag_type_names_file_and_key(self, run_cli, tmp_path, value):
@@ -968,6 +981,27 @@ def _lexicon_file_not_utf8(name, line, byte):
     return case
 
 
+def _input_not_utf8(command):
+    """``command`` on a copy of its Fig. 3 input whose byte 0xE9 ends the
+    file after 9,000 blank lines, past the decoder's first 8 KiB chunk."""
+    def case(tmp_path):
+        source = {"rasterize": GOLDEN / "fig3_labels.ndjson",
+                  "eval-rank": GOLDEN / "fig3_maps.ndjson", "mine": FIG3 / "qa.json"}[command]
+        bad = tmp_path / source.name
+        data = source.read_bytes() + b"\n" * 9000 + b"\xe9\n"
+        bad.write_bytes(data)
+        line = data.count(b"\n")
+        if command == "mine":
+            argv = [str(a) for a in MINE_ARGS]
+            argv[argv.index("--qa") + 1] = str(bad)
+        elif command == "rasterize":
+            argv = ["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"]
+        else:  # --maps-a, the file read_pair's child reads
+            argv = ["eval-rank", "--maps-a", bad, "--maps-b", source]
+        return argv, f"error: {bad}:{line}: not UTF-8 text\n"
+    return case
+
+
 def _qa_with_repeated_qa_id(command):
     """``mine`` or ``rasterize`` on a qa.json with record 0 repeated as record 2."""
     def case(tmp_path):
@@ -1216,7 +1250,8 @@ class TestMalformedInput:
         _with_alike_qa_ids("eval-rank-b"), _with_alike_qa_ids("eval-acc"),
         _lexicon_file_not_utf8("index.noun", None, b"\xe9"),
         _lexicon_file_not_utf8("noun.exc", 3, b"\xff"),
-        _lexicon_file_not_utf8("aliases.txt", 2, b"\xff"),
+        _lexicon_file_not_utf8("aliases.txt", 2, b"\xff"), _input_not_utf8("rasterize"),
+        _input_not_utf8("eval-rank"), _input_not_utf8("mine"),
     ], ids=["truncated-labels", "truncated-maps", "preds-without-answer",
             "maps-without-qa_id-eval-rank", "maps-without-qa_id-render",
             "qa-not-json", "qa-record-without-field", "label-without-boxes",
@@ -1242,7 +1277,8 @@ class TestMalformedInput:
             "labels-short-matched_words", "render-qa_id-escapes-out-dir",
             "render-qa_id-with-nul", "render-file-name-collision", "refs-unmatched-short-row",
             "maps-a-alike-qa_ids", "maps-b-alike-qa_ids", "preds-alike-qa_ids",
-            "index-noun-not-utf8", "noun-exc-not-utf8", "aliases-not-utf8"])
+            "index-noun-not-utf8", "noun-exc-not-utf8", "aliases-not-utf8",
+            "labels-not-utf8", "maps-a-not-utf8", "qa-not-utf8"])
     def test_exit_2_names_file_and_line(self, run_cli, tmp_path, case):
         argv, expected = case(tmp_path)
         out = tmp_path / "out"

@@ -17,8 +17,8 @@ from vgmine.lexicon import (
 )
 
 from conftest import ALIASES, WORDNET_DIR
-from oracles import (reference_index_file, reference_normalize, reference_signature,
-                     reference_words_match)
+from oracles import (reference_aliases, reference_index_file, reference_normalize,
+                     reference_signature, reference_words_match)
 
 VOCAB = st.sampled_from([
     "man", "men", "person", "people", "car", "cars", "automobile", "dog",
@@ -60,10 +60,17 @@ class TestNormalizeToken:
 # with odd counts and offsets, one lemma in several cases, lines in any
 # order. The separators include characters that str.split() treats as
 # whitespace but that do not end a line read from a file (\x1c, \x85,
-# \u2028), and "\r\n", which does.
+# \u2028), and "\r\n", which does. Counts are also spelled as WordNet
+# never writes them but int() reads them (01, +1, Arabic-Indic digits), and
+# some eight-character offsets are not eight ASCII digits.
 _INDEX_LEMMAS = st.sampled_from(["dog", "Dog", "DOG", "hot_dog", "car", "\u0130"])
 _INDEX_OFFSETS = st.sampled_from(["02084071", "5", "+5", "-3", "1_0", "\u0663", "\u00b2",
-                                  "x", "0" * 700, "1" * 4301])
+                                  "x", "0" * 700, "1" * 4301, "\u0663" * 8, "+0000005",
+                                  "0208407\u0661"])
+_ARABIC_INDIC = str.maketrans("0123456789", "\u0660\u0661\u0662\u0663\u0664"
+                                            "\u0665\u0666\u0667\u0668\u0669")
+_COUNT_SPELLINGS = st.sampled_from([str, "0{}".format, "+{}".format,
+                                    lambda count: str(count).translate(_ARABIC_INDIC)])
 _INDEX_SEPARATORS = st.sampled_from([" ", " ", " ", "\t", "\x1c", "\x85", "\u2028", "\r\n"])
 
 
@@ -75,7 +82,8 @@ def _index_entry(draw):
     if draw(st.booleans()):  # a count that does not fit the entry
         n_synsets = draw(st.sampled_from([n_synsets, n_synsets + 1, 0, "x"]))
         n_pointers = draw(st.sampled_from([n_pointers, -1, -2, n_pointers + 1]))
-    fields = [draw(_INDEX_LEMMAS), "n", str(n_synsets), str(n_pointers), *pointers,
+    spell = draw(_COUNT_SPELLINGS)
+    fields = [draw(_INDEX_LEMMAS), "n", spell(n_synsets), spell(n_pointers), *pointers,
               str(n_synsets), "0", *offsets]
     fields = fields[:draw(st.integers(1, len(fields)))] if draw(st.booleans()) else fields
     text = fields[0]
@@ -178,6 +186,7 @@ class TestLoadWordnet:
     @example(noun="dog n 1 0\x1c1 0 02084071\n", verb="")
     @example(noun="dog n 1 0 1 0 1\u20282\n", verb="walk v 1 0 1 0 01904930\x85\n")
     @example(noun="dog n 1 0 1 0 " + "1" * 4301 + "\n", verb="")
+    @example(noun="dog n 1 100 " + "@ " * 100 + "1 0 02084071\n", verb="")
     @settings(max_examples=150)
     def test_index_files_parse_as_the_eager_reference(self, wordnet_dir, noun, verb):
         files = {Pos.NOUN: wordnet_dir / "index.noun", Pos.VERB: wordnet_dir / "index.verb"}
@@ -199,7 +208,38 @@ class TestLoadWordnet:
         assert lex.skipped_lines == sum(skipped for _, skipped in expected.values())
 
 
+# Alias file text: names that normalize alike ("TV", " tv."), duplicates and
+# blank parts on one line, lines repeated, and separators that splitlines()
+# ends a line at.
+_ALIAS_NAMES = st.sampled_from(["TV", " tv.", "tv", "television", "Man", "man", "men",
+                                ". ' People", "people", "hot  dog", "Hot Dog", "", " ", "."])
+_ALIAS_LINES = st.one_of(
+    st.lists(_ALIAS_NAMES, max_size=5).map(",".join),
+    st.sampled_from(["TV, television", "man, men, man, Man", "tv, TV"]),
+)
+_ALIAS_TEXT = st.builds(lambda lines, end: end.join(lines) + end,
+                        st.lists(_ALIAS_LINES, max_size=6),
+                        st.sampled_from(["\n", "\r\n", "\x1c"]))
+
+
+@pytest.fixture(scope="module")
+def alias_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("aliases")
+
+
 class TestLoadAliases:
+    @given(texts=st.lists(_ALIAS_TEXT, min_size=1, max_size=2))
+    @example(texts=["TV, tv, TV\n, ,\n", "TV, television\n TV.\n"])
+    @settings(max_examples=200)
+    def test_equals_the_pairwise_reference(self, alias_dir, texts):
+        lex = Lexicon()
+        for i, text in enumerate(texts):
+            path = alias_dir / f"aliases{i}.txt"
+            path.write_bytes(text.encode("utf-8"))
+            load_aliases(lex, path)
+        assert lex.aliases == reference_aliases(texts)
+        assert not [name for name, group in lex.aliases.items() if name in group]
+
     def test_line_becomes_mutual_aliases(self, lexicon):
         assert {"person", "people"} <= lexicon.aliases["man"]
         assert {"man", "people"} <= lexicon.aliases["person"]
