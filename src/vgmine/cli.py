@@ -8,11 +8,20 @@ digests, tool version), and prints the command's summary line only once the
 block has completed; equal inputs and flags give byte-identical outputs.
 ``eval-rank`` reads its two maps files concurrently (``records.read_pair``),
 with the same outputs and errors as reading them in turn.
+
+``main`` runs the whole command (parse, run, commit) with Python's cyclic
+garbage collector switched off and leaves it on or off as it found it, on
+every exit. The records a command keeps (named tuples, slot objects, dicts,
+lists and arrays) hold no reference cycle, so reference counting frees them,
+and the collector would only walk them again and again while they grow. The
+one cyclic garbage a command makes is its argparse parser, the same few
+hundred objects for any input; the caller's collector takes it later.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import traceback
 from dataclasses import asdict
@@ -378,6 +387,8 @@ def _with_config_flags(argv: list[str]) -> list[str]:
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    enabled = gc.isenabled()
+    gc.disable()
     try:
         args = build_parser().parse_args(_with_config_flags(argv))
         with commit():
@@ -398,6 +409,9 @@ def main(argv: list[str] | None = None) -> int:
     except Exception:  # pragma: no cover - internal errors
         traceback.print_exc()
         return 1
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -377,6 +377,9 @@ def make_synthetic(cfg: ToyConfig, n: int, seed: int) -> list[ToySample]:
     if cfg.image_channels < cfg.num_answers + 1:
         raise ValueError("need image_channels >= num_answers + 1 for the "
                          "planted class signal")
+    if cfg.cells < 2:  # the one box of a 1x1 grid is the whole grid
+        raise ValueError("need grid_h * grid_w >= 2 for a planted box that is "
+                         "a proper sub-grid")
     rng = np.random.default_rng(seed)
     h, w = cfg.grid_h, cfg.grid_w
     samples = []

@@ -1,3 +1,4 @@
+import contextlib
 import os
 import signal
 import sys
@@ -51,6 +52,22 @@ def no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raises ``TimeoutError`` in the body once it has run ``seconds``, so
+    that a test of code that hangs fails instead."""
+    def timeout(*_):
+        raise TimeoutError(f"not finished within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, timeout)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 @pytest.fixture(params=[1, 2], ids=["one-cpu", "two-cpus"])
 def cpus(request, monkeypatch):
     """``records.read_pair`` with one usable CPU (reads in turn) or two (one
@@ -60,12 +77,5 @@ def cpus(request, monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(request.param)),
                         raising=False)
     monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
-
-    def timeout(*_):
-        raise TimeoutError("not finished within 60 s")
-
-    previous = signal.signal(signal.SIGALRM, timeout)
-    signal.alarm(60)
-    yield request.param, forks
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
+    with time_limit(60):
+        yield request.param, forks

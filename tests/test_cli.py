@@ -1,4 +1,6 @@
+import ast
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -21,7 +23,8 @@ from vgmine import __version__
 from vgmine.attention import AttentionMap
 from vgmine.dataset import BoundingBox
 
-from conftest import ALIASES, FIG3, GOLDEN, WORDNET_DIR, no_child_left
+from conftest import ALIASES, FIG3, GOLDEN, WORDNET_DIR, no_child_left, time_limit
+from corpusgen import dense_corpus
 from oracles import (brute_force_rasterize, pgm_reference, reference_eval_rank,
                      reference_maps_lines)
 
@@ -1305,9 +1308,12 @@ class TestMalformedInput:
     @pytest.mark.parametrize("flags,message", [
         (["--samples", 0], "n must be >= 1"),
         (["--channels", 4], "need image_channels >= num_answers + 1"),
-    ], ids=["samples-0", "channels-below-answers"])
+        (["--grid", 1, 1], "need grid_h * grid_w >= 2"),
+    ], ids=["samples-0", "channels-below-answers", "grid-1x1"])
     def test_train_toy_bad_data_flags_exit_2(self, run_cli, tmp_path, flags, message):
-        code, _, err = run_cli("train-toy", *flags, "--metrics-out", tmp_path / "m.csv")
+        with time_limit(10):  # a 1x1 grid drew planted boxes forever
+            code, _, err = run_cli("train-toy", *flags, "--steps", 5,
+                                   "--metrics-out", tmp_path / "m.csv")
         assert code == 2
         assert message in err
         assert "Traceback" not in err
@@ -1485,3 +1491,137 @@ def test_fuzzed_corpus_exits_0_or_2_and_leaves_no_partial_output(data):
         assert "Traceback" not in stderr.getvalue()
         left = {p.name for p in Path(tmp).iterdir()} - {f"{kind}.json" for kind in files}
         assert left == ({out.name, out.name + ".manifest.json"} if code == 0 else set())
+
+
+# --- the paused collector --------------------------------------------------
+
+@pytest.fixture()
+def collector():
+    """Gives the collector back enabled, as the test session runs it."""
+    yield
+    gc.enable()
+
+
+def _acc_command(monkeypatch, body):
+    """``eval-acc`` with its command replaced by ``body``; returns its argv."""
+    def command(args):
+        body()
+        return None, {}, [], "done"
+
+    monkeypatch.setattr("vgmine.cli.cmd_eval_acc", command)
+    return ["eval-acc", "--preds", "p", "--refs", "r"]
+
+
+def _raise():
+    raise RuntimeError("boom")
+
+
+class TestPausedCollector:
+    def test_command_runs_with_the_collector_off(self, run_cli, monkeypatch, collector):
+        seen = []
+        code, out, _ = run_cli(*_acc_command(monkeypatch, lambda: seen.append(gc.isenabled())))
+        assert (code, out, seen) == (0, "done\n", [False])
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    @pytest.mark.parametrize("argv,exit_code", [
+        (lambda mp: _acc_command(mp, lambda: None), 0),
+        (lambda mp: ["eval-acc", "--preds", "missing.ndjson", "--refs", "missing.ndjson"], 2),
+        (lambda mp: _acc_command(mp, _raise), 1),
+        (lambda mp: ["--help"], 0),
+        (lambda mp: ["mine", "--no-such-flag"], 2),
+    ], ids=["exit-0", "exit-2", "exit-1-raises", "help", "unknown-flag"])
+    def test_main_leaves_the_collector_as_it_found_it(self, run_cli, monkeypatch, collector,
+                                                       enabled, argv, exit_code):
+        (gc.enable if enabled else gc.disable)()
+        code, _, _ = run_cli(*argv(monkeypatch))
+        assert code == exit_code
+        assert gc.isenabled() is enabled
+
+    def test_only_the_cli_imports_gc(self):
+        package = Path(vgmine.miner.__file__).parent
+        importers = set()
+        for path in package.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text())):
+                names = ([a.name for a in node.names] if isinstance(node, ast.Import)
+                         else [node.module] if isinstance(node, ast.ImportFrom) else [])
+                if "gc" in names:
+                    importers.add(path.name)
+        assert importers == {"cli.py"}
+
+
+def _xywh(box, keys):
+    return dict(zip(keys, (box.x_min, box.y_min, box.x_max - box.x_min + 1,
+                           box.y_max - box.y_min + 1)))
+
+
+def _write_corpus(directory, copies):
+    """``copies`` seeded ``dense_corpus`` datasets side by side, with their
+    image and record ids made distinct, as the three corpus JSON files."""
+    regions, objects, qa = [], [], []
+    for copy in range(copies):
+        dataset, offset = dense_corpus(np.random.default_rng(copy)), 10_000 * copy
+        for image_id, anns in dataset.regions_by_image.items():
+            regions.append({"image_id": image_id + offset, "regions": [
+                {"region_id": r.region_id + offset, "phrase": r.phrase,
+                 **_xywh(r.box, ("x", "y", "width", "height"))} for r in anns]})
+        for image_id, anns in dataset.objects_by_image.items():
+            objects.append({"image_id": image_id + offset, "objects": [
+                {"object_id": o.object_id + offset, "names": list(o.names),
+                 **_xywh(o.box, ("x", "y", "w", "h"))} for o in anns]})
+        qa += [{**t._asdict(), "image_id": t.image_id + offset, "qa_id": t.qa_id + offset}
+               for t in dataset.triplets]
+    for name, payload in (("regions", regions), ("objects", objects), ("qa", qa)):
+        (directory / f"{name}.json").write_text(json.dumps(payload))
+
+
+def _random_maps(path, rng, count):
+    return _ndjson(path, [{"qa_id": i, "glimpse": 0, "h": 14, "w": 14, "mask": True,
+                           "values": rng.random(196).tolist()} for i in range(count)])
+
+
+def _scaled_commands(directory, copies):
+    """Every command's argv on inputs that grow with ``copies``."""
+    _write_corpus(directory, copies)
+    rng = np.random.default_rng(copies)
+    maps_a = _random_maps(directory / "a.ndjson", rng, 20 * copies)
+    maps_b = _random_maps(directory / "b.ndjson", rng, 20 * copies)
+    preds = _ndjson(directory / "preds.ndjson",
+                    [{"qa_id": i, "answer": "yes"} for i in range(20 * copies)])
+    refs = _ndjson(directory / "refs.ndjson",
+                   [{"qa_id": i, "answers": ["yes", "no"] * 5} for i in range(20 * copies)])
+    labels, out = directory / "labels.ndjson", directory / "out"
+    return {
+        "mine": ["mine", "--regions", directory / "regions.json",
+                 "--objects", directory / "objects.json", "--qa", directory / "qa.json",
+                 "--wordnet-dir", WORDNET_DIR, "--aliases", ALIASES, "--out", labels,
+                 "--min-region-matches", 1],
+        "rasterize": ["rasterize", "--labels", labels, "--qa", directory / "qa.json",
+                      "--out", out],
+        "eval-rank": ["eval-rank", "--maps-a", maps_a, "--maps-b", maps_b, "--out", out],
+        "eval-acc": ["eval-acc", "--preds", preds, "--refs", refs, "--out", out],
+        "train-toy": ["train-toy", "--samples", 8 * copies, "--steps", 20,
+                      "--metrics-out", out],
+        "render": ["render", "--maps", maps_a, "--out-dir", directory / "pgm"],
+    }
+
+
+def test_cyclic_garbage_per_command_does_not_grow_with_the_input(tmp_path, collector):
+    """The collector is paused during a command because what a command keeps
+    is freed by reference counting; the cyclic garbage it leaves (argparse's
+    parser) is the same for inputs 4x larger. ``mine`` runs first, since
+    ``rasterize`` reads its labels."""
+    from vgmine.cli import main
+
+    garbage = {1: {}, 4: {}}
+    for copies, counts in garbage.items():
+        directory = tmp_path / f"x{copies}"
+        directory.mkdir()
+        for name, argv in _scaled_commands(directory, copies).items():
+            gc.disable()
+            gc.collect()
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main([str(a) for a in argv])
+            assert code == 0, name
+            counts[name] = gc.collect()
+    assert garbage[4] == garbage[1]

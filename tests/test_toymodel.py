@@ -36,6 +36,7 @@ from vgmine.toymodel import (
     write_params,
 )
 
+from conftest import time_limit
 from oracles import finite_difference_check, random_toy_pair, reference_params_lines
 
 CFG = ToyConfig()
@@ -207,6 +208,15 @@ class TestMakeSynthetic:
         # the planted +1 signal shifts in-box cells far above the noise scale
         assert channel[inside].mean() > 0.5
         assert abs(channel[~inside].mean()) < 0.5
+
+    def test_single_cell_grid_rejected(self):
+        """The one box of a 1x1 grid is the whole grid, so no proper sub-grid
+        can be planted; a 1x2 grid has two."""
+        with time_limit(10):
+            with pytest.raises(ValueError, match=r"grid_h \* grid_w >= 2"):
+                make_synthetic(dataclasses.replace(CFG, grid_h=1, grid_w=1), 1, seed=0)
+            sample = make_synthetic(dataclasses.replace(CFG, grid_h=1, grid_w=2), 1, seed=0)[0]
+        assert sorted(sample.supervision.glimpses[0].values.ravel()) == [0.0, 1.0]
 
 
 @pytest.fixture(scope="module")
