@@ -60,6 +60,20 @@ from .toymodel import (
 )
 
 
+# the names in the library's invalid-value messages -> the flags that set them
+_FLAGS = {"iou_threshold": "--iou-threshold", "min_region_matches": "--min-region-matches",
+          "n": "--samples", "steps": "--steps", "learning_rate": "--learning-rate",
+          "question_dim": "--question-dim", "image_channels": "--channels", "grid_h": "--grid",
+          "grid_w": "--grid", "glimpses": "--glimpses", "num_answers": "--answers",
+          "alpha": "--alpha-value", "t_max": "--t-max"}
+
+
+def _flag_error(exc: ValueError) -> InputError:
+    """``exc``'s message prefixed with the flags it names."""
+    flags = ", ".join(dict.fromkeys(_FLAGS[word] for word in str(exc).split() if word in _FLAGS))
+    return InputError(f"{flags}: {exc}" if flags else str(exc))
+
+
 def _require_file(path: str, kind: str) -> Path:
     p = Path(path)
     if not p.is_file():
@@ -88,7 +102,7 @@ def _miner_config(args: argparse.Namespace) -> MinerConfig:
             **lists,
         )
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise _flag_error(exc) from exc
 
 
 def cmd_mine(args: argparse.Namespace) -> tuple:
@@ -235,7 +249,7 @@ def cmd_train_toy(args: argparse.Namespace) -> tuple:
                             fixed_value=args.alpha_value)
         data = make_synthetic(cfg, args.samples, seed=args.data_seed)
     except ValueError as exc:
-        raise InputError(str(exc)) from exc
+        raise _flag_error(exc) from exc
 
     params, metrics = train(data, cfg, schedule)
     write_metrics(metrics, args.metrics_out)

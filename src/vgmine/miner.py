@@ -16,13 +16,13 @@ Words are compared through their compiled ``WordSignature`` (see
 ``vgmine.lexicon``). ``mine`` takes one image run (the consecutive triplets
 of one image) at a time and numbers the distinct informative words of its
 phrases (each distinct phrase is read once), its distinct object names and
-its distinct query words. Each numbered word is screened once per run
-against the key sets of all its query words, which gives each query word
-the mask of the words it matches. A triplet ORs the masks of its query
-words (of its nouns for object names), a region's count is the popcount of
-its mask AND that, and ``match_signatures`` runs only for the passing words
-of selected regions and matching objects. Only the current run's state is
-kept.
+its distinct query words. ``_masks`` screens each numbered word once
+against dicts from the keys of all the run's query words, which gives each
+query word the mask of the words it matches. A triplet ORs the masks of its
+query words (of its nouns for object names), a region's count is the
+popcount of its mask AND that, and ``match_signatures`` runs only for the
+passing words of selected regions and matching objects. Only the current
+run's state is kept.
 """
 
 from __future__ import annotations
@@ -107,37 +107,12 @@ def _query_words(triplet: QaTriplet, lexicon: Lexicon, cfg: MinerConfig) -> list
                               + informative_words(triplet.answer, lexicon, cfg.stopwords)))
 
 
-def _matching(query: list[_Word], words: list[_Word]) -> int:
-    """The bitmask of ``words`` that match some query word, with
-    ``match_signatures``' rules turned around: the query's normalized
-    forms, noun and verb lemmas, synset ids and alias names are collected
-    once, and each word is then tested by set lookups only."""
-    forms, nouns, verbs = set(), set(), set()
-    synsets: set[str] = set()
-    aliases: set[str] = set()
-    for _, sig in query:
-        if sig.norm:  # a blank word matches nothing
-            forms.add(sig.norm)
-            nouns.add(sig.noun)
-            verbs.add(sig.verb)
-            synsets.update(sig.synsets)
-            aliases.update(sig.aliases)
-    nouns.discard(None)
-    verbs.discard(None)
-    mask = 0
-    # a blank word needs no test of its own: its signature has no keys
-    for i, (_, sig) in enumerate(words):
-        if (sig.norm in forms or sig.noun in nouns or sig.verb in verbs
-                or not synsets.isdisjoint(sig.synsets)
-                or not aliases.isdisjoint(sig.forms)):
-            mask |= 1 << i
-    return mask
-
-
 def _masks(query: list[_Word], *word_lists: list[_Word]) -> Iterator[list[int]]:
     """For each of ``word_lists``, the bitmask of its words that each query
-    word matches: ``_matching`` screens each word once, and only a word that
-    passes is looked up in the query words' keys."""
+    word matches, with ``match_signatures``' rules turned around: each word
+    is screened once against the keys of the query words (normalized forms,
+    noun and verb lemmas, synset ids, alias names), and only a word that
+    passes is looked up in them."""
     # each key of a query word -> the bitmask of the query words holding it
     forms, nouns, verbs, synsets, aliases = {}, {}, {}, {}, {}
     for q, (_, sig) in enumerate(query):
@@ -148,13 +123,15 @@ def _masks(query: list[_Word], *word_lists: list[_Word]) -> Iterator[list[int]]:
                     table[key] = table.get(key, 0) | 1 << q
     nouns.pop(None, None)
     verbs.pop(None, None)
+    synset_keys, alias_keys = synsets.keys(), aliases.keys()
     for words in word_lists:
         masks = [0] * len(query)
-        passing = _matching(query, words)
-        while passing:
-            i = passing.bit_length() - 1
-            passing ^= 1 << i
-            sig = words[i][1]
+        # a blank word needs no test of its own: its signature has no keys
+        for i, (_, sig) in enumerate(words):
+            if not (sig.norm in forms or sig.noun in nouns or sig.verb in verbs
+                    or not synset_keys.isdisjoint(sig.synsets)
+                    or not alias_keys.isdisjoint(sig.forms)):
+                continue
             hits = forms.get(sig.norm, 0) | nouns.get(sig.noun, 0) | verbs.get(sig.verb, 0)
             for key in sig.synsets:
                 hits |= synsets.get(key, 0)

@@ -3,17 +3,19 @@
 Everything here recomputes results through a different route than the
 library: per-cell coverage tests instead of array slicing, literal
 pair-enumeration mining instead of the pipeline, plain summation loops
-instead of vectorized math. The reference miner shares the Lexicon queries
-with the code under test; the word-match predicate itself is checked
-against ``reference_words_match``, which spells it out from morphy, synsets
-and the alias table instead of the compiled word signatures, and each
-compiled signature against ``reference_signature``, which reads the index
-lines, exception lists and alias table itself.
+instead of vectorized math. The word-match predicate is checked against
+``reference_words_match``, which spells it out from morphy, synsets and the
+alias table instead of the compiled word signatures, and each compiled
+signature against ``reference_signature``, which reads the index lines,
+exception lists and alias table itself. The reference miner shares only
+the Lexicon's tables with the code under test: it reads each word through
+``reference_signature`` and applies the match rules to those tuples.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import json
 import math
@@ -414,25 +416,38 @@ def _ref_tokens(text: str) -> list[str]:
     return tokens
 
 
-def _ref_informative(text: str, lex: Lexicon, cfg: MinerConfig,
-                     nouns_only: bool = False) -> list[str]:
+def _ref_condition(s1: tuple, s2: tuple) -> MatchCondition:
+    """The first rule that holds between two ``reference_signature`` tuples,
+    in the order RAW < LEMMA < SYNSET < ALIAS."""
+    norm1, noun1, verb1, ids1, _, aliases1 = s1
+    norm2, noun2, verb2, ids2, forms2, _ = s2
+    if not norm1 or not norm2:
+        return MatchCondition.NONE
+    if norm1 == norm2:
+        return MatchCondition.RAW
+    if (noun1 is not None and noun1 == noun2) or (verb1 is not None and verb1 == verb2):
+        return MatchCondition.LEMMA
+    if ids1 & ids2:
+        return MatchCondition.SYNSET
+    if aliases1 & set(forms2):
+        return MatchCondition.ALIAS
+    return MatchCondition.NONE
+
+
+def _ref_informative(text: str, sig, cfg: MinerConfig, nouns_only: bool = False) -> list[str]:
     words = []
     for token in _ref_tokens(text):
         if token in words or token in cfg.stopwords:
             continue
-        if nouns_only:
-            known = lex.morphy(token, Pos.NOUN) is not None
-        else:
-            known = (lex.morphy(token, Pos.NOUN) is not None
-                     or lex.morphy(token, Pos.VERB) is not None)
-        if known:
+        _, noun, verb, *_ = sig(token)
+        if noun is not None or (verb is not None and not nouns_only):
             words.append(token)
     return words
 
 
-def _ref_query(triplet, lex, cfg, nouns_only=False):
-    words = _ref_informative(triplet.question, lex, cfg, nouns_only)
-    for w in _ref_informative(triplet.answer, lex, cfg, nouns_only):
+def _ref_query(triplet, sig, cfg, nouns_only=False):
+    words = _ref_informative(triplet.question, sig, cfg, nouns_only)
+    for w in _ref_informative(triplet.answer, sig, cfg, nouns_only):
         if w not in words:
             words.append(w)
     return words
@@ -451,21 +466,23 @@ def _ref_iou(a, b) -> float:
 
 def reference_mine(dataset: Dataset, lex: Lexicon, cfg: MinerConfig) -> list[dict]:
     """Enumerate every (annotation word x query word) pair and apply the
-    selection, containment, IoU, and counting rules literally."""
+    selection, containment, IoU, and counting rules literally. Words are
+    read through ``reference_signature``, each distinct word once."""
+    sig = functools.cache(lambda word: reference_signature(lex, word))
     out = []
     for triplet in dataset.triplets:
         regions = dataset.regions_by_image.get(triplet.image_id, [])
         objects = dataset.objects_by_image.get(triplet.image_id, [])
-        query = _ref_query(triplet, lex, cfg)
+        query = _ref_query(triplet, sig, cfg)
 
         region_results = []
         for region in regions:
             matches = []
-            for ann_word in _ref_informative(region.phrase, lex, cfg):
+            for ann_word in _ref_informative(region.phrase, sig, cfg):
                 for q_word in query:
-                    res = lex.words_match(q_word, ann_word)
-                    if res.matched:
-                        matches.append((q_word, ann_word, res.condition.name.lower()))
+                    condition = _ref_condition(sig(q_word), sig(ann_word))
+                    if condition is not MatchCondition.NONE:
+                        matches.append((q_word, ann_word, condition.name.lower()))
                         break
             region_results.append((region, matches))
         best = max((len(m) for _, m in region_results), default=0)
@@ -474,7 +491,7 @@ def reference_mine(dataset: Dataset, lex: Lexicon, cfg: MinerConfig) -> list[dic
         else:
             selected = []
 
-        query_nouns = _ref_query(triplet, lex, cfg, nouns_only=True)
+        query_nouns = _ref_query(triplet, sig, cfg, nouns_only=True)
         candidates = []
         for obj in objects:
             best_cond = None
@@ -482,11 +499,11 @@ def reference_mine(dataset: Dataset, lex: Lexicon, cfg: MinerConfig) -> list[dic
             for name in obj.names:
                 name_n = reference_normalize(name)
                 for q_word in query_nouns:
-                    res = lex.words_match(q_word, name_n)
-                    if res.matched and (best_cond is None
-                                        or res.condition.value < best_cond):
-                        best_cond = res.condition.value
-                        best_match = (q_word, name_n, res.condition.name.lower())
+                    condition = _ref_condition(sig(q_word), sig(name_n))
+                    if condition is not MatchCondition.NONE and (
+                            best_cond is None or condition.value < best_cond):
+                        best_cond = condition.value
+                        best_match = (q_word, name_n, condition.name.lower())
             if best_cond is None:
                 continue
             if selected:

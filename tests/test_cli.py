@@ -1306,16 +1306,34 @@ class TestMalformedInput:
         assert sorted(tmp_path.rglob("*")) == before
 
     @pytest.mark.parametrize("flags,message", [
-        (["--samples", 0], "n must be >= 1"),
-        (["--channels", 4], "need image_channels >= num_answers + 1"),
-        (["--grid", 1, 1], "need grid_h * grid_w >= 2"),
-    ], ids=["samples-0", "channels-below-answers", "grid-1x1"])
+        (["--samples", 0], "--samples: n must be >= 1"),
+        (["--channels", 4], "--channels, --answers: need image_channels >= num_answers + 1"),
+        (["--grid", 1, 1], "--grid: need grid_h * grid_w >= 2"),
+        (["--grid", 0, 3], "--grid: grid_h must be >= 1"),
+        (["--answers", 0], "--answers: num_answers must be >= 1"),
+        (["--question-dim", 0], "--question-dim: question_dim must be >= 1"),
+        (["--t-max", 0], "--t-max: t_max must be >= 1"),
+        (["--alpha-mode", "fixed", "--alpha-value", 2], "--alpha-value: fixed alpha must be"),
+    ], ids=["samples-0", "channels-below-answers", "grid-1x1", "grid-0", "answers-0",
+            "question-dim-0", "t-max-0", "alpha-value-2"])
     def test_train_toy_bad_data_flags_exit_2(self, run_cli, tmp_path, flags, message):
         with time_limit(10):  # a 1x1 grid drew planted boxes forever
             code, _, err = run_cli("train-toy", *flags, "--steps", 5,
                                    "--metrics-out", tmp_path / "m.csv")
         assert code == 2
-        assert message in err
+        assert f"error: {message}" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("flags,message", [
+        (["--iou-threshold", 0], "--iou-threshold: iou_threshold must be in (0, 1]"),
+        (["--iou-threshold", 1.5], "--iou-threshold: iou_threshold must be in (0, 1]"),
+        (["--min-region-matches", 0], "--min-region-matches: min_region_matches must be >= 1"),
+    ], ids=["iou-threshold-0", "iou-threshold-1.5", "min-region-matches-0"])
+    def test_mine_bad_config_flags_exit_2(self, run_cli, tmp_path, flags, message):
+        code, _, err = run_cli(*MINE_ARGS, *flags, "--out", tmp_path / "labels.ndjson")
+        assert code == 2
+        assert f"error: {message}" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 

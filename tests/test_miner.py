@@ -7,11 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vgmine.dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
-from vgmine.lexicon import match_signatures, normalize_token, tokenize
+from vgmine.lexicon import Lexicon, MatchCondition, match_signatures, normalize_token, tokenize
 from vgmine.miner import (
     MinerConfig,
     _masks,
-    _matching,
     informative_words,
     is_counting_question,
     label_to_dict,
@@ -106,17 +105,33 @@ class TestMatchCount:
         assert label.region_match_count == 1
 
 
+# one query/probe pair per match rule, each matching by that rule alone
+RULE_PAIRS = [
+    ("raw", "zork", "zork", MatchCondition.RAW),  # no index entry
+    ("noun-lemma", "children", "childs", MatchCondition.LEMMA),  # exceptions, base unindexed
+    ("verb-lemma", "went", "gone", MatchCondition.LEMMA),
+    ("synset", "car", "auto", MatchCondition.SYNSET),
+    ("alias", "tv", "telly", MatchCondition.ALIAS),
+]
+RULE_LEXICON = Lexicon(
+    noun_index={"car": "car n 1 0 1 0 02958343\n", "auto": "auto n 1 0 1 0 02958343\n"},
+    noun_exceptions={"children": "child", "childs": "child"},
+    verb_exceptions={"went": "go", "gone": "go"},
+    aliases={"tv": {"telly"}, "telly": {"tv"}},
+)
+# every rule's probe, then a blank, a punctuation-only and an unknown word
+RULE_PROBES = [probe for _, _, probe, _ in RULE_PAIRS] + ["", "?", "qzxv"]
+
+
 class TestKeyTest:
-    @given(query=st.lists(WORD, max_size=6), probes=st.lists(WORD, max_size=6))
-    @settings(max_examples=400)
-    def test_bit_set_exactly_when_some_query_word_matches(self, lexicon, query, probes):
-        signed = [(word, lexicon.signature(word)) for word in query]
-        expected = 0
-        for i, probe in enumerate(probes):
-            probe_sig = lexicon.signature(probe)
-            if any(match_signatures(sig, probe_sig).matched for _, sig in signed):
-                expected |= 1 << i
-        assert _matching(signed, [(p, lexicon.signature(p)) for p in probes]) == expected
+    @pytest.mark.parametrize("rule", range(len(RULE_PAIRS)),
+                             ids=[name for name, *_ in RULE_PAIRS])
+    def test_each_rule_alone_sets_its_probe_bit(self, rule):
+        _, query, probe, condition = RULE_PAIRS[rule]
+        sig = RULE_LEXICON.signature
+        assert match_signatures(sig(query), sig(probe)).condition is condition
+        [masks] = _masks([(query, sig(query))], [(p, sig(p)) for p in RULE_PROBES])
+        assert masks == [1 << rule]
 
     @given(query=st.lists(WORD, max_size=6), probes=st.lists(WORD, max_size=6),
            names=st.lists(WORD, max_size=6))
