@@ -196,23 +196,29 @@ def kl_rows(p: np.ndarray, q: np.ndarray, support: np.ndarray) -> np.ndarray:
 
 def midranks(values: np.ndarray) -> np.ndarray:
     """Ranks 1..n along each row of a (rows, n) array, ties given their
-    average (midrank). After a stable sort each run of equal values spans
-    sorted positions start..end, found by running max/min over the run
-    boundaries, and every member gets 0.5 * (start + end) + 1."""
+    average (midrank). The rows are sorted with numpy's default (unstable)
+    argsort and read through flat indices; each run of equal values starts
+    where a sorted value differs from its predecessor or a row begins, its
+    length is the distance to the next start, and every member of a run of
+    length L starting at row position s gets s + (L + 1) / 2. A midrank does
+    not depend on the order of tied members, but NaNs never tie, so their
+    ranks follow their order in the row: a block holding a NaN is sorted
+    stably."""
     rows, n = values.shape
-    order = np.argsort(values, axis=1, kind="stable")
-    row = np.arange(rows)[:, None]
-    ordered = values[row, order]
-    run_start = np.ones((rows, n), dtype=bool)
-    run_start[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
-    run_end = np.ones((rows, n), dtype=bool)
-    run_end[:, :-1] = run_start[:, 1:]
-    pos = np.arange(n)
-    start = np.maximum.accumulate(np.where(run_start, pos, 0), axis=1)
-    end = np.minimum.accumulate(np.where(run_end, pos, n - 1)[:, ::-1], axis=1)[:, ::-1]
-    ranks = np.empty((rows, n), dtype=np.float64)
-    ranks[row, order] = 0.5 * (start + end) + 1.0
-    return ranks
+    if not values.size:
+        return np.empty((rows, n))
+    order = np.argsort(values, axis=1, kind="stable" if np.isnan(values).any() else None)
+    order += np.arange(0, rows * n, n)[:, None]
+    flat = order.ravel()
+    ordered = values.ravel()[flat]
+    start = np.empty(rows * n, dtype=bool)
+    np.not_equal(ordered[1:], ordered[:-1], out=start[1:])
+    start[::n] = True
+    first = np.flatnonzero(start)
+    length = np.diff(first, append=rows * n)
+    ranks = np.empty(rows * n)
+    ranks[flat] = np.repeat(first % n + 0.5 * (length + 1), length)
+    return ranks.reshape(rows, n)
 
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -222,10 +228,12 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def centred_ranks(values: np.ndarray) -> np.ndarray:
     """The ranking step of the Spearman coefficient: the midranks of each
-    row of a (rows, cells) array minus their row mean. Each row's result
-    depends on that row alone."""
+    row of a (rows, cells) array minus their row mean. The midranks of a row
+    of n cells sum to n(n + 1)/2, a sum of halves that float64 holds
+    exactly, so the mean is exactly (n + 1)/2 and is subtracted as that
+    constant. Each row's result depends on that row alone."""
     ranks = midranks(values)
-    ranks -= ranks.mean(axis=1, keepdims=True)
+    ranks -= (values.shape[1] + 1) / 2
     return ranks
 
 
@@ -287,7 +295,9 @@ _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 
 
 def normalize_answer(answer: str) -> str:
-    return answer.lower().strip().translate(_PUNCT_TABLE)
+    """Lower case, punctuation removed, then whitespace runs collapsed to
+    single spaces and stripped at both ends."""
+    return " ".join(answer.lower().translate(_PUNCT_TABLE).split())
 
 
 REFERENCE_ANSWERS = 10
@@ -323,11 +333,14 @@ def stack_to_rows(qa_ids: list, glimpses: np.ndarray, masks: np.ndarray) -> list
     ``json.dumps`` with ", " and ": " separators."""
     n, count, h, w = glimpses.shape
     values = round9_text(glimpses).reshape(n, count, h * w).tolist()
-    mask = masks.tolist()
-    return [f'{{"qa_id": {json.dumps(qa_id)}, "glimpse": {g}, "h": {h}, "w": {w}, '
-            f'"mask": {"true" if mask[i][g] else "false"}, '
-            f'"values": [{", ".join(values[i][g])}]}}\n'
-            for i, qa_id in enumerate(qa_ids) for g in range(count)]
+    middle = f', "h": {h}, "w": {w}, "mask": '
+    rows = []
+    for qa_id, mask_row, value_rows in zip(qa_ids, masks.tolist(), values):
+        prefix = f'{{"qa_id": {json.dumps(qa_id)}, "glimpse": '
+        rows += [f'{prefix}{g}{middle}{"true" if m else "false"}, '
+                 f'"values": [{", ".join(cells)}]}}\n'
+                 for g, (m, cells) in enumerate(zip(mask_row, value_rows))]
+    return rows
 
 
 def _map_from_row(row: dict) -> tuple[tuple, dict]:

@@ -13,9 +13,11 @@ from vgmine.attention import (
     AttentionMap,
     GlimpseStack,
     build_supervision,
+    centred_ranks,
     kl_divergence,
     l1_normalize,
     midranks,
+    normalize_answer,
     pgm_bytes,
     rank_correlation,
     rank_correlations,
@@ -253,6 +255,14 @@ class TestRankCorrelation:
             pytest.approx(base, abs=1e-12)
 
 
+def _assert_reference_ranks(values):
+    """midranks of a block equal the oracle's row by row, bit for bit."""
+    ranks = midranks(values)
+    assert ranks.shape == values.shape and ranks.dtype == np.float64
+    for row, expected in zip(ranks, values):
+        assert row.tobytes() == reference_fractional_ranks(expected).tobytes()
+
+
 class TestMidranks:
     @given(rows=st.integers(1, 40).flatmap(lambda n: st.lists(
         st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0, -3.0, np.inf, np.nan]),
@@ -270,6 +280,49 @@ class TestMidranks:
         ranks = midranks(values)
         for row, expected in zip(ranks, values):
             assert np.array_equal(row, reference_fractional_ranks(expected))
+
+    @pytest.mark.parametrize("shape", [(0, 196), (5, 0), (0, 0)])
+    def test_empty_block_keeps_its_shape(self, shape):
+        ranks = midranks(np.zeros(shape))
+        assert ranks.shape == shape and ranks.dtype == np.float64
+        assert centred_ranks(np.zeros(shape)).shape == shape
+
+    @pytest.mark.parametrize("n", [49, 196])
+    def test_nan_rows_rank_in_input_order(self, n):
+        # NaNs never tie, so their ranks follow their positions in the row:
+        # an unstable sort would permute them among themselves
+        rng = np.random.default_rng(22)
+        pool = np.array([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf])
+        values = rng.choice(pool, (12, n))
+        for i, row in enumerate(values[:10]):
+            row[rng.permutation(n)[:3 + i * n // 20]] = np.nan
+        _assert_reference_ranks(values)
+
+    def test_signed_zero_and_infinite_ties(self):
+        rng = np.random.default_rng(23)
+        pool = np.array([0.0, -0.0, -np.inf, np.inf, 0.5])
+        _assert_reference_ranks(rng.choice(pool, (16, 196)))
+
+    def test_maps_eval_block_of_tied_and_distinct_rows(self):
+        # eval-rank ranks a block of rasterized maps (few distinct values)
+        # together with their reference maps (all distinct)
+        rng = np.random.default_rng(24)
+        values = np.concatenate([np.round(rng.uniform(0, 4, (64, 196))),
+                                 rng.uniform(0, 1, (64, 196))])
+        _assert_reference_ranks(values[rng.permutation(128)])
+
+    def test_centred_ranks_subtract_the_exact_mean(self):
+        rng = np.random.default_rng(25)
+        values = np.concatenate([np.round(rng.uniform(0, 3, (20, 49))),
+                                 rng.uniform(0, 1, (20, 49))])
+        values[3, [4, 9, 30]] = np.nan
+        mean = (49 + 1) / 2
+        centred = centred_ranks(values)
+        assert centred.tobytes() == (midranks(values) - mean).tobytes()
+        for row, expected in zip(centred, values):
+            ranks = reference_fractional_ranks(expected)
+            assert row.tobytes() == (ranks - mean).tobytes()
+            assert row.tobytes() == (ranks - ranks.mean()).tobytes()
 
     def test_rows_agree_with_single_map_correlation(self):
         rng = np.random.default_rng(21)
@@ -303,6 +356,13 @@ class TestVqaAccuracy:
     def test_normalization(self):
         refs = ["Cat!"] * 3 + ["dog"] * 7
         assert vqa_accuracy(" cat ", refs) == 1.0
+
+    @pytest.mark.parametrize("answer, normalized", [
+        ("yes .", "yes"), ("two  dogs", "two dogs"), (" Two\tdogs! ", "two dogs"),
+        ("a - b", "a b"), ("...", ""), ("", "")])
+    def test_punctuation_goes_before_whitespace_is_collapsed(self, answer, normalized):
+        assert normalize_answer(answer) == normalized
+        assert vqa_accuracy(normalized, [answer] * 3 + ["other"] * 7) == 1.0
 
     def test_wrong_reference_count_is_an_error(self):
         with pytest.raises(AttentionError, match="10"):
