@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import string
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -177,21 +178,24 @@ def kl_divergence(p: GlimpseStack, q: GlimpseStack) -> float:
         return 0.0
     pv, qv = (np.stack([g.values.ravel() for g in s.glimpses])[None] for s in (p, q))
     mask = np.array(p.supervision_mask, dtype=bool)[None, :, None]
-    return float(kl_rows(pv, qv, (pv > 0) & mask)[0])
+    cells = np.flatnonzero((pv > 0) & mask)
+    return float(kl_rows(pv.take(cells), qv, cells)[0])
 
 
-def kl_rows(p: np.ndarray, q: np.ndarray, support: np.ndarray) -> np.ndarray:
+def kl_rows(mass: np.ndarray, q: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The one KL kernel, used by ``kl_divergence`` and toy-model training:
-    for each row i of two (n, G, cells) arrays, the sum of p*log(p/q) over
-    the cells of ``support``, a bool array of their shape that holds the
-    positive cells of p's supervised glimpses (0*log0 = 0 elsewhere). q
-    must be positive on the support."""
-    mass, predicted = p[support], q[support]
-    if np.any(predicted <= 0):
+    for each row i of an (n, G, cells) prediction q, the sum of p*log(p/q)
+    over the support of p, the positive cells of its supervised glimpses
+    (0*log0 = 0 elsewhere). The support comes as ascending flat indices
+    into q, ``cells``, and p as its ``mass`` there. q must be positive on
+    the support. The terms are scattered into zeros of q's shape and
+    summed over the cells, then over the glimpses."""
+    predicted = q.take(cells)
+    if (predicted <= 0).any():
         raise AttentionError("prediction has zero mass on supervised cells")
-    cells = np.zeros(p.shape)
-    cells[support] = mass * np.log(mass / predicted)
-    return cells.sum(axis=2).sum(axis=1)
+    terms = np.zeros(q.shape)
+    terms.put(cells, mass * np.log(mass / predicted))
+    return terms.sum(axis=2).sum(axis=1)
 
 
 def midranks(values: np.ndarray) -> np.ndarray:
@@ -292,12 +296,15 @@ def rank_correlation(a: AttentionMap, b: AttentionMap) -> float:
 
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
+_DECIMAL_POINT = re.compile(r"(?<=\d)\.(?=\d)")
 
 
 def normalize_answer(answer: str) -> str:
     """Lower case, punctuation removed, then whitespace runs collapsed to
-    single spaces and stripped at both ends."""
-    return " ".join(answer.lower().translate(_PUNCT_TABLE).split())
+    single spaces and stripped at both ends. A period with a digit on each
+    side is a decimal point and stays, so "1.5" does not become "15"."""
+    parts = _DECIMAL_POINT.split(answer.lower())
+    return " ".join(".".join(part.translate(_PUNCT_TABLE) for part in parts).split())
 
 
 REFERENCE_ANSWERS = 10

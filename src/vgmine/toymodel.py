@@ -13,11 +13,19 @@ for N samples at once on (N, C, H*W) arrays; ``forward`` and
 ``loss_and_grads`` run it on a batch of one, and ``train`` on the whole
 training set at every step. Every matrix product is a stacked ``matmul``,
 so each sample gets the same BLAS call it would get on its own.
+
+The four weight arrays are reshaped views of one flat vector, and so are
+the four gradient sums of a pass, so a training step updates every weight
+with one array operation. What does not change from step to step (the
+one-hot answers, the KL weights, the flat indices of the cells KL sums
+and the target mass there) is computed once per training set, in
+``_Batch``.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -65,12 +73,28 @@ class ToyConfig:
 
 @dataclass
 class ToyModelParams:
-    """All trainable weights; also used as the gradient container."""
+    """All trainable weights; also used as the gradient container. Made by
+    ``init_params`` or a pass, the four arrays are reshaped views of one
+    vector, ``vector``, in ``named_arrays`` order; built by hand they may
+    be separate arrays, with ``vector`` None."""
 
     w_question: np.ndarray    # (C, D)
     fusion_bias: np.ndarray   # (C,)
     w_attention: np.ndarray   # (G, C)
     w_classifier: np.ndarray  # (K, D + G*C)
+    vector: np.ndarray | None = field(default=None, repr=False)
+
+    @classmethod
+    def of_vector(cls, vector: np.ndarray, shapes: list[tuple[int, ...]]) -> ToyModelParams:
+        """The four arrays of the given shapes as consecutive views of
+        ``vector``, which must hold exactly their elements."""
+        arrays, end = [], 0
+        for shape in shapes:
+            start, end = end, end + math.prod(shape)
+            arrays.append(vector[start:end].reshape(shape))
+        if end != vector.size:
+            raise ToyModelError("parameter vector size mismatch")
+        return cls(*arrays, vector=vector)
 
     def named_arrays(self) -> list[tuple[str, np.ndarray]]:
         return [("w_question", self.w_question),
@@ -105,16 +129,11 @@ class MetricsRow:
 
 
 def init_params(cfg: ToyConfig, rng: np.random.Generator) -> ToyModelParams:
-    def uniform(*shape: int) -> np.ndarray:
-        return rng.uniform(-0.1, 0.1, shape)
-
-    return ToyModelParams(
-        w_question=uniform(cfg.image_channels, cfg.question_dim),
-        fusion_bias=uniform(cfg.image_channels),
-        w_attention=uniform(cfg.glimpses, cfg.image_channels),
-        w_classifier=uniform(cfg.num_answers,
-                             cfg.question_dim + cfg.glimpses * cfg.image_channels),
-    )
+    """Every weight uniform in [-0.1, 0.1), drawn in one call: the same
+    numbers as one draw per array in ``named_arrays`` order."""
+    c, d, g = cfg.image_channels, cfg.question_dim, cfg.glimpses
+    shapes = [(c, d), (c,), (g, c), (cfg.num_answers, d + g * c)]
+    return ToyModelParams.of_vector(rng.uniform(-0.1, 0.1, sum(map(math.prod, shapes))), shapes)
 
 
 def _check_finite(name: str, arr: np.ndarray) -> None:
@@ -125,16 +144,19 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 @dataclass(frozen=True)
 class _Batch:
     """N samples as arrays, built once: features, answers, the KL targets
-    with their mask, and the ranks of the glimpse-0 maps the rank metric
-    compares with."""
+    with their weights and support, and the ranks of the glimpse-0 maps
+    the rank metric compares with."""
 
     q_feat: np.ndarray        # (N, D)
     img: np.ndarray           # (N, C, H*W)
     answers: np.ndarray       # (N,)
+    answer_cells: np.ndarray  # (N,) flat indices of the answers in an (N, K) array
+    onehot: np.ndarray        # (N, K) float: 1 at each sample's answer
     supervised: np.ndarray    # (N,) bool: the sample has a supervision stack
-    kl_mask: np.ndarray       # (N, G) bool: the glimpse enters KL
-    targets: np.ndarray       # (N, G, H*W), zero where kl_mask is off
-    support: np.ndarray       # (N, G, H*W) bool: targets > 0, the cells KL sums
+    kl_weight: np.ndarray     # (N, G, 1) float: 1 where the glimpse enters KL, else 0
+    targets: np.ndarray       # (N, G, H*W), zero where kl_weight is 0
+    kl_cells: np.ndarray      # flat indices of targets > 0, the cells KL sums
+    kl_mass: np.ndarray       # targets at kl_cells
     target_ranks: np.ndarray  # (supervised samples, H*W) centred_ranks of their glimpse-0 maps
 
 
@@ -147,10 +169,18 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
             raise ToyModelError(f"answer {sample.answer} out of range")
     if len({(s.q_feat.shape, s.img_feat.shape) for s in samples}) > 1:
         raise ToyModelError("samples differ in feature shapes")
-    _, h, w = samples[0].img_feat.shape
+    if samples[0].q_feat.ndim != 1 or samples[0].img_feat.ndim != 3:
+        raise ToyModelError("features must be (D,) and (C, H, W) arrays")
+    channels, h, w = samples[0].img_feat.shape
     d = samples[0].q_feat.shape[0]
+    if channels != c:
+        raise ToyModelError(f"image has {channels} channels, the attention weights {c}")
     if params.w_question.shape != (c, d):
         raise ToyModelError("question projection shape mismatch")
+    if params.fusion_bias.shape != (c,):
+        raise ToyModelError("fusion bias shape mismatch")
+    if params.w_classifier.shape != (k, d + g * c):
+        raise ToyModelError("classifier shape mismatch")
 
     n = len(samples)
     kl_mask = np.zeros((n, g), dtype=bool)
@@ -170,14 +200,22 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
             target = AttentionMap(stack.glimpses[gi].values, normalized=True)
             targets[i, gi] = target.values.ravel()
         rank_targets.append(stack.glimpses[0].values.ravel())
+    answers = np.array([s.answer for s in samples])
+    answer_cells = np.arange(n) * k + answers
+    onehot = np.zeros((n, k))
+    onehot.put(answer_cells, 1.0)
+    kl_cells = np.flatnonzero(targets > 0)
     return _Batch(
         q_feat=np.stack([s.q_feat for s in samples]),
         img=np.stack([s.img_feat.reshape(-1, h * w) for s in samples]),
-        answers=np.array([s.answer for s in samples]),
+        answers=answers,
+        answer_cells=answer_cells,
+        onehot=onehot,
         supervised=np.array([s.supervision is not None for s in samples]),
-        kl_mask=kl_mask,
+        kl_weight=kl_mask[:, :, None].astype(float),
         targets=targets,
-        support=targets > 0,
+        kl_cells=kl_cells,
+        kl_mass=targets.take(kl_cells),
         target_ranks=centred_ranks(np.array(rank_targets).reshape(len(rank_targets), h * w)),
     )
 
@@ -194,14 +232,16 @@ class _Activations:
 def _forward(params: ToyModelParams, batch: _Batch) -> _Activations:
     img = batch.img
     qproj = (params.w_question @ batch.q_feat[:, :, None])[:, :, 0]      # (N, C)
-    pre_fusion = qproj[:, :, None] * img + params.fusion_bias[:, None]
+    # the bias is added in place: one (N, C, HW) array less per step
+    pre_fusion = qproj[:, :, None] * img
+    pre_fusion += params.fusion_bias[:, None]
     _check_finite("fusion", pre_fusion)
     fused = np.maximum(pre_fusion, 0.0)
     attn_logits = params.w_attention @ fused                              # (N, G, HW)
     _check_finite("attention logits", attn_logits)
-    shifted = attn_logits - attn_logits.max(axis=2, keepdims=True)
-    e = np.exp(shifted)
-    attn = e / e.sum(axis=2, keepdims=True)
+    attn = attn_logits - attn_logits.max(axis=2, keepdims=True)
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=2, keepdims=True)
     weighted = attn @ img.transpose(0, 2, 1)                              # (N, G, C)
     _check_finite("weighted features", weighted)
     classifier_in = np.concatenate(
@@ -224,23 +264,21 @@ class _Pass:
 
 def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     """Forward pass, per-sample cross-entropy and KL toward the supervised
-    glimpses, and the exact analytic gradients of ce + alpha * kl."""
+    glimpses, and the exact analytic gradients of ce + alpha * kl, summed
+    over the samples into views of one new vector."""
     act = _forward(params, batch)
-    n = len(batch.answers)
-    rows = np.arange(n)
 
     shifted = act.logits - act.logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
-    ce = log_z - shifted[rows, batch.answers]
+    ce = log_z - shifted.take(batch.answer_cells)
     probs = np.exp(shifted - log_z[:, None])
 
     attn = act.attn
-    kl = kl_rows(batch.targets, attn, batch.support)  # KL(target || attn)
+    kl = kl_rows(batch.kl_mass, attn, batch.kl_cells)  # KL(target || attn)
 
-    d = batch.q_feat.shape[1]
+    n, d = batch.q_feat.shape
     g, c = params.w_attention.shape
-    d_logits = probs
-    d_logits[rows, batch.answers] -= 1.0
+    d_logits = probs - batch.onehot
     g_classifier = d_logits[:, :, None] * act.classifier_in[:, None, :]
     d_weighted = (params.w_classifier.T @ d_logits[:, :, None])[:, d:, 0].reshape(n, g, c)
     d_attn = d_weighted @ batch.img                                       # (N, G, HW)
@@ -249,20 +287,21 @@ def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     # is alpha * (attn - target), exact because each target sums to 1
     inner = (d_attn * attn).sum(axis=2, keepdims=True)
     d_attn_logits = attn * (d_attn - inner)
-    d_attn_logits += (alpha * batch.kl_mask)[:, :, None] * (attn - batch.targets)
+    d_attn_logits += (alpha * batch.kl_weight) * (attn - batch.targets)
     g_attention = d_attn_logits @ act.fused.transpose(0, 2, 1)            # (N, G, C)
-    d_fused = params.w_attention.T @ d_attn_logits                        # (N, C, HW)
-    d_pre = d_fused * (act.pre_fusion > 0)
+    d_pre = params.w_attention.T @ d_attn_logits                          # (N, C, HW)
+    d_pre *= act.pre_fusion > 0
     g_bias = d_pre.sum(axis=2)
-    d_qproj = (d_pre * batch.img).sum(axis=2)
+    d_pre *= batch.img  # d_pre is not read again: its buffer takes the product
+    d_qproj = d_pre.sum(axis=2)
     g_question = d_qproj[:, :, None] * batch.q_feat[:, None, :]
 
-    grads = ToyModelParams(
-        w_question=g_question.sum(axis=0),
-        fusion_bias=g_bias.sum(axis=0),
-        w_attention=g_attention.sum(axis=0),
-        w_classifier=g_classifier.sum(axis=0),
-    )
+    shapes = [arr.shape for _, arr in params.named_arrays()]
+    grads = ToyModelParams.of_vector(np.empty(sum(map(math.prod, shapes))), shapes)
+    g_question.sum(axis=0, out=grads.w_question)
+    g_bias.sum(axis=0, out=grads.fusion_bias)
+    g_attention.sum(axis=0, out=grads.w_attention)
+    g_classifier.sum(axis=0, out=grads.w_classifier)
     return _Pass(ce=ce, kl=kl, act=act, grads=grads)
 
 
@@ -339,6 +378,7 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
         raise ToyModelError("training data must be nonempty")
     rng = np.random.default_rng(cfg.seed)
     params = init_params(cfg, rng)
+    weights = params.vector  # the four arrays of params are views of it
     batch = _batch(data, params)
     n = len(data)
     block = max(1, BLOCK_SIZE // max(len(batch.target_ranks), 1))
@@ -359,8 +399,7 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
             pending = []
         if t == cfg.steps:
             break
-        for (_, arr), (_, grad) in zip(params.named_arrays(), step.grads.named_arrays()):
-            arr -= cfg.learning_rate * (grad / n)
+        weights -= cfg.learning_rate * (step.grads.vector / n)
     return params, metrics
 
 

@@ -359,10 +359,15 @@ class TestVqaAccuracy:
 
     @pytest.mark.parametrize("answer, normalized", [
         ("yes .", "yes"), ("two  dogs", "two dogs"), (" Two\tdogs! ", "two dogs"),
-        ("a - b", "a b"), ("...", ""), ("", "")])
+        ("a - b", "a b"), ("...", ""), ("", ""), ("1.5", "1.5"),
+        ("1.5.", "1.5"), (".5", "5"), ("1 . 5", "1 5"), ("1,.5", "15"), ("a.b", "ab")])
     def test_punctuation_goes_before_whitespace_is_collapsed(self, answer, normalized):
         assert normalize_answer(answer) == normalized
         assert vqa_accuracy(normalized, [answer] * 3 + ["other"] * 7) == 1.0
+
+    def test_decimal_answer_does_not_match_its_digits(self):
+        assert vqa_accuracy("15", ["1.5"] * 3 + ["no"] * 7) == 0.0
+        assert vqa_accuracy("1.5", ["1.5"] * 3 + ["no"] * 7) == 1.0
 
     def test_wrong_reference_count_is_an_error(self):
         with pytest.raises(AttentionError, match="10"):

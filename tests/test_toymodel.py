@@ -187,6 +187,67 @@ class TestLossAndGrads:
             loss_and_grads(params, sample, FIXED_1, 0)
 
 
+def _narrow_image(params, sample):
+    sample.img_feat = sample.img_feat[:8]
+
+
+def _narrow_classifier(params, sample):
+    params.w_classifier = params.w_classifier[:, :20]
+
+
+def _short_bias(params, sample):
+    params.fusion_bias = params.fusion_bias[:8]
+
+
+def _flat_image(params, sample):
+    sample.img_feat = sample.img_feat[0]
+
+
+@pytest.mark.parametrize("mismatch, message", [
+    (_narrow_image, "image has 8 channels, the attention weights 16"),
+    (_narrow_classifier, "classifier shape mismatch"),
+    (_short_bias, "fusion bias shape mismatch"),
+    (_flat_image, r"features must be \(D,\) and \(C, H, W\) arrays"),
+], ids=["image-channels", "classifier-width", "fusion-bias", "image-ndim"])
+def test_shape_mismatch_raises_toy_model_error(mismatch, message):
+    params, sample = random_pair(np.random.default_rng(12))
+    mismatch(params, sample)
+    with pytest.raises(ToyModelError, match=message):
+        forward(params, sample)
+    with pytest.raises(ToyModelError, match=message):
+        loss_and_grads(params, sample, FIXED_1, 0)
+
+
+class TestParameterVector:
+    def test_init_params_equals_one_draw_per_array(self):
+        params = init_params(CFG, np.random.default_rng(21))
+        rng = np.random.default_rng(21)
+        for name, arr in params.named_arrays():
+            assert np.array_equal(arr, rng.uniform(-0.1, 0.1, arr.shape)), name
+        assert params.vector.size == sum(arr.size for _, arr in params.named_arrays())
+
+    def test_gradients_survive_a_later_call(self):
+        rng = np.random.default_rng(22)
+        params, sample = random_pair(rng)
+        _, first = loss_and_grads(params, sample, FIXED_1, 0)
+        kept = [arr.copy() for _, arr in first.named_arrays()]
+        _, other_sample = random_pair(rng)
+        _, second = loss_and_grads(params, other_sample, FIXED_1, 0)
+        assert not np.shares_memory(first.vector, second.vector)
+        for (name, arr), copy_ in zip(first.named_arrays(), kept):
+            assert np.array_equal(arr, copy_), name
+
+    def test_trained_params_survive_another_training_run(self):
+        cfg = ToyConfig(steps=5)
+        data = make_synthetic(cfg, 3, seed=23)
+        params, _ = train(data, cfg, FIXED_1)
+        kept = [arr.copy() for _, arr in params.named_arrays()]
+        again, _ = train(data, cfg, FIXED_1)
+        assert not np.shares_memory(params.vector, again.vector)
+        for (name, arr), copy_ in zip(params.named_arrays(), kept):
+            assert np.array_equal(arr, copy_), name
+
+
 class TestMakeSynthetic:
     def test_supervision_sums_to_one(self):
         for sample in make_synthetic(CFG, 4, seed=3):
