@@ -23,7 +23,7 @@ import numpy as np
 
 from .dataset import BoundingBox, QaTriplet
 from .miner import GroundingLabel
-from .records import boolean, identifier, integer, read_keyed, round9
+from .records import MAP_RECORD, fields, read_keyed, round9
 
 DEFAULT_GRID = 14
 
@@ -297,14 +297,20 @@ def rank_correlation(a: AttentionMap, b: AttentionMap) -> float:
 
 _PUNCT_TABLE = str.maketrans("", "", string.punctuation)
 _DECIMAL_POINT = re.compile(r"(?<=\d)\.(?=\d)")
+# the token step of the VQA evaluation (Antol et al., ICCV 2015)
+_NUMBER_WORDS = {word: str(i) for i, word in enumerate(
+    "zero one two three four five six seven eight nine ten".split())} | {"none": "0"}
+_ARTICLES = frozenset({"a", "an", "the"})
 
 
 def normalize_answer(answer: str) -> str:
-    """Lower case, punctuation removed, then whitespace runs collapsed to
-    single spaces and stripped at both ends. A period with a digit on each
-    side is a decimal point and stays, so "1.5" does not become "15"."""
+    """Lower case, punctuation removed but a period with a digit on each side
+    ("1.5" is not "15"), then per whitespace-separated token: the number words
+    "zero" to "ten" and "none" as digits, articles dropped; one space between."""
     parts = _DECIMAL_POINT.split(answer.lower())
-    return " ".join(".".join(part.translate(_PUNCT_TABLE) for part in parts).split())
+    tokens = ".".join(part.translate(_PUNCT_TABLE) for part in parts).split()
+    return " ".join(_NUMBER_WORDS.get(token, token) for token in tokens
+                    if token not in _ARTICLES)
 
 
 REFERENCE_ANSWERS = 10
@@ -351,19 +357,21 @@ def stack_to_rows(qa_ids: list, glimpses: np.ndarray, masks: np.ndarray) -> list
 
 
 def _map_from_row(row: dict) -> tuple[tuple, dict]:
-    """The (qa_id, glimpse) key of a maps row and the fields a command reads,
-    each required but 'mask' (a bool, default True), with 'values' as an
-    (h, w) float64 array of finite numbers; a row of strings or of bools only
-    is rejected."""
-    glimpse, h, w = integer(row, "glimpse", 0), integer(row, "h", 1), integer(row, "w", 1)
-    mask = boolean(row, "mask") if "mask" in row else True
-    qa_id = identifier(row, "qa_id")
-    values = np.array(row["values"])
-    if values.dtype.kind not in "fi" or not np.isfinite(values).all():
+    """The (qa_id, glimpse) key of a maps row and the row, its ``MAP_RECORD``
+    fields checked ('mask' true when absent) and 'values' made an (h, w)
+    float64 array of finite numbers."""
+    if "mask" not in row:  # a row that is not an object raises TypeError here or in fields
+        row = {**row, "mask": True}
+    qa_id, glimpse, h, w, _, cells = fields(row, MAP_RECORD)
+    try:
+        values = np.fromiter(cells, np.float64, len(cells))
+        finite = np.isfinite(values).all()
+    except OverflowError:  # an integer beyond float64
+        finite = False
+    if not finite:
         raise ValueError("values must be finite numbers")
-    values = values.astype(np.float64, copy=False).reshape(h, w)
-    return (qa_id, glimpse), {"qa_id": qa_id, "glimpse": glimpse, "h": h, "w": w,
-                              "mask": mask, "values": values}
+    row["values"] = values.reshape(h, w)
+    return (qa_id, glimpse), row
 
 
 def read_maps(path: str | Path, printed: Callable[[tuple], Any] | None = None) -> dict:

@@ -47,8 +47,9 @@ from .attention import build_supervision, rank_correlation  # noqa: F401
 from .dataset import check_image_size, load_dataset, read_qa
 from .lexicon import WNDB_FILES, load_aliases, load_wordnet
 from .miner import MinerConfig, mine, read_labels, write_labels
-from .records import (InputError, commit, fmt9, identifier, make_dir, read_json, read_keyed,
-                      read_pair, string, write_bytes, write_csv, write_lines, write_manifest)
+from .records import (PREDICTION_RECORD, REFERENCE_RECORD, InputError, commit, fields, fmt9,
+                      make_dir, read_json, read_keyed, read_pair, write_bytes, write_csv,
+                      write_lines, write_manifest)
 from .schedule import MODE_COSINE, MODE_FIXED, Schedule
 from .toymodel import (
     ToyConfig,
@@ -145,7 +146,8 @@ def cmd_rasterize(args: argparse.Namespace) -> tuple:
     def checked(label):
         triplet = triplets.get(label.qa_id)
         if triplet is None:
-            raise InputError(f"label qa_id {label.qa_id} missing from qa file")
+            raise InputError(f"{labels_path}: label qa_id {label.qa_id} missing from qa file "
+                             f"{qa_path}")
         check_image_size(qa_path, triplet)
         if not label.object_boxes and not label.region_boxes:
             raise InputError(f"{labels_path}: label {label.qa_id} has no boxes to rasterize")
@@ -191,7 +193,8 @@ def cmd_eval_rank(args: argparse.Namespace) -> tuple:
         corrs, fault = correlation_block([maps_a[k] for k in keys], [maps_b[k] for k in keys])
         if fault is not None:
             qa_id, glimpse = keys[fault[0]]
-            raise InputError(f"qa_id {qa_id} glimpse {glimpse}: {fault[1]}")
+            raise InputError(f"{path_a} and {path_b}: qa_id {qa_id} glimpse {glimpse}: "
+                             f"{fault[1]}")
         for key, corr in zip(keys, corrs):
             total += corr
             lines.append([str(key[0]), str(key[1]), fmt9(corr)])
@@ -201,7 +204,7 @@ def cmd_eval_rank(args: argparse.Namespace) -> tuple:
 
 
 def _reference(record: dict) -> tuple:
-    qa_id, answers = identifier(record, "qa_id"), string(record, "answers", many=True)
+    qa_id, answers = fields(record, REFERENCE_RECORD)
     if len(answers) != REFERENCE_ANSWERS:
         raise ValueError(f"qa_id {qa_id}: expected {REFERENCE_ANSWERS} reference answers, "
                          f"got {len(answers)}")
@@ -211,8 +214,7 @@ def _reference(record: dict) -> tuple:
 def cmd_eval_acc(args: argparse.Namespace) -> tuple:
     preds_path = _require_file(args.preds, "predictions file")
     refs_path = _require_file(args.refs, "references file")
-    preds = read_keyed(preds_path, lambda rec: (identifier(rec, "qa_id"), string(rec, "answer")),
-                       str)
+    preds = read_keyed(preds_path, lambda rec: fields(rec, PREDICTION_RECORD), str)
     refs = read_keyed(refs_path, _reference, str)
     common = sorted(set(preds) & set(refs), key=str)
     if not common:
@@ -282,7 +284,7 @@ def cmd_render(args: argparse.Namespace) -> tuple:
         names[name] = key
         try:
             write_bytes(out_dir / name, pgm_bytes(AttentionMap(row["values"])))
-        except AttentionError as exc:
+        except (AttentionError, InputError) as exc:  # a bad map, or a name the OS refuses
             raise InputError(f"{where}: {exc}") from exc
     return out_dir / "render", {}, [maps_path], f"rendered {len(names)} maps to {out_dir}"
 

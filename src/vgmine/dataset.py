@@ -2,10 +2,9 @@
 instances, and QA triplets loaded from JSON files into an immutable
 in-memory dataset.
 
-File schemas (arrays of objects):
-  regions: {image_id, regions: [{region_id, phrase, x, y, width, height}]}
-  objects: {image_id, objects: [{object_id, names: [...], x, y, w, h}]}
-  qa:      {image_id, qa_id, question, answer, image_width, image_height}
+Each file is a JSON array. Its records are read through ``records.fields``
+against ``QA_RECORD``, or ``ANNOTATION_ENTRY`` and ``REGION_RECORD`` or
+``OBJECT_RECORD``, which give each field's kind (id, int, string, ...).
 
 Boxes arrive as integer corner+size, with sizes of at least 1, and are
 stored as inclusive pixel corners (x_max = x + width - 1). Out-of-range
@@ -20,7 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .records import InputError, identifier, integer, read_json, string
+from .records import (ANNOTATION_ENTRY, OBJECT_RECORD, QA_RECORD, REGION_RECORD, InputError,
+                      fields, read_json)
 
 
 class DatasetError(InputError):
@@ -115,9 +115,7 @@ def read_qa(path: str | Path) -> list[QaTriplet]:
     first: dict[int | str, int] = {}
     for index, rec in enumerate(_read_array(Path(path))):
         try:
-            triplet = QaTriplet(identifier(rec, "qa_id"), identifier(rec, "image_id"),
-                                string(rec, "question"), string(rec, "answer"),
-                                integer(rec, "image_width"), integer(rec, "image_height"))
+            triplet = QaTriplet(*fields(rec, QA_RECORD))
         except (KeyError, TypeError) as exc:
             raise DatasetError(f"{path}: record {index}: bad QA record: {exc!r}") from exc
         if triplet.qa_id in first:
@@ -134,40 +132,33 @@ def check_image_size(path: str | Path, triplet: QaTriplet) -> None:
         raise DatasetError(f"{path}: qa_id {triplet.qa_id}: image dimensions must be >= 1")
 
 
-def _annotation_error(path: str | Path, entry: int, kind: str, index: int | None,
-                      exc: Exception) -> DatasetError:
-    where = f"entry {entry}" if index is None else f"entry {entry}: {kind} {index}"
-    what = f"missing field {exc}" if isinstance(exc, KeyError) else str(exc)
-    return DatasetError(f"{path}: {where}: bad {kind} record: {what}")
-
-
-def _annotations(path: str | Path, kind: str, size_keys: tuple[str, str],
-                 sizes: dict, report: LoadReport, make: Callable) -> dict[int | str, list]:
+def _annotations(path: str | Path, kind: str, table: tuple, sizes: dict, report: LoadReport,
+                 make: Callable) -> dict[int | str, list]:
     """The ``kind`` records of one annotation file by image id, in file
-    order; ``make(rec, box)`` builds each from its box, whose corners are
-    clamped into the image's (width, height) when that is known, and
-    counted when that changes them."""
-    width_key, height_key = size_keys
+    order; ``make(id, text, box)`` builds each from its ``table`` fields,
+    with the box's corners clamped into the image's (width, height) when
+    that is known, and counted when that changes them."""
     by_image: dict[int | str, list] = {}
     for e, entry in enumerate(_read_array(Path(path))):
         r = None
         try:
-            image_id = identifier(entry, "image_id")
+            image_id, = fields(entry, ANNOTATION_ENTRY)
             size = sizes.get(image_id)
             items = by_image.setdefault(image_id, [])
             for r, rec in enumerate(entry.get(f"{kind}s", [])):
-                x, y = integer(rec, "x"), integer(rec, "y")
-                x_max = x + integer(rec, width_key, least=1) - 1
-                y_max = y + integer(rec, height_key, least=1) - 1
+                ident, text, x, y, width, height = fields(rec, table)
+                x_max, y_max = x + width - 1, y + height - 1
                 if size is not None and (x < 0 or y < 0 or x_max >= size[0]
                                          or y_max >= size[1]):
                     w, h = size[0] - 1, size[1] - 1
                     x, y = min(max(x, 0), w), min(max(y, 0), h)
                     x_max, y_max = max(min(x_max, w), x), max(min(y_max, h), y)
                     report.clamped_boxes += 1
-                items.append(make(rec, BoundingBox(x, y, x_max, y_max)))
+                items.append(make(ident, text, BoundingBox(x, y, x_max, y_max)))
         except (KeyError, TypeError) as exc:
-            raise _annotation_error(path, e, kind, r, exc) from exc
+            where = f"entry {e}" if r is None else f"entry {e}: {kind} {r}"
+            what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
+            raise DatasetError(f"{path}: {where}: bad {kind} record: {what}") from exc
     return by_image
 
 
@@ -189,13 +180,11 @@ def load_dataset(regions_file: str | Path, objects_file: str | Path,
         sizes.setdefault(triplet.image_id, (triplet.image_width, triplet.image_height))
     report = LoadReport()
     dataset = Dataset(
-        regions_by_image=_annotations(
-            regions_file, "region", ("width", "height"), sizes, report,
-            lambda rec, box: RegionAnnotation(rec["region_id"], string(rec, "phrase"), box)),
+        regions_by_image=_annotations(regions_file, "region", REGION_RECORD, sizes, report,
+                                      RegionAnnotation),
         objects_by_image=_annotations(
-            objects_file, "object", ("w", "h"), sizes, report,
-            lambda rec, box: ObjectAnnotation(rec["object_id"],
-                                              tuple(string(rec, "names", many=True)), box)))
+            objects_file, "object", OBJECT_RECORD, sizes, report,
+            lambda ident, names, box: ObjectAnnotation(ident, tuple(names), box)))
     for triplet in qa_triplets:
         image_id = triplet.image_id
         if image_id in dataset.regions_by_image or image_id in dataset.objects_by_image:

@@ -37,7 +37,7 @@ from pathlib import Path
 from .dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
 from .lexicon import (Lexicon, MatchCondition, WordSignature, match_signatures,
                       normalize_token, tokenize)
-from .records import boolean, identifier, integer, read_keyed, write_lines
+from .records import LABEL_RECORD, fields, read_keyed, write_lines
 
 DEFAULT_STOPWORDS = frozenset({
     "a", "an", "the", "is", "are", "was", "were", "be", "been", "do", "does",
@@ -309,29 +309,11 @@ def label_to_dict(label: GroundingLabel) -> dict:
     }
 
 
-def _box(corners: list) -> BoundingBox:
-    if len(corners) != 4 or any(type(v) is not int for v in corners):  # bools too
-        raise TypeError(f"a box must be 4 integers, not {corners!r}")
-    return BoundingBox(*corners)
-
-
-def _matched_words(data: dict) -> list[MatchedWord]:
-    words = data["matched_words"]
-    if type(words) is not list or not all(
-            type(m) is list and len(m) == 3 and all(type(w) is str for w in m) for m in words):
-        raise TypeError(f"matched_words must be a list of 3-string lists, not {words!r}")
-    return [tuple(m) for m in words]
-
-
 def label_from_dict(data: dict) -> GroundingLabel:
-    return GroundingLabel(
-        qa_id=identifier(data, "qa_id"),
-        region_boxes=[_box(b) for b in data["region_boxes"]],
-        object_boxes=[_box(b) for b in data["object_boxes"]],
-        is_counting=boolean(data, "is_counting"),
-        region_match_count=integer(data, "region_match_count", least=0),
-        matched_words=_matched_words(data),
-    )
+    qa_id, region_boxes, object_boxes, is_counting, count, words = fields(data, LABEL_RECORD)
+    return GroundingLabel(qa_id, [BoundingBox(*b) for b in region_boxes],
+                          [BoundingBox(*b) for b in object_boxes], is_counting, count,
+                          [tuple(m) for m in words])
 
 
 def write_labels(labels: list[GroundingLabel], path: str | Path) -> None:
@@ -343,5 +325,5 @@ def write_labels(labels: list[GroundingLabel], path: str | Path) -> None:
 def read_labels(path: str | Path) -> list[GroundingLabel]:
     """The labels of an NDJSON file in file order; a repeated qa_id is an
     ``InputError`` naming both lines."""
-    return list(read_keyed(path, lambda data: (identifier(data, "qa_id"),
-                                               label_from_dict(data))).values())
+    return list(read_keyed(path, lambda data: ((label := label_from_dict(data)).qa_id,
+                                               label)).values())

@@ -3,7 +3,8 @@
 Readers raise ``InputError`` naming the file and the line (NDJSON) or the
 character offset (JSON) of a malformed record; a file that is not UTF-8 is
 named with the line of its first bad byte (``utf8``, which the lexicon's
-readers use too). Writers write a sibling ``<name>.tmp`` staged in the open
+readers use too). Every input record is decoded by ``fields`` against its
+table of field kinds. Writers write a sibling ``<name>.tmp`` staged in the open
 ``commit`` block, which renames them all over their targets only once it
 completes, so a failed command leaves no output. Floats are stored with 9
 significant digits for stable diffs. ``read_pair`` reads two inputs
@@ -42,45 +43,60 @@ def round9(value: float) -> float:
     return float(format(value, _FORMAT9))
 
 
-def identifier(record: dict, key: str) -> Any:
-    """``record[key]``, a qa or image id, which must be a string or an int
-    (not a bool); TypeError otherwise, since ids are used as dict keys and
-    ``true`` and ``1.0`` are the same key as ``1``."""
-    value = record[key]
-    if type(value) is not str and type(value) is not int:
-        shown = type(value).__name__ if isinstance(value, (list, dict)) else value
-        raise TypeError(f"{key} must be a string or an integer, not {shown}")
-    return value
+def _typed(value: Any, types: set) -> bool:
+    """``value`` is a list whose items' types are all in ``types``."""
+    return type(value) is list and types.issuperset(map(type, value))
 
 
-def integer(record: dict, key: str, least: int | None = None) -> int:
-    """``record[key]``, which must be an int (not a bool) and, when ``least``
-    is given, at least ``least``; TypeError otherwise."""
-    value = record[key]
-    if type(value) is not int or (least is not None and value < least):
-        rule = "an integer" if least is None else f"an integer >= {least}"
-        raise TypeError(f"{key} must be {rule}, not {value!r}")
-    return value
+# Each kind of field: the types its JSON value may have, a further test (or
+# None) and the rule an error names. No bool is an int; an id keys dicts, where
+# ``true`` and ``1.0`` would be the same key as ``1``.
+FIELD_KINDS: dict[str, tuple[set, Callable[[Any], bool] | None, str]] = {
+    "id": ({str, int}, None, "a string or an integer"),
+    "int": ({int}, None, "an integer"),
+    "int>=0": ({int}, lambda v: v >= 0, "an integer >= 0"),
+    "int>=1": ({int}, lambda v: v >= 1, "an integer >= 1"),
+    "bool": ({bool}, None, "a bool"),
+    "string": ({str}, None, "a string"),
+    "strings": ({list}, lambda v: _typed(v, {str}), "a list of strings"),
+    "boxes": ({list}, lambda v: all(_typed(b, {int}) and len(b) == 4 for b in v),
+              "a list of boxes of 4 integers"),
+    "words": ({list}, lambda v: all(_typed(m, {str}) and len(m) == 3 for m in v),
+              "a list of 3-string lists"),
+    "numbers": ({list}, lambda v: _typed(v, {int, float}), "a flat list of numbers"),
+}
 
 
-def boolean(record: dict, key: str) -> bool:
-    """``record[key]``, which must be a JSON bool; TypeError otherwise (the
-    string "false" would be truthy)."""
-    value = record[key]
-    if type(value) is not bool:
-        raise TypeError(f"{key} must be a bool, not {value!r}")
-    return value
+def _table(**kinds: str) -> tuple:
+    """A record's fields in order, each as (key, *its ``FIELD_KINDS`` entry)."""
+    return tuple((key, *FIELD_KINDS[kind]) for key, kind in kinds.items())
 
 
-def string(record: dict, key: str, many: bool = False) -> Any:
-    """``record[key]``, which must be a string or, when ``many`` is set, a
-    list of strings; TypeError otherwise."""
-    value = record[key]
-    if not (type(value) is list and all(type(v) is str for v in value) if many
-            else type(value) is str):
-        raise TypeError(f"{key} must be {'a list of strings' if many else 'a string'}, "
-                        f"not {value!r}")
-    return value
+QA_RECORD = _table(qa_id="id", image_id="id", question="string", answer="string",
+                   image_width="int", image_height="int")
+ANNOTATION_ENTRY = _table(image_id="id")
+REGION_RECORD = _table(region_id="id", phrase="string", x="int", y="int", width="int>=1",
+                       height="int>=1")
+OBJECT_RECORD = _table(object_id="id", names="strings", x="int", y="int", w="int>=1",
+                       h="int>=1")
+LABEL_RECORD = _table(qa_id="id", region_boxes="boxes", object_boxes="boxes",
+                      is_counting="bool", region_match_count="int>=0", matched_words="words")
+MAP_RECORD = _table(qa_id="id", glimpse="int>=0", h="int>=1", w="int>=1", mask="bool",
+                    values="numbers")
+PREDICTION_RECORD = _table(qa_id="id", answer="string")
+REFERENCE_RECORD = _table(qa_id="id", answers="strings")
+
+
+def fields(record: dict, table: tuple) -> list:
+    """The values of ``table``'s keys in ``record``, in table order. A
+    missing key raises KeyError, a value not of its key's kind TypeError."""
+    values = []
+    for key, types, test, rule in table:
+        value = record[key]
+        if type(value) not in types or test is not None and not test(value):
+            raise TypeError(f"{key} must be {rule}, not {value!r}")
+        values.append(value)
+    return values
 
 
 @contextmanager

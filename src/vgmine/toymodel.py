@@ -143,9 +143,8 @@ def _check_finite(name: str, arr: np.ndarray) -> None:
 
 @dataclass(frozen=True)
 class _Batch:
-    """N samples as arrays, built once: features, answers, the KL targets
-    with their weights and support, and the ranks of the glimpse-0 maps
-    the rank metric compares with."""
+    """N samples as arrays, built once: features, answers, and the KL
+    targets with their weights and support."""
 
     q_feat: np.ndarray        # (N, D)
     img: np.ndarray           # (N, C, H*W)
@@ -157,7 +156,6 @@ class _Batch:
     targets: np.ndarray       # (N, G, H*W), zero where kl_weight is 0
     kl_cells: np.ndarray      # flat indices of targets > 0, the cells KL sums
     kl_mass: np.ndarray       # targets at kl_cells
-    target_ranks: np.ndarray  # (supervised samples, H*W) centred_ranks of their glimpse-0 maps
 
 
 def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
@@ -185,7 +183,6 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
     n = len(samples)
     kl_mask = np.zeros((n, g), dtype=bool)
     targets = np.zeros((n, g, h * w))
-    rank_targets = []
     for i, sample in enumerate(samples):
         stack = sample.supervision
         if stack is None:
@@ -199,7 +196,6 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
             # the closed-form KL gradient in _pass needs targets summing to 1
             target = AttentionMap(stack.glimpses[gi].values, normalized=True)
             targets[i, gi] = target.values.ravel()
-        rank_targets.append(stack.glimpses[0].values.ravel())
     answers = np.array([s.answer for s in samples])
     answer_cells = np.arange(n) * k + answers
     onehot = np.zeros((n, k))
@@ -216,7 +212,6 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
         targets=targets,
         kl_cells=kl_cells,
         kl_mass=targets.take(kl_cells),
-        target_ranks=centred_ranks(np.array(rank_targets).reshape(len(rank_targets), h * w)),
     )
 
 
@@ -330,7 +325,7 @@ def loss_and_grads(params: ToyModelParams, sample: ToySample,
 def _sample_metrics(attn0: np.ndarray, target_ranks: np.ndarray) -> np.ndarray:
     """Rank correlation of each supervised sample's glimpse-0 attention with
     its glimpse-0 supervision over a block of steps: (steps, samples, cells)
-    attention against the (samples, cells) ``_Batch.target_ranks`` gives
+    attention against the (samples, cells) ``target_ranks`` gives
     (steps, samples) coefficients, NaN where undefined (a constant map)."""
     steps, m, cells = attn0.shape
     ranks = centred_ranks(attn0.reshape(steps * m, cells))
@@ -345,13 +340,14 @@ def _row_means(values: np.ndarray, counts: int | np.ndarray, empty: float) -> np
     return np.divide(totals, counts, out=np.full(steps, empty), where=counts > 0)
 
 
-def _metrics_rows(first: int, pending: list[tuple], batch: _Batch) -> list[MetricsRow]:
+def _metrics_rows(first: int, pending: list[tuple], batch: _Batch,
+                  target_ranks: np.ndarray) -> list[MetricsRow]:
     """The metrics rows of consecutive steps from ``first`` on, made in one
     batched pass from each step's (alpha, ce, kl, attention, logits)."""
     alphas, ce, kl, attn, logits = zip(*pending)
     supervised = batch.supervised
     kl = np.stack(kl)[:, supervised]
-    corr = _sample_metrics(np.stack(attn)[:, supervised, 0], batch.target_ranks)
+    corr = _sample_metrics(np.stack(attn)[:, supervised, 0], target_ranks)
     defined = ~np.isnan(corr)
     n, m = len(supervised), kl.shape[1]
     correct = np.count_nonzero(np.argmax(np.stack(logits), axis=2) == batch.answers, axis=1)
@@ -380,8 +376,12 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
     params = init_params(cfg, rng)
     weights = params.vector  # the four arrays of params are views of it
     batch = _batch(data, params)
-    n = len(data)
-    block = max(1, BLOCK_SIZE // max(len(batch.target_ranks), 1))
+    n, cells = len(data), batch.img.shape[2]
+    # the rank metric's side that does not change: each supervised sample's glimpse-0 map
+    target_ranks = centred_ranks(np.array(
+        [s.supervision.glimpses[0].values.ravel() for s in data if s.supervision is not None]
+    ).reshape(-1, cells))
+    block = max(1, BLOCK_SIZE // max(len(target_ranks), 1))
     metrics: list[MetricsRow] = []
     pending: list[tuple] = []
 
@@ -395,7 +395,7 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
             raise ToyModelError(f"training diverged at step {t}: {exc}") from exc
         pending.append((alpha, step.ce, step.kl, step.act.attn, step.act.logits))
         if len(pending) == block or t == cfg.steps:
-            metrics += _metrics_rows(len(metrics), pending, batch)
+            metrics += _metrics_rows(len(metrics), pending, batch, target_ranks)
             pending = []
         if t == cfg.steps:
             break

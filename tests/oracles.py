@@ -19,6 +19,7 @@ import functools
 import io
 import json
 import math
+import string
 
 import numpy as np
 
@@ -385,6 +386,36 @@ def reference_aliases(texts: list[str]) -> dict[str, set[str]]:
                         if other and other != name:
                             aliases[name].add(other)
     return aliases
+
+
+# --- VQA answer normalization -------------------------------------------------
+
+_NUMBER_WORDS = ["zero", "one", "two", "three", "four", "five", "six", "seven", "eight",
+                 "nine", "ten"]
+
+
+def reference_normalize_answer(answer: str) -> str:
+    """The VQA evaluation's answer normalization as loops: lower case; drop
+    each punctuation character except a period between two decimal digits;
+    then, token by token, a number word becomes its index in the list above,
+    "none" becomes "0" and "a", "an" and "the" are dropped."""
+    text = answer.lower()
+    kept = ""
+    for i, char in enumerate(text):
+        decimal_point = (char == "." and 0 < i < len(text) - 1
+                         and text[i - 1].isdecimal() and text[i + 1].isdecimal())
+        if char not in string.punctuation or decimal_point:
+            kept += char
+    words = []
+    for token in kept.split():
+        if token in ("a", "an", "the"):
+            continue
+        if token == "none":
+            token = "0"
+        elif token in _NUMBER_WORDS:
+            token = str(_NUMBER_WORDS.index(token))
+        words.append(token)
+    return " ".join(words)
 
 
 # --- literal reference miner ----------------------------------------------

@@ -30,7 +30,7 @@ from vgmine.miner import GroundingLabel
 from vgmine.records import round9
 
 from oracles import (brute_force_rasterize, kl_summation, pgm_reference,
-                     reference_fractional_ranks)
+                     reference_fractional_ranks, reference_normalize_answer)
 
 
 def _random_boxes(rng, img_w, img_h, max_boxes=6):
@@ -362,8 +362,23 @@ class TestVqaAccuracy:
         ("a - b", "a b"), ("...", ""), ("", ""), ("1.5", "1.5"),
         ("1.5.", "1.5"), (".5", "5"), ("1 . 5", "1 5"), ("1,.5", "15"), ("a.b", "ab")])
     def test_punctuation_goes_before_whitespace_is_collapsed(self, answer, normalized):
-        assert normalize_answer(answer) == normalized
+        # ``normalized`` is the text after the punctuation and whitespace
+        # steps; where it holds a number word or an article, the token step
+        # changes it further
+        assert normalize_answer(answer) == {"two dogs": "2 dogs", "a b": "b"}.get(normalized,
+                                                                                   normalized)
         assert vqa_accuracy(normalized, [answer] * 3 + ["other"] * 7) == 1.0
+
+    @pytest.mark.parametrize("pred, ref", [("2", "two"), ("dog", "a dog"), ("2", "Two"),
+                                           ("0", "none")])
+    def test_number_words_and_articles_count_as_vqa_eval_counts_them(self, pred, ref):
+        assert vqa_accuracy(pred, [ref] * 10) == 1.0
+
+    @given(answer=st.lists(st.sampled_from(
+        ["two", "Two", "TEN", "none", "zero", "eleven", "a", "An", "the", "dog", "1", "5", ".",
+         ",", "!", "'", "-", " ", "\t", "\n"]) | st.text(max_size=3), max_size=10).map("".join))
+    def test_equals_the_token_loop_reference(self, answer):
+        assert normalize_answer(answer) == reference_normalize_answer(answer)
 
     def test_decimal_answer_does_not_match_its_digits(self):
         assert vqa_accuracy("15", ["1.5"] * 3 + ["no"] * 7) == 0.0

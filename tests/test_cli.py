@@ -244,7 +244,8 @@ class TestRasterizeBlocks:
                                   f"label {label['qa_id']} has no boxes to rasterize")
             elif fault == "missing-qa":
                 qa.remove(by_id[label["qa_id"]])
-                messages[line] = f"label qa_id {label['qa_id']} missing from qa file"
+                messages[line] = (f"{tmp_path / 'labels.ndjson'}: label qa_id "
+                                  f"{label['qa_id']} missing from qa file {tmp_path / 'qa.json'}")
             else:
                 by_id[label["qa_id"]]["image_height"] = 0
                 messages[line] = (f"{tmp_path / 'qa.json'}: qa_id {label['qa_id']}: "
@@ -386,6 +387,19 @@ class TestEvalAcc:
         assert lines[3] == "3,0"
         mean = (2 / 3 + 1.0 + 0.0) / 3
         assert lines[4] == f"mean,{mean:.9g}"
+
+    def test_number_words_and_articles_as_the_vqa_evaluation(self, run_cli, tmp_path):
+        refs = [{"qa_id": 1, "answers": ["Two"] * 3 + ["three"] * 7},
+                {"qa_id": 2, "answers": ["a dog"] * 10},
+                {"qa_id": 3, "answers": ["none"] * 2 + ["many"] * 8}]
+        preds = [{"qa_id": 1, "answer": "2"}, {"qa_id": 2, "answer": "the dog"},
+                 {"qa_id": 3, "answer": "0"}]
+        p, r = self._write(tmp_path, preds, refs)
+        out = tmp_path / "acc.csv"
+        code, _, err = run_cli("eval-acc", "--preds", p, "--refs", r, "--out", out)
+        assert code == 0, err
+        assert out.read_text().splitlines() == [
+            "qa_id,accuracy", "1,1", "2,1", "3,0.666666667", "mean,0.888888889"]
 
 
 def test_eval_row_order_does_not_depend_on_the_hash_seed(tmp_path):
@@ -690,7 +704,8 @@ class TestEvalRankBlocks:
                                "--maps-b", _ndjson(tmp_path / "b.ndjson", rows_b),
                                "--out", out)
         assert code == 2
-        assert err == f"error: qa_id p{reported:03d} glimpse 0: {messages[dict(faults)[reported]]}\n"
+        assert err == (f"error: {tmp_path / 'a.ndjson'} and {tmp_path / 'b.ndjson'}: "
+                       f"qa_id p{reported:03d} glimpse 0: {messages[dict(faults)[reported]]}\n")
         assert not out.exists()
 
 
@@ -850,7 +865,7 @@ def _preds_with_list_qa_id(tmp_path):
     bad = tmp_path / "bad_preds.ndjson"
     _ndjson(bad, [{"qa_id": "qa1", "answer": "x"}, {"qa_id": [1], "answer": "x"}])
     return (["eval-acc", "--preds", bad, "--refs", refs],
-            f"{bad}:2: qa_id must be a string or an integer, not list")
+            f"{bad}:2: qa_id must be a string or an integer, not [1]")
 
 
 def _list_qa_id(command):
@@ -861,21 +876,21 @@ def _list_qa_id(command):
             records[1]["qa_id"] = [1]
             _ndjson(bad, records)
             return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad],
-                    f"{bad}:2: qa_id must be a string or an integer, not list")
+                    f"{bad}:2: qa_id must be a string or an integer, not [1]")
         if command == "rasterize-labels":
             bad = tmp_path / "labels.ndjson"
             records = [json.loads(text) for text in _lines(GOLDEN / "fig3_labels.ndjson")]
             records[1]["qa_id"] = {"id": 1}
             _ndjson(bad, records)
             return (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"],
-                    f"{bad}:2: qa_id must be a string or an integer, not dict")
+                    f"{bad}:2: qa_id must be a string or an integer, not {{'id': 1}}")
         bad = tmp_path / "qa.json"
         qa = json.loads((FIG3 / "qa.json").read_text())
         qa[1]["qa_id"] = [1]
         bad.write_text(json.dumps(qa))
         return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
                 f"{bad}: record 1: bad QA record: "
-                "TypeError('qa_id must be a string or an integer, not list')")
+                "TypeError('qa_id must be a string or an integer, not [1]')")
     return case
 
 
@@ -942,10 +957,10 @@ def _label_with_float_box(tmp_path):
     bad = tmp_path / "labels.ndjson"
     records = [json.loads(text) for text in _lines(GOLDEN / "fig3_labels.ndjson")]
     records[1]["object_boxes"][0][0] = 120.5
-    box = records[1]["object_boxes"][0]
+    boxes = records[1]["object_boxes"]
     _ndjson(bad, records)
     return (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"],
-            f"{bad}:2: a box must be 4 integers, not {box!r}")
+            f"{bad}:2: object_boxes must be a list of boxes of 4 integers, not {boxes!r}")
 
 
 def _label_with(key, value, fault):
@@ -1059,6 +1074,9 @@ def _annotation_with_text(kind, key, value, rule):
     return case
 
 
+_BAD_IDS = [None, math.nan, [], {}, 1.0]
+
+
 def _eval_acc_with(which, key, value, rule):
     """eval-acc with line 2 of the predictions or references changed."""
     def case(tmp_path):
@@ -1086,7 +1104,11 @@ def _ndjson_with_qa_id(command, value):
     return case
 
 
-def _maps_with_values(command, change):
+_NOT_NUMBERS = "values must be a flat list of numbers, not ["
+_NOT_FINITE = "values must be finite numbers"
+
+
+def _maps_with_values(command, change, fault):
     """render, or eval-rank (maps b), with the values of line 2 replaced by
     ``change(values)``."""
     def case(tmp_path):
@@ -1096,13 +1118,23 @@ def _maps_with_values(command, change):
         _ndjson(bad, records)
         argv = (["render", "--maps", bad] if command == "render"
                 else ["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad])
-        return argv, f"{bad}:2: values must be finite numbers"
+        return argv, f"{bad}:2: {fault}"
     return case
 
 
-def _maps_with_cell(command, value):
+def _maps_with_cell(command, value, fault=_NOT_FINITE):
     """render, or eval-rank (maps b), with one cell of line 2 set to ``value``."""
-    return _maps_with_values(command, lambda values: values[:5] + [value] + values[6:])
+    return _maps_with_values(command, lambda values: values[:5] + [value] + values[6:], fault)
+
+
+def _maps_row_not_an_object(tmp_path):
+    """eval-rank (maps b) whose line 2 is a JSON array holding the row."""
+    bad = tmp_path / "maps.ndjson"
+    lines = _lines(GOLDEN / "fig3_maps.ndjson")
+    lines[1] = f"[{lines[1].rstrip()}]\n"
+    bad.write_text("".join(lines))
+    return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad],
+            f"{bad}:2: 'list' object is not a mapping")
 
 
 def _with_repeated_line(command):
@@ -1232,9 +1264,11 @@ class TestMalformedInput:
         _annotation_with_text("region", "phrase", 7, "a string"),
         _annotation_with_text("object", "names", ["man", 5], "a list of strings"),
         _annotation_with_text("object", "names", "man", "a list of strings"),
+        *[_annotation_with_text(kind, f"{kind}_id", value, "a string or an integer")
+          for kind in ("region", "object") for value in _BAD_IDS],
         _mine_qa_with("question", 5, "question must be a string, not 5"),
         _mine_qa_with("answer", None, "answer must be a string, not None"),
-        _mine_qa_with("image_id", [1], "image_id must be a string or an integer, not list"),
+        _mine_qa_with("image_id", [1], "image_id must be a string or an integer, not [1]"),
         _eval_acc_with("preds", "answer", 5, "a string"),
         _eval_acc_with("refs", "answers", "yyyyyyyyyy", "a list of strings"),
         _mine_qa_with("image_id", True, "image_id must be a string or an integer, not True"),
@@ -1242,9 +1276,13 @@ class TestMalformedInput:
         _eval_acc_with("preds", "qa_id", None, "a string or an integer"),
         _maps_with_cell("eval-rank", float("nan")), _maps_with_cell("render", float("nan")),
         _maps_with_cell("eval-rank", float("inf")), _maps_with_cell("render", -float("inf")),
-        _maps_with_values("eval-rank", lambda values: [str(v) for v in values]),
-        _maps_with_values("render", lambda values: [str(v) for v in values]),
-        _maps_with_values("eval-rank", lambda values: [v > 0 for v in values]),
+        _maps_with_values("eval-rank", lambda values: [str(v) for v in values], _NOT_NUMBERS),
+        _maps_with_values("render", lambda values: [str(v) for v in values], _NOT_NUMBERS),
+        _maps_with_values("eval-rank", lambda values: [v > 0 for v in values], _NOT_NUMBERS),
+        _maps_with_cell("eval-rank", True, _NOT_NUMBERS),
+        _maps_with_values("eval-rank", lambda values: [values[:98], values[98:]], _NOT_NUMBERS),
+        _maps_with_cell("eval-rank", 10**400),
+        _maps_row_not_an_object,
         _with_repeated_line("eval-rank"), _with_repeated_line("render"),
         _with_repeated_line("rasterize"), _with_repeated_line("eval-acc"),
         _qa_with_repeated_qa_id("mine"), _qa_with_repeated_qa_id("rasterize"),
@@ -1275,13 +1313,19 @@ class TestMalformedInput:
             "object-without-names", "object-float-x", "region-bool-height",
             "label-float-box", "maps-string-mask-eval-rank", "maps-string-mask-render",
             "region-zero-width", "object-negative-h", "region-int-phrase",
-            "object-int-name", "object-string-names", "mine-qa-int-question",
+            "object-int-name", "object-string-names",
+            *[f"{kind}-{name}-{kind}_id" for kind in ("region", "object")
+              for name in ("null", "nan", "list", "dict", "float")],
+            "mine-qa-int-question",
             "mine-qa-null-answer", "mine-qa-list-image_id", "preds-int-answer",
             "refs-string-answers", "mine-qa-bool-image_id", "labels-null-qa_id",
             "maps-bool-qa_id", "preds-null-qa_id", "maps-nan-cell-eval-rank",
             "maps-nan-cell-render", "maps-infinity-cell-eval-rank",
             "maps-minus-infinity-cell-render", "maps-string-cells-eval-rank",
-            "maps-string-cells-render", "maps-bool-cells-eval-rank", "maps-repeated-row-eval-rank",
+            "maps-string-cells-render", "maps-bool-cells-eval-rank", "maps-bool-cell-eval-rank",
+            "maps-nested-values-eval-rank", "maps-huge-integer-cell-eval-rank",
+            "maps-row-not-an-object-eval-rank",
+            "maps-repeated-row-eval-rank",
             "maps-repeated-row-render", "labels-repeated-qa_id", "preds-repeated-qa_id",
             "mine-qa-repeated-qa_id", "rasterize-qa-repeated-qa_id", "mine-qa-float-image_id",
             "region-entry-float-image_id", "object-entry-bool-image_id",
