@@ -358,10 +358,8 @@ def stack_to_rows(qa_ids: list, glimpses: np.ndarray, masks: np.ndarray) -> list
 
 def _map_from_row(row: dict) -> tuple[tuple, dict]:
     """The (qa_id, glimpse) key of a maps row and the row, its ``MAP_RECORD``
-    fields checked ('mask' true when absent) and 'values' made an (h, w)
-    float64 array of finite numbers."""
-    if "mask" not in row:  # a row that is not an object raises TypeError here or in fields
-        row = {**row, "mask": True}
+    fields checked ('mask' set to true when absent) and 'values' made an
+    (h, w) float64 array of finite numbers."""
     qa_id, glimpse, h, w, _, cells = fields(row, MAP_RECORD)
     try:
         values = np.fromiter(cells, np.float64, len(cells))

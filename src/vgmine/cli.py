@@ -44,7 +44,7 @@ from .attention import (
 # The per-label and per-pair forms of the block calls below, importable from
 # here because perfbench/tracing.py wraps them by this module's name.
 from .attention import build_supervision, rank_correlation  # noqa: F401
-from .dataset import check_image_size, load_dataset, read_qa
+from .dataset import load_dataset, read_qa
 from .lexicon import WNDB_FILES, load_aliases, load_wordnet
 from .miner import MinerConfig, mine, read_labels, write_labels
 from .records import (PREDICTION_RECORD, REFERENCE_RECORD, InputError, commit, fields, fmt9,
@@ -138,7 +138,7 @@ def cmd_rasterize(args: argparse.Namespace) -> tuple:
     labels_path = _require_file(args.labels, "labels file")
     qa_path = _require_file(args.qa, "qa file")
     labels = read_labels(labels_path)
-    triplets = {t.qa_id: t for t in read_qa(qa_path)}
+    triplets = read_qa(qa_path)
     grid_h, grid_w = args.grid
     if grid_h < 1 or grid_w < 1:
         raise InputError("--grid dimensions must be >= 1")
@@ -148,7 +148,6 @@ def cmd_rasterize(args: argparse.Namespace) -> tuple:
         if triplet is None:
             raise InputError(f"{labels_path}: label qa_id {label.qa_id} missing from qa file "
                              f"{qa_path}")
-        check_image_size(qa_path, triplet)
         if not label.object_boxes and not label.region_boxes:
             raise InputError(f"{labels_path}: label {label.qa_id} has no boxes to rasterize")
         return triplet

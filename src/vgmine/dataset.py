@@ -3,8 +3,8 @@ instances, and QA triplets loaded from JSON files into an immutable
 in-memory dataset.
 
 Each file is a JSON array. Its records are read through ``records.fields``
-against ``QA_RECORD``, or ``ANNOTATION_ENTRY`` and ``REGION_RECORD`` or
-``OBJECT_RECORD``, which give each field's kind (id, int, string, ...).
+against ``QA_RECORD``, ``REGION_ENTRY`` and ``REGION_RECORD``, or
+``OBJECT_ENTRY`` and ``OBJECT_RECORD``, which give each field's kind (id, int, ...).
 
 Boxes arrive as integer corner+size, with sizes of at least 1, and are
 stored as inclusive pixel corners (x_max = x + width - 1). Out-of-range
@@ -19,12 +19,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .records import (ANNOTATION_ENTRY, OBJECT_RECORD, QA_RECORD, REGION_RECORD, InputError,
-                      fields, read_json)
-
-
-class DatasetError(InputError):
-    """Fatal problem reading or decoding an annotation file."""
+from .records import (OBJECT_ENTRY, OBJECT_RECORD, QA_RECORD, REGION_ENTRY, REGION_RECORD,
+                      InputError, fields, read_array, read_keyed_array)
 
 
 class BoundingBox(NamedTuple):
@@ -98,54 +94,27 @@ class LoadReport:
     dropped_triplets: int = 0
 
 
-def _read_array(path: Path) -> list:
-    try:
-        data = read_json(path)
-    except InputError as exc:
-        raise DatasetError(str(exc)) from exc
-    if not isinstance(data, list):
-        raise DatasetError(f"{path}: expected a top-level JSON array")
-    return data
+def read_qa(path: str | Path) -> dict[int | str, QaTriplet]:
+    """The QA records of one file by qa_id, in file order; a repeated qa_id
+    is an error naming both records."""
+    return read_keyed_array(path, lambda rec: ((qa := QaTriplet(*fields(rec, QA_RECORD))).qa_id,
+                                               qa))
 
 
-def read_qa(path: str | Path) -> list[QaTriplet]:
-    """The QA records of one file, in file order; a repeated qa_id is an
-    error naming both records."""
-    triplets: list[QaTriplet] = []
-    first: dict[int | str, int] = {}
-    for index, rec in enumerate(_read_array(Path(path))):
-        try:
-            triplet = QaTriplet(*fields(rec, QA_RECORD))
-        except (KeyError, TypeError) as exc:
-            raise DatasetError(f"{path}: record {index}: bad QA record: {exc!r}") from exc
-        if triplet.qa_id in first:
-            raise DatasetError(f"{path}: record {index}: repeated qa_id {triplet.qa_id!r}, "
-                               f"first in record {first[triplet.qa_id]}")
-        first[triplet.qa_id] = index
-        triplets.append(triplet)
-    return triplets
-
-
-def check_image_size(path: str | Path, triplet: QaTriplet) -> None:
-    """The image of a QA record must be at least one pixel wide and high."""
-    if triplet.image_width < 1 or triplet.image_height < 1:
-        raise DatasetError(f"{path}: qa_id {triplet.qa_id}: image dimensions must be >= 1")
-
-
-def _annotations(path: str | Path, kind: str, table: tuple, sizes: dict, report: LoadReport,
-                 make: Callable) -> dict[int | str, list]:
-    """The ``kind`` records of one annotation file by image id, in file
-    order; ``make(id, text, box)`` builds each from its ``table`` fields,
-    with the box's corners clamped into the image's (width, height) when
-    that is known, and counted when that changes them."""
+def _annotations(path: str | Path, kind: str, tables: tuple[tuple, tuple], sizes: dict,
+                 report: LoadReport, make: Callable) -> dict[int | str, list]:
+    """The ``kind`` records of one annotation file by image id, in file order, read with
+    ``tables`` (the entry's and the record's). ``make(id, text, box)`` builds each, its box
+    clamped into the image's (width, height) when known, and counted when that changes it."""
     by_image: dict[int | str, list] = {}
-    for e, entry in enumerate(_read_array(Path(path))):
+    entry_table, table = tables
+    for e, entry in enumerate(read_array(path)):
         r = None
         try:
-            image_id, = fields(entry, ANNOTATION_ENTRY)
+            image_id, records = fields(entry, entry_table)
             size = sizes.get(image_id)
             items = by_image.setdefault(image_id, [])
-            for r, rec in enumerate(entry.get(f"{kind}s", [])):
+            for r, rec in enumerate(records):
                 ident, text, x, y, width, height = fields(rec, table)
                 x_max, y_max = x + width - 1, y + height - 1
                 if size is not None and (x < 0 or y < 0 or x_max >= size[0]
@@ -155,10 +124,9 @@ def _annotations(path: str | Path, kind: str, table: tuple, sizes: dict, report:
                     x_max, y_max = max(min(x_max, w), x), max(min(y_max, h), y)
                     report.clamped_boxes += 1
                 items.append(make(ident, text, BoundingBox(x, y, x_max, y_max)))
-        except (KeyError, TypeError) as exc:
+        except ValueError as exc:
             where = f"entry {e}" if r is None else f"entry {e}: {kind} {r}"
-            what = f"missing field {exc}" if isinstance(exc, KeyError) else exc
-            raise DatasetError(f"{path}: {where}: bad {kind} record: {what}") from exc
+            raise InputError(f"{path}: {where}: {exc}") from None
     return by_image
 
 
@@ -170,20 +138,16 @@ def load_dataset(regions_file: str | Path, objects_file: str | Path,
     dropped and counted. Image dimensions come from the first QA row per
     image, and each box is clamped to them as it is read; annotation boxes
     for images never referenced by any QA row are kept unclamped (no
-    bounds are known for them). A QA row with a dimension below 1 is an
-    error.
+    bounds are known for them).
     """
-    qa_triplets = read_qa(qa_file)
-    sizes: dict[int | str, tuple[int, int]] = {}
-    for triplet in qa_triplets:
-        check_image_size(qa_file, triplet)
-        sizes.setdefault(triplet.image_id, (triplet.image_width, triplet.image_height))
+    qa_triplets = read_qa(qa_file).values()
+    sizes = {t.image_id: (t.image_width, t.image_height) for t in reversed(qa_triplets)}
     report = LoadReport()
     dataset = Dataset(
-        regions_by_image=_annotations(regions_file, "region", REGION_RECORD, sizes, report,
-                                      RegionAnnotation),
+        regions_by_image=_annotations(regions_file, "region", (REGION_ENTRY, REGION_RECORD),
+                                      sizes, report, RegionAnnotation),
         objects_by_image=_annotations(
-            objects_file, "object", OBJECT_RECORD, sizes, report,
+            objects_file, "object", (OBJECT_ENTRY, OBJECT_RECORD), sizes, report,
             lambda ident, names, box: ObjectAnnotation(ident, tuple(names), box)))
     for triplet in qa_triplets:
         image_id = triplet.image_id

@@ -10,8 +10,8 @@ The lexicon is built from the plain-text WNDB database files (``index.noun``,
 one comma-separated equivalence class per line. An index line's counts are
 read from a table of the numerals WordNet writes (int() reads any other
 spelling) and its synset ids are formatted on lookup. A file that is not
-UTF-8 raises ``LexiconError`` naming the line of its first bad byte. After
-loading, a Lexicon is immutable and safe for concurrent reads.
+UTF-8 raises ``records.InputError`` naming the line of its first bad byte.
+After loading, a Lexicon is immutable and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -23,15 +23,11 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
 
-from .records import InputError, utf8
+from .records import InputError, read_text, utf8
 
 log = logging.getLogger(__name__)
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+(?:['_\-][a-z0-9]+)*")
-
-
-class LexiconError(InputError):
-    """Fatal problem loading WordNet or alias files."""
 
 
 class Pos(enum.Enum):
@@ -305,7 +301,7 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
     # stores each checked line as text; _synset_ids formats its ids on lookup
     index = lexicon._tables[pos].index
     skipped = []
-    with utf8(path, LexiconError), open(path, encoding="utf-8") as fp:
+    with utf8(path), open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             fields = line.split()
             if not fields:
@@ -313,10 +309,8 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
             if line[0] == " ":
                 if line.startswith("  "):
                     continue  # license header
-                raise LexiconError(
-                    f"{path}: malformed header at line {lineno} "
-                    "(header lines must begin with two spaces)"
-                )
+                raise InputError(f"{path}: malformed header at line {lineno} "
+                                 "(header lines must begin with two spaces)")
             try:
                 n_synsets, pointers = _COUNTS.get(fields[2]), _COUNTS.get(fields[3])
                 if n_synsets is None or pointers is None:
@@ -339,7 +333,7 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
 def _parse_exception_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
     table = lexicon._tables[pos]
     skipped = []
-    with utf8(path, LexiconError), open(path, encoding="utf-8") as fp:
+    with utf8(path), open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
             terms = line.split()
             if not terms:
@@ -357,14 +351,14 @@ def _parse_exception_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
 def load_wordnet(directory: str | Path) -> Lexicon:
     """Parse WNDB files (index.noun, index.verb, noun.exc, verb.exc).
 
-    Raises LexiconError naming the file when one is missing or its header
+    Raises InputError naming the file when one is missing or its header
     is malformed. Unparseable entry lines are skipped and counted in
     ``Lexicon.skipped_lines``.
     """
     directory = Path(directory)
     for name in WNDB_FILES:
         if not (directory / name).is_file():
-            raise LexiconError(f"missing WordNet file: {directory / name}")
+            raise InputError(f"missing WordNet file: {directory / name}")
 
     lexicon = Lexicon()
     _parse_index_file(directory / "index.noun", Pos.NOUN, lexicon)
@@ -381,12 +375,7 @@ def load_aliases(lexicon: Lexicon, path: str | Path) -> Lexicon:
     a line become mutual aliases (symmetric closure per line, no transitivity
     across lines). Loading the same file twice is a no-op.
     """
-    path = Path(path)
-    try:
-        with utf8(path, LexiconError):
-            text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LexiconError(f"cannot read alias file {path}: {exc}") from exc
+    text = read_text(Path(path))
     lexicon._signatures.clear()  # signatures carry alias sets
     for line in text.splitlines():
         names = [normalize_token(part) for part in line.split(",")]

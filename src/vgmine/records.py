@@ -1,14 +1,15 @@
 """Every JSON, NDJSON and CSV file vgmine reads, and every file it writes.
 
-Readers raise ``InputError`` naming the file and the line (NDJSON) or the
-character offset (JSON) of a malformed record; a file that is not UTF-8 is
-named with the line of its first bad byte (``utf8``, which the lexicon's
-readers use too). Every input record is decoded by ``fields`` against its
-table of field kinds. Writers write a sibling ``<name>.tmp`` staged in the open
-``commit`` block, which renames them all over their targets only once it
-completes, so a failed command leaves no output. Floats are stored with 9
-significant digits for stable diffs. ``read_pair`` reads two inputs
-concurrently, with the results and the error of reading them in turn.
+``fields`` decodes every input record against its table of field kinds and
+alone refuses one; readers raise its message as an ``InputError`` after the
+file and the line (``<path>:<n>``, NDJSON) or the record (``<path>: record
+<n>``, JSON array). Malformed JSON is named by its offset, and a file that is
+not UTF-8 by the line of its first bad byte (``utf8``, which the lexicon uses
+too). Writers write a sibling ``<name>.tmp`` staged in the open ``commit``
+block, which renames them all over their targets only once it completes, so
+a failed command leaves no output. Floats are stored with 9 significant
+digits for stable diffs. ``read_pair`` reads two inputs concurrently, with
+the results and the error of reading them in turn.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ FIELD_KINDS: dict[str, tuple[set, Callable[[Any], bool] | None, str]] = {
     "int>=0": ({int}, lambda v: v >= 0, "an integer >= 0"),
     "int>=1": ({int}, lambda v: v >= 1, "an integer >= 1"),
     "bool": ({bool}, None, "a bool"),
+    "list": ({list}, None, "a list"),
     "string": ({str}, None, "a string"),
     "strings": ({list}, lambda v: _typed(v, {str}), "a list of strings"),
     "boxes": ({list}, lambda v: all(_typed(b, {int}) and len(b) == 4 for b in v),
@@ -67,93 +69,125 @@ FIELD_KINDS: dict[str, tuple[set, Callable[[Any], bool] | None, str]] = {
 }
 
 
-def _table(**kinds: str) -> tuple:
-    """A record's fields in order, each as (key, *its ``FIELD_KINDS`` entry)."""
-    return tuple((key, *FIELD_KINDS[kind]) for key, kind in kinds.items())
+def _table(**kinds: str | tuple[str, Any]) -> tuple:
+    """A record's fields in order, each as (key, *its ``FIELD_KINDS`` entry, default); a key
+    given as ``(kind, default)`` is optional, and one given as ``kind`` required (``...``)."""
+    return tuple((key, *FIELD_KINDS[kind], ...) if type(kind) is str
+                 else (key, *FIELD_KINDS[kind[0]], kind[1]) for key, kind in kinds.items())
 
 
 QA_RECORD = _table(qa_id="id", image_id="id", question="string", answer="string",
-                   image_width="int", image_height="int")
-ANNOTATION_ENTRY = _table(image_id="id")
+                   image_width="int>=1", image_height="int>=1")
+REGION_ENTRY = _table(image_id="id", regions=("list", []))
+OBJECT_ENTRY = _table(image_id="id", objects=("list", []))
 REGION_RECORD = _table(region_id="id", phrase="string", x="int", y="int", width="int>=1",
                        height="int>=1")
 OBJECT_RECORD = _table(object_id="id", names="strings", x="int", y="int", w="int>=1",
                        h="int>=1")
 LABEL_RECORD = _table(qa_id="id", region_boxes="boxes", object_boxes="boxes",
                       is_counting="bool", region_match_count="int>=0", matched_words="words")
-MAP_RECORD = _table(qa_id="id", glimpse="int>=0", h="int>=1", w="int>=1", mask="bool",
+MAP_RECORD = _table(qa_id="id", glimpse="int>=0", h="int>=1", w="int>=1", mask=("bool", True),
                     values="numbers")
 PREDICTION_RECORD = _table(qa_id="id", answer="string")
 REFERENCE_RECORD = _table(qa_id="id", answers="strings")
 
 
-def fields(record: dict, table: tuple) -> list:
-    """The values of ``table``'s keys in ``record``, in table order. A
-    missing key raises KeyError, a value not of its key's kind TypeError."""
+def fields(record: Any, table: tuple) -> list:
+    """The values of ``table``'s keys in ``record``, in table order, setting
+    a missing optional key to its default. A record that is not a JSON
+    object, a missing key and a value not of its key's kind raise ValueError."""
     values = []
-    for key, types, test, rule in table:
-        value = record[key]
-        if type(value) not in types or test is not None and not test(value):
-            raise TypeError(f"{key} must be {rule}, not {value!r}")
-        values.append(value)
+    try:
+        for key, types, test, rule, default in table:
+            value = record[key]
+            if type(value) not in types or test is not None and not test(value):
+                raise ValueError(f"{key} must be {rule}, not {value!r}")
+            values.append(value)
+    except KeyError:
+        if default is ...:
+            raise ValueError(f"missing field {key!r}") from None
+        record[key] = default
+        return fields(record, table)
+    except TypeError:  # record[key] of a JSON value that is not an object
+        raise ValueError(f"expected a JSON object, not {record!r}") from None
     return values
 
 
 @contextmanager
-def utf8(path: Path, error: type[InputError] = InputError) -> Iterator[None]:
-    """A file read as UTF-8 in the block that is not UTF-8 raises ``error``
-    naming the line of its first bad byte."""
+def utf8(path: Path) -> Iterator[None]:
+    """A file read as UTF-8 in the block that is not UTF-8 raises
+    ``InputError`` naming the line of its first bad byte."""
     try:
         yield
     except UnicodeDecodeError:
         text = path.read_bytes().decode("utf-8", "surrogateescape")  # bad bytes: U+DC80-DCFF
         line = text.count("\n", 0, re.search("[\udc80-\udcff]", text).start()) + 1
-        raise error(f"{path}:{line}: not UTF-8 text") from None
+        raise InputError(f"{path}:{line}: not UTF-8 text") from None
+
+
+def read_text(path: Path) -> str:
+    try:
+        with utf8(path):
+            return path.read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def read_json(path: str | Path) -> Any:
     path = Path(path)
     try:
-        with utf8(path):
-            text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
-    try:
-        return json.loads(text)
+        return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
 
 
+def _keyed(where: Callable[[int], str], earlier: str, items: Iterable[tuple[int, Any]],
+           decode: Callable, printed: Callable | None) -> dict:
+    """The ``(key, value)`` pairs that ``decode`` makes of the numbered ``items``, in order.
+    An item that ``decode`` rejects with ValueError, or whose key an earlier one holds or, given
+    ``printed``, prints as an earlier one's (``printed(key)``), is reported after ``where(n)``."""
+    records, firsts = {}, {}  # firsts: printed key -> (key, n)
+    for n, item in items:
+        try:
+            key, value = decode(item)
+        except ValueError as exc:
+            raise InputError(f"{where(n)}: {exc}") from None
+        shown = key if printed is None else printed(key)
+        if shown in firsts:
+            first, at = firsts[shown]
+            fault = (f"repeated key {key!r}, first {earlier} {at}" if first == key
+                     else f"key {key!r} prints as the key {first!r} {earlier} {at}")
+            raise InputError(f"{where(n)}: {fault}")
+        records[key], firsts[shown] = value, (key, n)
+    return records
+
+
 def read_keyed(path: str | Path, decode: Callable[[Any], tuple[Any, Any]],
                printed: Callable[[Any], Any] | None = None) -> dict:
-    """The ``(key, value)`` pairs that ``decode`` makes of the non-blank
-    lines, as a dict in file order. A line that is not JSON, that ``decode``
-    rejects with KeyError, TypeError or ValueError, or whose key an earlier
-    line holds is reported as ``<path>:<line>``; so is, when ``printed`` is
-    given, a key that prints as an earlier one (equal ``printed(key)``)."""
+    """``_keyed`` over the non-blank lines of an NDJSON file, numbered from 1
+    and each read as JSON; a line that is not JSON is one ``decode`` rejects."""
     path = Path(path)
-    records, lines = {}, {}  # lines: printed key -> (key, line)
     try:
         with utf8(path), open(path, encoding="utf-8") as fp:
-            for lineno, line in enumerate(fp, start=1):
-                if not line.strip():
-                    continue
-                try:
-                    key, value = decode(json.loads(line))
-                except KeyError as exc:
-                    raise InputError(f"{path}:{lineno}: missing field {exc}") from exc
-                except (TypeError, ValueError) as exc:
-                    raise InputError(f"{path}:{lineno}: {exc}") from exc
-                shown = key if printed is None else printed(key)
-                if shown in lines:
-                    first, at = lines[shown]
-                    fault = (f"repeated key {key!r}, first on line {at}" if first == key
-                             else f"key {key!r} prints as the key {first!r} on line {at}")
-                    raise InputError(f"{path}:{lineno}: {fault}")
-                records[key], lines[shown] = value, (key, lineno)
+            return _keyed(lambda n: f"{path}:{n}", "on line",
+                          ((n, line) for n, line in enumerate(fp, start=1) if not line.isspace()),
+                          lambda line: decode(json.loads(line)), printed)
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+
+
+def read_array(path: str | Path) -> list:
+    """The records of a JSON file that holds one array."""
+    records = read_json(path)
+    if type(records) is not list:
+        raise InputError(f"{path}: expected a top-level JSON array")
     return records
+
+
+def read_keyed_array(path: str | Path, decode: Callable[[Any], tuple[Any, Any]]) -> dict:
+    """``_keyed`` over the records of a JSON array file, numbered from 0."""
+    return _keyed(lambda n: f"{path}: record {n}", "in record", enumerate(read_array(path)),
+                  decode, None)
 
 
 def read_pair(read: Callable[[Any], Any], first: Any, second: Any) -> tuple[Any, Any]:

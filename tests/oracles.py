@@ -25,8 +25,9 @@ import numpy as np
 
 from vgmine.attention import AttentionMap, GlimpseStack, rank_correlation
 from vgmine.dataset import BoundingBox, Dataset
-from vgmine.lexicon import Lexicon, LexiconError, MatchCondition, Pos, normalize_token
+from vgmine.lexicon import Lexicon, MatchCondition, Pos, normalize_token
 from vgmine.miner import MinerConfig
+from vgmine.records import InputError
 from vgmine.toymodel import ToyConfig, ToyModelParams, ToySample, loss_and_grads
 
 
@@ -221,7 +222,7 @@ def reference_index_file(path, pos: Pos) -> tuple[dict[str, list[str]], int]:
     fields, a count is not an int, it has no synset or not as many offsets
     as it says, or ``int()`` rejects an offset; a later line of the same
     lemma replaces an earlier one. A header line with one leading space
-    raises LexiconError."""
+    raises InputError."""
     index: dict[str, list[str]] = {}
     skipped = 0
     with open(path, encoding="utf-8") as fp:
@@ -231,7 +232,7 @@ def reference_index_file(path, pos: Pos) -> tuple[dict[str, list[str]], int]:
             if line.startswith("  "):
                 continue  # license header
             if line.startswith(" "):
-                raise LexiconError(
+                raise InputError(
                     f"{path}: malformed header at line {lineno} "
                     "(header lines must begin with two spaces)"
                 )

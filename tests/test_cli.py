@@ -229,10 +229,12 @@ class TestRasterizeBlocks:
         ([(70, "no-boxes"), (100, "missing-qa")], 70),
         ([(70, "missing-qa"), (100, "no-boxes")], 70),
         ([(100, "no-boxes"), (70, "zero-size")], 70),
-        ([(5, "zero-size"), (3, "no-boxes")], 3),
+        ([(5, "zero-size"), (3, "no-boxes")], 5),
     ], ids=["boxes-then-qa", "qa-then-boxes", "size-then-boxes", "one-block"])
     def test_first_faulty_label_in_file_order_is_reported(self, run_cli, tmp_path,
                                                           faults, reported):
+        """A QA record of zero size is refused as the qa file is read, before
+        any label is checked."""
         labels, qa = _random_labels(np.random.default_rng(42), 130)
         by_id = {rec["qa_id"]: rec for rec in qa}
         messages = {}
@@ -248,8 +250,9 @@ class TestRasterizeBlocks:
                                   f"{label['qa_id']} missing from qa file {tmp_path / 'qa.json'}")
             else:
                 by_id[label["qa_id"]]["image_height"] = 0
-                messages[line] = (f"{tmp_path / 'qa.json'}: qa_id {label['qa_id']}: "
-                                  "image dimensions must be >= 1")
+                messages[line] = (f"{tmp_path / 'qa.json'}: record "
+                                  f"{qa.index(by_id[label['qa_id']])}: "
+                                  "image_height must be an integer >= 1, not 0")
         labels_path, qa_path = _write_labels(tmp_path, labels, qa)
         code, _, err = run_cli("rasterize", "--labels", labels_path, "--qa", qa_path,
                                "--out", tmp_path / "maps.ndjson")
@@ -829,7 +832,7 @@ def _qa_record_without_field(tmp_path):
     del qa[1]["image_width"]
     bad.write_text(json.dumps(qa))
     return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
-            f"{bad}: record 1: bad QA record: KeyError('image_width')")
+            f"{bad}: record 1: missing field 'image_width'")
 
 
 def _label_without_boxes(tmp_path):
@@ -847,7 +850,7 @@ def _qa_zero_width(tmp_path):
     qa[1]["image_width"] = 0
     bad.write_text(json.dumps(qa))
     return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
-            f"{bad}: qa_id qa2: image dimensions must be >= 1")
+            f"{bad}: record 1: image_width must be an integer >= 1, not 0")
 
 
 def _mine_qa_zero_width(tmp_path):
@@ -857,7 +860,7 @@ def _mine_qa_zero_width(tmp_path):
     bad.write_text(json.dumps(qa))
     argv = [str(a) for a in MINE_ARGS]
     argv[argv.index("--qa") + 1] = str(bad)
-    return argv, f"{bad}: qa_id {qa[0]['qa_id']}: image dimensions must be >= 1"
+    return argv, f"{bad}: record 0: image_width must be an integer >= 1, not 0"
 
 
 def _preds_with_list_qa_id(tmp_path):
@@ -889,8 +892,7 @@ def _list_qa_id(command):
         qa[1]["qa_id"] = [1]
         bad.write_text(json.dumps(qa))
         return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
-                f"{bad}: record 1: bad QA record: "
-                "TypeError('qa_id must be a string or an integer, not [1]')")
+                f"{bad}: record 1: qa_id must be a string or an integer, not [1]")
     return case
 
 
@@ -927,9 +929,8 @@ def _qa_with_size(key, value):
         qa = json.loads((FIG3 / "qa.json").read_text())
         qa[1][key] = value
         bad.write_text(json.dumps(qa))
-        error = TypeError(f"{key} must be an integer, not {value!r}")
         return (["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad],
-                f"{bad}: record 1: bad QA record: {error!r}")
+                f"{bad}: record 1: {key} must be an integer >= 1, not {value!r}")
     return case
 
 
@@ -949,7 +950,7 @@ def _annotation_with_field(kind, key, value=None):
         bad.write_text(json.dumps(entries))
         argv = [str(a) for a in MINE_ARGS]
         argv[argv.index(f"--{name}") + 1] = str(bad)
-        return argv, f"{bad}: entry 0: {kind} 2: bad {kind} record: {fault}"
+        return argv, f"{bad}: entry 0: {kind} 2: {fault}"
     return case
 
 
@@ -984,7 +985,7 @@ def _mine_qa_with(key, value, fault):
         bad.write_text(json.dumps(qa))
         argv = [str(a) for a in MINE_ARGS]
         argv[argv.index("--qa") + 1] = str(bad)
-        return argv, f"{bad}: record 1: bad QA record: {TypeError(fault)!r}"
+        return argv, f"{bad}: record 1: {fault}"
     return case
 
 
@@ -1040,7 +1041,7 @@ def _qa_with_repeated_qa_id(command):
             argv[argv.index("--qa") + 1] = str(bad)
         else:
             argv = ["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", bad]
-        return argv, f"{bad}: record 2: repeated qa_id 'qa1', first in record 0"
+        return argv, f"{bad}: record 2: repeated key 'qa1', first in record 0"
     return case
 
 
@@ -1054,8 +1055,7 @@ def _annotation_entry_with_image_id(kind, value):
         bad.write_text(json.dumps(entries))
         argv = [str(a) for a in MINE_ARGS]
         argv[argv.index(f"--{name}") + 1] = str(bad)
-        return argv, (f"{bad}: entry 0: bad {kind} record: "
-                      f"image_id must be a string or an integer, not {value!r}")
+        return argv, f"{bad}: entry 0: image_id must be a string or an integer, not {value!r}"
     return case
 
 
@@ -1069,8 +1069,7 @@ def _annotation_with_text(kind, key, value, rule):
         bad.write_text(json.dumps(entries))
         argv = [str(a) for a in MINE_ARGS]
         argv[argv.index(f"--{name}") + 1] = str(bad)
-        return (argv, f"{bad}: entry 0: {kind} 1: bad {kind} record: "
-                      f"{key} must be {rule}, not {value!r}")
+        return argv, f"{bad}: entry 0: {kind} 1: {key} must be {rule}, not {value!r}"
     return case
 
 
@@ -1134,7 +1133,41 @@ def _maps_row_not_an_object(tmp_path):
     lines[1] = f"[{lines[1].rstrip()}]\n"
     bad.write_text("".join(lines))
     return (["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad],
-            f"{bad}:2: 'list' object is not a mapping")
+            f"{bad}:2: expected a JSON object, not {json.loads(lines[1])!r}")
+
+
+def _not_an_object(name, value):
+    """``name``'s Fig. 3 input with one record, entry or list replaced by
+    ``value``: QA record 1 (mine), entry 0 or its regions or its region 1
+    (mine), line 2 of the maps (eval-rank) or of the labels (rasterize)."""
+    def case(tmp_path):
+        if name in ("maps", "labels"):
+            source = GOLDEN / f"fig3_{name}.ndjson"
+            bad = tmp_path / source.name
+            lines = _lines(source)
+            lines[1] = json.dumps(value) + "\n"
+            bad.write_text("".join(lines))
+            argv = (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"] if name == "labels"
+                    else ["eval-rank", "--maps-a", source, "--maps-b", bad])
+            return argv, f"{bad}:2: expected a JSON object, not {value!r}"
+        flag = "qa" if name == "qa" else "regions"
+        bad = tmp_path / f"{flag}.json"
+        records = json.loads((FIG3 / f"{flag}.json").read_text())
+        fault = f"expected a JSON object, not {value!r}"
+        if name == "qa":
+            records[1], place = value, "record 1"
+        elif name == "entry":
+            records[0], place = value, "entry 0"
+        elif name == "region":
+            records[0]["regions"][1], place = value, "entry 0: region 1"
+        else:
+            records[0]["regions"], place = value, "entry 0"
+            fault = f"regions must be a list, not {value!r}"
+        bad.write_text(json.dumps(records))
+        argv = [str(a) for a in MINE_ARGS]
+        argv[argv.index(f"--{flag}") + 1] = str(bad)
+        return argv, f"{bad}: {place}: {fault}"
+    return case
 
 
 def _with_repeated_line(command):
@@ -1282,7 +1315,9 @@ class TestMalformedInput:
         _maps_with_cell("eval-rank", True, _NOT_NUMBERS),
         _maps_with_values("eval-rank", lambda values: [values[:98], values[98:]], _NOT_NUMBERS),
         _maps_with_cell("eval-rank", 10**400),
-        _maps_row_not_an_object,
+        _maps_row_not_an_object, _not_an_object("qa", [1, 2]), _not_an_object("entry", 5),
+        _not_an_object("regions", 5), _not_an_object("region", [1, 2]),
+        _not_an_object("maps", [1, 2]), _not_an_object("labels", 7),
         _with_repeated_line("eval-rank"), _with_repeated_line("render"),
         _with_repeated_line("rasterize"), _with_repeated_line("eval-acc"),
         _qa_with_repeated_qa_id("mine"), _qa_with_repeated_qa_id("rasterize"),
@@ -1324,7 +1359,8 @@ class TestMalformedInput:
             "maps-minus-infinity-cell-render", "maps-string-cells-eval-rank",
             "maps-string-cells-render", "maps-bool-cells-eval-rank", "maps-bool-cell-eval-rank",
             "maps-nested-values-eval-rank", "maps-huge-integer-cell-eval-rank",
-            "maps-row-not-an-object-eval-rank",
+            "maps-row-not-an-object-eval-rank", "mine-qa-list-record", "region-int-entry",
+            "region-entry-int-regions", "region-list-record", "maps-list-row", "labels-int-line",
             "maps-repeated-row-eval-rank",
             "maps-repeated-row-render", "labels-repeated-qa_id", "preds-repeated-qa_id",
             "mine-qa-repeated-qa_id", "rasterize-qa-repeated-qa_id", "mine-qa-float-image_id",

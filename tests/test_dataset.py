@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from vgmine.dataset import BoundingBox, DatasetError, load_dataset
+from vgmine.dataset import BoundingBox, load_dataset
+from vgmine.records import InputError
 
 from conftest import FIG3
 from oracles import reference_box
@@ -82,7 +83,7 @@ class TestLoadDataset:
     def test_malformed_json_names_file_and_offset(self, tmp_path):
         paths = _write_corpus(tmp_path, BASIC_REGIONS, BASIC_OBJECTS, BASIC_QA)
         paths[0].write_text('[{"image_id": 1, ]')
-        with pytest.raises(DatasetError, match=r"regions\.json.*offset"):
+        with pytest.raises(InputError, match=r"regions\.json.*offset"):
             load_dataset(*paths)
 
     def test_deterministic(self):

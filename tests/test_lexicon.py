@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from vgmine.lexicon import (
     Lexicon,
-    LexiconError,
     MatchCondition,
     Pos,
     load_aliases,
@@ -15,6 +14,7 @@ from vgmine.lexicon import (
     _synset_ids,
     normalize_token,
 )
+from vgmine.records import InputError
 
 from conftest import ALIASES, WORDNET_DIR
 from oracles import (reference_aliases, reference_index_file, reference_normalize,
@@ -148,14 +148,14 @@ class TestLoadWordnet:
     def test_missing_index_verb_is_fatal(self, tmp_path):
         for name in ("index.noun", "noun.exc", "verb.exc"):
             (tmp_path / name).write_text("")
-        with pytest.raises(LexiconError, match="index.verb"):
+        with pytest.raises(InputError, match="index.verb"):
             load_wordnet(tmp_path)
 
     def test_malformed_header_is_fatal(self, tmp_path):
         (tmp_path / "index.noun").write_text(" 1 single-space header\n")
         for name in ("index.verb", "noun.exc", "verb.exc"):
             (tmp_path / name).write_text("")
-        with pytest.raises(LexiconError, match="malformed header"):
+        with pytest.raises(InputError, match="malformed header"):
             load_wordnet(tmp_path)
 
     def test_unparseable_lines_are_counted_not_fatal(self, tmp_path):
@@ -194,8 +194,8 @@ class TestLoadWordnet:
         files[Pos.VERB].write_bytes(verb.encode("utf-8"))
         try:
             expected = {pos: reference_index_file(path, pos) for pos, path in files.items()}
-        except LexiconError as exc:
-            with pytest.raises(LexiconError) as raised:
+        except InputError as exc:
+            with pytest.raises(InputError) as raised:
                 load_wordnet(wordnet_dir)
             assert str(raised.value) == str(exc)
             return
@@ -279,7 +279,7 @@ class TestLoadAliases:
         assert lex.aliases == a
 
     def test_unreadable_file_is_fatal(self, tmp_path):
-        with pytest.raises(LexiconError):
+        with pytest.raises(InputError):
             load_aliases(Lexicon(), tmp_path / "missing.txt")
 
 

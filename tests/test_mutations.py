@@ -1,5 +1,6 @@
 """Every JSON scalar of the Fig. 3 inputs, golden labels and golden maps,
-replaced in turn by each bad value, through ``cli.main`` in this process.
+and every whole record, line and annotation list of them, replaced in turn
+by each bad value, through ``cli.main`` in this process.
 
 Each mutation either exits 2 with a message naming the file and the record
 or line, no traceback and no output, or is on ``ACCEPTED``: a value that
@@ -31,8 +32,10 @@ _INTS = {"-1", "10**30", "10**400"}
 _BIG = {"10**30", "10**400"}
 
 # (input, field) -> (values that may exit 0 there, why). The field of a
-# list item is the list's key.
+# list item is the list's key, and that of a whole record or line "record".
 ACCEPTED = {
+    ("regions", "regions"): ({"[]"}, "an image may have no regions"),
+    ("objects", "objects"): ({"[]"}, "an image may have no objects"),
     **{(name, key): ({"x"} | _INTS, "an id may be any string or integer")
        for name, key in [("qa", "qa_id"), ("qa", "image_id"), ("regions", "image_id"),
                          ("regions", "region_id"), ("objects", "image_id"),
@@ -82,6 +85,17 @@ def _scalars(value, key=None, path=()):
             yield from _scalars(value[i], key, path + (i,))
     else:
         yield path, key
+
+
+def _wholes(name, records):
+    """(path, field) of each record or line and, in an annotation file, of
+    each entry's list and each record in it."""
+    for e, record in enumerate(records):
+        yield (e,), "record"
+        if name in ("regions", "objects"):
+            yield (e, name), name
+            for r in range(len(record[name])):
+                yield (e, name, r), "record"
 
 
 def _fig3_preds_refs():
@@ -158,8 +172,9 @@ def _run(argv):
     return code, stderr.getvalue()
 
 
-@pytest.mark.parametrize("name", list(TARGETS))
-def test_every_scalar_mutation_exits_2_naming_its_place_or_is_accepted(tmp_path, name):
+def _mutate_each(tmp_path, name, places):
+    """Replace each of ``places`` (path, field) of ``name``'s records by each
+    bad value in turn; every run exits 2 naming its place or is accepted."""
     records, ndjson, command = TARGETS[name]
     preds, refs = tmp_path / "preds.ndjson", tmp_path / "refs.ndjson"
     preds.write_text(_text(_fig3_preds_refs()[0], True))
@@ -174,7 +189,7 @@ def test_every_scalar_mutation_exits_2_naming_its_place_or_is_accepted(tmp_path,
         argv[argv.index(f"--{name}") + 1] = str(bad)
 
     faults, runs = [], 0
-    for path, key in _scalars(records):
+    for path, key in places:
         field = _field(name, records, path, key)
         for label, text in VALUES.items():
             mutated = copy.deepcopy(records)
@@ -200,3 +215,14 @@ def test_every_scalar_mutation_exits_2_naming_its_place_or_is_accepted(tmp_path,
                 faults.append(f"{where} (names no place)")
     assert runs > 0
     assert faults == [], f"{len(faults)} of {runs} mutations:\n" + "\n".join(faults)
+
+
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_every_scalar_mutation_exits_2_naming_its_place_or_is_accepted(tmp_path, name):
+    _mutate_each(tmp_path, name, _scalars(TARGETS[name][0]))
+
+
+@pytest.mark.parametrize("name", list(TARGETS))
+def test_every_record_and_list_mutation_exits_2_naming_its_place_or_is_accepted(tmp_path,
+                                                                                name):
+    _mutate_each(tmp_path, name, _wholes(name, TARGETS[name][0]))

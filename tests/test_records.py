@@ -1,3 +1,4 @@
+import json
 import os
 import signal
 import subprocess
@@ -7,6 +8,10 @@ from pathlib import Path
 import pytest
 
 from conftest import no_child_left
+from vgmine.attention import read_maps
+from vgmine.cli import _reference
+from vgmine.dataset import load_dataset, read_qa
+from vgmine.miner import read_labels
 from vgmine.records import (InputError, commit, make_dir, read_keyed, read_pair, write_bytes,
                             write_csv, write_lines)
 
@@ -159,3 +164,87 @@ def test_key_printed_as_an_earlier_one_names_both_lines(tmp_path):
     assert list(read_keyed(path, lambda rec: (rec["id"], rec))) == [1, 2, "1"]
     with pytest.raises(InputError, match=rf"^{path}:3: key '1' prints as the key 1 on line 1$"):
         read_keyed(path, lambda rec: (rec["id"], rec), str)
+
+
+
+_QA = {"qa_id": 1, "image_id": 1, "question": "q", "answer": "a", "image_width": 4,
+       "image_height": 4}
+
+
+def _qa(path, records):
+    path.write_text(json.dumps(records))
+    return read_qa(path)
+
+
+def _annotations(kind):
+    def read(path, records):
+        empty = path.with_name("empty.json")
+        empty.write_text("[]")
+        path.write_text(json.dumps([{"image_id": 1, f"{kind}s": records}]))
+        return load_dataset(*([path, empty] if kind == "region" else [empty, path]), empty)
+    return read
+
+
+def _ndjson(reader):
+    def read(path, records):
+        path.write_text("".join(json.dumps(record) + "\n" for record in records))
+        return reader(path)
+    return read
+
+
+# reader -> (a valid record, its id key, a function that writes records to
+# a path and reads them, the place an error names the second record by)
+READERS = {
+    "read_qa": (_QA, "qa_id", _qa, "{}: record 1"),
+    "load_dataset-regions": (
+        {"region_id": 1, "phrase": "a dog", "x": 0, "y": 0, "width": 2, "height": 2},
+        "region_id", _annotations("region"), "{}: entry 0: region 1"),
+    "load_dataset-objects": (
+        {"object_id": 1, "names": ["dog"], "x": 0, "y": 0, "w": 2, "h": 2},
+        "object_id", _annotations("object"), "{}: entry 0: object 1"),
+    "read_labels": (
+        {"qa_id": 1, "region_boxes": [[0, 0, 1, 1]], "object_boxes": [], "is_counting": False,
+         "region_match_count": 1, "matched_words": [["dog", "dog", "raw"]]},
+        "qa_id", _ndjson(read_labels), "{}:2"),
+    "read_maps": ({"qa_id": 1, "glimpse": 0, "h": 1, "w": 2, "mask": True, "values": [0.5, 0.5]},
+                  "qa_id", _ndjson(read_maps), "{}:2"),
+    "eval-acc-refs": ({"qa_id": 1, "answers": ["a"] * 10}, "qa_id",
+                      _ndjson(lambda path: read_keyed(path, _reference, str)), "{}:2"),
+}
+
+
+FAULTS = {"missing-key": "missing field '{key}'",
+          "wrong-kind": "{key} must be a string or an integer, not [1]",
+          "not-an-object": "expected a JSON object, not [1, 2]"}
+
+
+@pytest.mark.parametrize("fault", list(FAULTS))
+@pytest.mark.parametrize("reader", list(READERS))
+def test_every_reader_gives_the_same_text_after_its_place(tmp_path, reader, fault):
+    record, key, read, place = READERS[reader]
+    path = tmp_path / "input"
+    bad = {"missing-key": {k: v for k, v in record.items() if k != key},
+           "wrong-kind": dict(record, **{key: [1]}), "not-an-object": [1, 2]}[fault]
+    read(path, [record])  # the good record alone is read
+    with pytest.raises(InputError) as raised:
+        read(path, [record, bad])
+    assert str(raised.value) == f"{place.format(path)}: {FAULTS[fault].format(key=key)}"
+
+
+def test_repeated_key_in_an_array_names_both_records(tmp_path):
+    path = tmp_path / "qa.json"
+    records = [dict(_QA, qa_id=qa_id) for qa_id in (1, "1", 2)]
+    assert list(_qa(path, records)) == [1, "1", 2]
+    with pytest.raises(InputError, match=rf"^{path}: record 3: repeated key '1', first in "
+                                         rf"record 1$"):
+        _qa(path, records + [dict(_QA, qa_id="1")])
+
+
+def test_repeated_key_in_ndjson_names_both_lines(tmp_path):
+    path = tmp_path / "labels.ndjson"
+    record = READERS["read_labels"][0]
+    read = _ndjson(read_labels)
+    records = [dict(record, qa_id=qa_id) for qa_id in (1, "1")]
+    assert [label.qa_id for label in read(path, records)] == [1, "1"]
+    with pytest.raises(InputError, match=rf"^{path}:3: repeated key 1, first on line 1$"):
+        read(path, records + [dict(record, qa_id=1)])
