@@ -6,6 +6,9 @@ distributions and stacked into supervision glimpses (glimpse 0 objects,
 glimpse 1 regions). Metrics: KL divergence between glimpse stacks,
 Spearman rank correlation between maps, and the min(k/3, 1) answer
 accuracy over ten reference answers.
+
+Ranks and KL need maps of finite cells >= 0: ``_check_cells`` alone refuses any
+other, where a map enters (``AttentionMap``, every maps row), not in the kernels.
 """
 
 from __future__ import annotations
@@ -34,23 +37,29 @@ BLOCK_SIZE = 64
 _SUM_TOL = 1e-9
 
 
-class AttentionError(Exception):
-    """Invalid map contents or incompatible shapes."""
+class AttentionError(ValueError):
+    """Invalid map contents or mismatched shapes; a ValueError, so a maps reader names its line."""
+
+
+def _check_cells(values: np.ndarray) -> np.ndarray:
+    """``values``, refused unless every cell is a finite number >= 0. NaN fails both tests;
+    ``initial`` lets an empty map pass."""
+    if not (0 <= values.min(initial=0.0) and values.max(initial=0.0) < math.inf):
+        raise AttentionError("values must be finite numbers >= 0")
+    return values
 
 
 @dataclass
 class AttentionMap:
-    """Non-negative H x W grid; a probability distribution when normalized."""
+    """H x W grid of finite cells >= 0; a probability distribution when normalized."""
 
     values: np.ndarray  # float64, shape (H, W), indexed [y, x]
     normalized: bool = False
 
     def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
+        self.values = _check_cells(np.asarray(self.values, dtype=np.float64))
         if self.values.ndim != 2:
             raise AttentionError("attention map must be 2-D")
-        if np.any(self.values < 0):
-            raise AttentionError("attention map entries must be non-negative")
         if self.normalized and abs(float(self.values.sum()) - 1.0) > _SUM_TOL:
             raise AttentionError("normalized map must sum to 1")
 
@@ -204,14 +213,12 @@ def midranks(values: np.ndarray) -> np.ndarray:
     argsort and read through flat indices; each run of equal values starts
     where a sorted value differs from its predecessor or a row begins, its
     length is the distance to the next start, and every member of a run of
-    length L starting at row position s gets s + (L + 1) / 2. A midrank does
-    not depend on the order of tied members, but NaNs never tie, so their
-    ranks follow their order in the row: a block holding a NaN is sorted
-    stably."""
+    length L starting at row position s gets s + (L + 1) / 2, whatever the order of tied
+    members (``_check_cells`` keeps out NaN, which ties with nothing)."""
     rows, n = values.shape
     if not values.size:
         return np.empty((rows, n))
-    order = np.argsort(values, axis=1, kind="stable" if np.isnan(values).any() else None)
+    order = np.argsort(values, axis=1)
     order += np.arange(0, rows * n, n)[:, None]
     flat = order.ravel()
     ordered = values.ravel()[flat]
@@ -262,24 +269,18 @@ def rank_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def correlation_block(maps_a: list[np.ndarray], maps_b: list[np.ndarray]
                       ) -> tuple[list[float], tuple[int, str] | None]:
     """Spearman coefficients of a block of map pairs, one ``rank_correlations``
-    call per pair of map shapes (usually one), and the index and text of the
-    first faulty pair (a negative cell, a shape mismatch or a constant map),
-    or None."""
+    call per map shape (usually one), and the index and text of the first
+    faulty pair (a shape mismatch or a constant map), or None."""
     corr = np.full(len(maps_a), np.nan)
-    negative = np.zeros(len(maps_a), dtype=bool)
-    groups: dict[tuple, list[int]] = {}
+    groups: dict[tuple, list[int]] = {}  # shape -> the pairs of two maps of that shape
     for i, (a, b) in enumerate(zip(maps_a, maps_b)):
-        groups.setdefault((a.shape, b.shape), []).append(i)
-    for (shape_a, shape_b), index in groups.items():
-        a = np.stack([maps_a[i] for i in index]).reshape(len(index), -1)
-        b = np.stack([maps_b[i] for i in index]).reshape(len(index), -1)
-        negative[index] = (a < 0).any(axis=1) | (b < 0).any(axis=1)
-        if shape_a == shape_b:
-            corr[index] = rank_correlations(a, b)
+        if a.shape == b.shape:
+            groups.setdefault(a.shape, []).append(i)
+    for index in groups.values():
+        a, b = (np.stack([maps[i].ravel() for i in index]) for maps in (maps_a, maps_b))
+        corr[index] = rank_correlations(a, b)
     coefficients = corr.tolist()
     for i, (a, b) in enumerate(zip(maps_a, maps_b)):
-        if negative[i]:
-            return coefficients, (i, "attention map entries must be non-negative")
         if a.shape != b.shape:
             return coefficients, (i, "map shape mismatch")
         if math.isnan(coefficients[i]):
@@ -359,16 +360,13 @@ def stack_to_rows(qa_ids: list, glimpses: np.ndarray, masks: np.ndarray) -> list
 def _map_from_row(row: dict) -> tuple[tuple, dict]:
     """The (qa_id, glimpse) key of a maps row and the row, its ``MAP_RECORD``
     fields checked ('mask' set to true when absent) and 'values' made an
-    (h, w) float64 array of finite numbers."""
+    (h, w) float64 array that passes ``_check_cells``."""
     qa_id, glimpse, h, w, _, cells = fields(row, MAP_RECORD)
     try:
         values = np.fromiter(cells, np.float64, len(cells))
-        finite = np.isfinite(values).all()
-    except OverflowError:  # an integer beyond float64
-        finite = False
-    if not finite:
-        raise ValueError("values must be finite numbers")
-    row["values"] = values.reshape(h, w)
+    except OverflowError:  # an integer beyond float64 overflows to infinity
+        values = np.full(len(cells), math.inf)
+    row["values"] = _check_cells(values).reshape(h, w)
     return (qa_id, glimpse), row
 
 
@@ -378,12 +376,12 @@ def read_maps(path: str | Path, printed: Callable[[tuple], Any] | None = None) -
     return read_keyed(path, _map_from_row, printed)
 
 
-def pgm_bytes(amap: AttentionMap) -> bytes:
-    """8-bit binary PGM (P5), scaled so the map maximum renders white."""
-    h, w = amap.shape
-    peak = float(amap.values.max())
+def pgm_bytes(values: np.ndarray) -> bytes:
+    """8-bit binary PGM (P5) of an (h, w) map, scaled so its maximum renders white."""
+    h, w = values.shape
+    peak = float(values.max())
     if peak > 0:
-        scaled = np.rint(amap.values / peak * 255.0).astype(np.uint8)
+        scaled = np.rint(values / peak * 255.0).astype(np.uint8)
     else:
         scaled = np.zeros((h, w), dtype=np.uint8)
     return f"P5\n{w} {h}\n255\n".encode("ascii") + scaled.tobytes()

@@ -33,7 +33,6 @@ from .attention import (
     DEFAULT_GRID,
     REFERENCE_ANSWERS,
     AttentionError,
-    AttentionMap,
     correlation_block,
     pgm_bytes,
     read_maps,
@@ -282,8 +281,8 @@ def cmd_render(args: argparse.Namespace) -> tuple:
                              f"{names[name]!r}")
         names[name] = key
         try:
-            write_bytes(out_dir / name, pgm_bytes(AttentionMap(row["values"])))
-        except (AttentionError, InputError) as exc:  # a bad map, or a name the OS refuses
+            write_bytes(out_dir / name, pgm_bytes(row["values"]))
+        except InputError as exc:  # a name the OS refuses
             raise InputError(f"{where}: {exc}") from exc
     return out_dir / "render", {}, [maps_path], f"rendered {len(names)} maps to {out_dir}"
 

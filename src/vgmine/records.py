@@ -139,18 +139,20 @@ def read_json(path: str | Path) -> Any:
         return json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: invalid JSON at offset {exc.pos}: {exc.msg}") from exc
+    except RecursionError as exc:  # JSON nested too deeply
+        raise InputError(f"{path}: {exc}") from None
 
 
 def _keyed(where: Callable[[int], str], earlier: str, items: Iterable[tuple[int, Any]],
            decode: Callable, printed: Callable | None) -> dict:
     """The ``(key, value)`` pairs that ``decode`` makes of the numbered ``items``, in order.
-    An item that ``decode`` rejects with ValueError, or whose key an earlier one holds or, given
-    ``printed``, prints as an earlier one's (``printed(key)``), is reported after ``where(n)``."""
+    An item that ``decode`` rejects (ValueError, RecursionError), or whose key an earlier one
+    holds or, given ``printed``, prints as an earlier one's, is reported after ``where(n)``."""
     records, firsts = {}, {}  # firsts: printed key -> (key, n)
     for n, item in items:
         try:
             key, value = decode(item)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:  # RecursionError: JSON nested too deeply
             raise InputError(f"{where(n)}: {exc}") from None
         shown = key if printed is None else printed(key)
         if shown in firsts:

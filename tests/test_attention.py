@@ -1,6 +1,8 @@
 import json
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,12 +24,13 @@ from vgmine.attention import (
     rank_correlation,
     rank_correlations,
     rasterize,
+    read_maps,
     round9_text,
     vqa_accuracy,
 )
 from vgmine.dataset import BoundingBox, QaTriplet
 from vgmine.miner import GroundingLabel
-from vgmine.records import round9
+from vgmine.records import InputError, round9
 
 from oracles import (brute_force_rasterize, kl_summation, pgm_reference,
                      reference_fractional_ranks, reference_normalize_answer)
@@ -265,7 +268,7 @@ def _assert_reference_ranks(values):
 
 class TestMidranks:
     @given(rows=st.integers(1, 40).flatmap(lambda n: st.lists(
-        st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0, -3.0, np.inf, np.nan]),
+        st.lists(st.sampled_from([0.0, -0.0, 1.0, 1.5, 2.0, -3.0, np.inf]),
                  min_size=n, max_size=n), min_size=1, max_size=5)))
     @settings(max_examples=200)
     def test_equals_reference_on_tie_heavy_rows(self, rows):
@@ -287,17 +290,6 @@ class TestMidranks:
         assert ranks.shape == shape and ranks.dtype == np.float64
         assert centred_ranks(np.zeros(shape)).shape == shape
 
-    @pytest.mark.parametrize("n", [49, 196])
-    def test_nan_rows_rank_in_input_order(self, n):
-        # NaNs never tie, so their ranks follow their positions in the row:
-        # an unstable sort would permute them among themselves
-        rng = np.random.default_rng(22)
-        pool = np.array([0.0, -0.0, 1.0, 2.0, np.inf, -np.inf])
-        values = rng.choice(pool, (12, n))
-        for i, row in enumerate(values[:10]):
-            row[rng.permutation(n)[:3 + i * n // 20]] = np.nan
-        _assert_reference_ranks(values)
-
     def test_signed_zero_and_infinite_ties(self):
         rng = np.random.default_rng(23)
         pool = np.array([0.0, -0.0, -np.inf, np.inf, 0.5])
@@ -315,7 +307,6 @@ class TestMidranks:
         rng = np.random.default_rng(25)
         values = np.concatenate([np.round(rng.uniform(0, 3, (20, 49))),
                                  rng.uniform(0, 1, (20, 49))])
-        values[3, [4, 9, 30]] = np.nan
         mean = (49 + 1) / 2
         centred = centred_ranks(values)
         assert centred.tobytes() == (midranks(values) - mean).tobytes()
@@ -389,16 +380,78 @@ class TestVqaAccuracy:
             vqa_accuracy("cat", ["cat"] * 9)
 
 
+_CELL_RULE = "values must be finite numbers >= 0"
+_NAN_MAP = [[math.nan, 0.0], [1.0, 2.0]]
+
+
+class TestCellRule:
+    """Every cell of a map is a finite number >= 0, refused where a map
+    enters: an ``AttentionMap`` or a maps row, masked or not."""
+
+    @given(cells=st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1.5, 1e308, -1, math.inf,
+                                           -math.inf, math.nan]), min_size=1, max_size=6),
+           mask=st.booleans())
+    @settings(max_examples=300)
+    def test_maps_reader_accepts_a_row_exactly_when_attention_map_does(self, cells, mask):
+        lawful = all(0 <= v < math.inf for v in cells)  # False for NaN
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "maps.ndjson"
+            path.write_text(json.dumps({"qa_id": 1, "glimpse": 0, "h": 1, "w": len(cells),
+                                        "mask": mask, "values": cells}) + "\n")
+            try:
+                read = read_maps(path)[(1, 0)]["values"]
+            except InputError as exc:
+                assert str(exc) == f"{path}:1: {_CELL_RULE}"
+                read = None
+        try:
+            built = AttentionMap([cells]).values
+        except AttentionError as exc:
+            assert str(exc) == _CELL_RULE
+            built = None
+        assert (read is not None) == (built is not None) == lawful
+        if lawful:
+            assert read.tobytes() == built.tobytes() == np.array([cells], float).tobytes()
+
+    @pytest.mark.parametrize("cell", [math.nan, math.inf, -math.inf, -1.0, -5e-324])
+    def test_attention_map_refuses_the_cell(self, cell):
+        with pytest.raises(AttentionError, match=_CELL_RULE):
+            AttentionMap([[1.0, cell]])
+
+    def test_empty_map_holds_no_cell_to_refuse(self):
+        assert AttentionMap(np.zeros((0, 3))).shape == (0, 3)
+
+    def test_rank_correlation_of_a_nan_map_is_refused(self):
+        # the NaN was ranked as the largest value: 1.0 against [[3, 0], [1, 2]]
+        with pytest.raises(AttentionError, match=_CELL_RULE):
+            rank_correlation(AttentionMap(_NAN_MAP), AttentionMap([[3.0, 0.0], [1.0, 2.0]]))
+
+    def test_l1_normalize_of_a_nan_map_is_refused(self):
+        # it gave an all-NaN map marked normalized
+        with pytest.raises(AttentionError, match=_CELL_RULE):
+            l1_normalize(AttentionMap(_NAN_MAP))
+
+    def test_kl_target_with_a_nan_cell_is_refused(self):
+        # the NaN cell was dropped from the sum without an error
+        uniform = GlimpseStack([AttentionMap(np.full((2, 2), 0.25), normalized=True)], [True])
+        with pytest.raises(AttentionError, match=_CELL_RULE):
+            kl_divergence(GlimpseStack([AttentionMap(_NAN_MAP)], [True]), uniform)
+
+    def test_pgm_of_a_nan_map_is_refused(self):
+        # the whole map rendered black
+        with pytest.raises(AttentionError, match=_CELL_RULE):
+            pgm_bytes(AttentionMap(_NAN_MAP).values)
+
+
 class TestPgm:
     def test_uniform_map_renders_constant_white(self):
-        data = pgm_bytes(AttentionMap(np.full((4, 6), 0.25)))
+        data = pgm_bytes(np.full((4, 6), 0.25))
         assert data.startswith(b"P5\n6 4\n255\n")
         assert data[11:] == bytes([255]) * 24
 
     def test_point_mass_single_white_pixel(self):
         values = np.zeros((3, 3))
         values[1, 2] = 0.8
-        data = pgm_bytes(AttentionMap(values))
+        data = pgm_bytes(values)
         body = data[len(b"P5\n3 3\n255\n"):]
         assert body.count(255) == 1
         assert body[1 * 3 + 2] == 255
@@ -406,10 +459,10 @@ class TestPgm:
     def test_matches_reference_encoder(self):
         rng = np.random.default_rng(21)
         values = rng.uniform(0, 2, (14, 14))
-        assert pgm_bytes(AttentionMap(values)) == pgm_reference(values)
+        assert pgm_bytes(values) == pgm_reference(values)
 
     def test_zero_map_renders_black(self):
-        data = pgm_bytes(AttentionMap(np.zeros((2, 2))))
+        data = pgm_bytes(np.zeros((2, 2)))
         assert data[len(b"P5\n2 2\n255\n"):] == bytes(4)
 
 

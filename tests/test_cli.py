@@ -671,15 +671,16 @@ class TestEvalRankBlocks:
         assert expected.count("\n") > 2 + 64 * 2
 
     @pytest.mark.parametrize("faults,reported", [
-        ([(70, "constant"), (100, "negative")], 70),
+        ([(70, "constant"), (100, "negative")], 100),
         ([(100, "constant"), (70, "shape")], 70),
         ([(10, "negative"), (20, "constant")], 10),
-        ([(20, "negative"), (10, "constant")], 10),
+        ([(20, "negative"), (10, "constant")], 20),
         ([(30, "shape"), (12, "negative-b")], 12),
     ], ids=["constant-then-negative", "shape-then-constant", "negative-then-constant",
             "constant-then-negative-one-block", "negative-in-b-then-shape"])
     def test_first_faulty_pair_in_order_is_reported(self, run_cli, tmp_path, faults,
                                                     reported):
+        # a negative cell is refused as its file is read, before any pair is ranked
         rng = np.random.default_rng(51)
         rows_a, rows_b = [], []
         for i in range(130):
@@ -687,11 +688,13 @@ class TestEvalRankBlocks:
                 rows.append({"qa_id": f"p{i:03d}", "glimpse": 0, "h": 7, "w": 7,
                              "values": rng.choice([0.0, 0.5, 1.0], 49).tolist()})
                 rows[-1]["values"][:2] = [0.0, 1.0]
+        path_a, path_b = tmp_path / "a.ndjson", tmp_path / "b.ndjson"
+        pair = f"{path_a} and {path_b}: qa_id p{reported:03d} glimpse 0"
         messages = {
-            "constant": "undefined correlation: constant map",
-            "negative": "attention map entries must be non-negative",
-            "negative-b": "attention map entries must be non-negative",
-            "shape": "map shape mismatch",
+            "constant": f"{pair}: undefined correlation: constant map",
+            "negative": f"{path_a}:{reported + 1}: values must be finite numbers >= 0",
+            "negative-b": f"{path_b}:{reported + 1}: values must be finite numbers >= 0",
+            "shape": f"{pair}: map shape mismatch",
         }
         for index, fault in faults:
             if fault == "constant":
@@ -703,12 +706,10 @@ class TestEvalRankBlocks:
             else:
                 rows_b[index]["h"], rows_b[index]["w"] = 1, 49
         out = tmp_path / "rank.csv"
-        code, _, err = run_cli("eval-rank", "--maps-a", _ndjson(tmp_path / "a.ndjson", rows_a),
-                               "--maps-b", _ndjson(tmp_path / "b.ndjson", rows_b),
-                               "--out", out)
+        code, _, err = run_cli("eval-rank", "--maps-a", _ndjson(path_a, rows_a),
+                               "--maps-b", _ndjson(path_b, rows_b), "--out", out)
         assert code == 2
-        assert err == (f"error: {tmp_path / 'a.ndjson'} and {tmp_path / 'b.ndjson'}: "
-                       f"qa_id p{reported:03d} glimpse 0: {messages[dict(faults)[reported]]}\n")
+        assert err == f"error: {messages[dict(faults)[reported]]}\n"
         assert not out.exists()
 
 
@@ -901,8 +902,7 @@ def _maps_with_negative_cell(tmp_path):
     records = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
     records[2]["values"][0] = -1.0
     _ndjson(bad, records)
-    return (["render", "--maps", bad],
-            f"{bad}: qa_id qa2 glimpse 0: attention map entries must be non-negative")
+    return ["render", "--maps", bad], f"{bad}:3: values must be finite numbers >= 0"
 
 
 def _maps_with_field(command, key, value):
@@ -1104,26 +1104,46 @@ def _ndjson_with_qa_id(command, value):
 
 
 _NOT_NUMBERS = "values must be a flat list of numbers, not ["
-_NOT_FINITE = "values must be finite numbers"
+_NOT_FINITE = "values must be finite numbers >= 0"
 
 
-def _maps_with_values(command, change, fault):
-    """render, or eval-rank (maps b), with the values of line 2 replaced by
-    ``change(values)``."""
+def _maps_with_values(command, change, fault, line=2):
+    """render, or eval-rank (maps b), with the values of ``line`` (line 4 is
+    the masked row) replaced by ``change(values)``."""
     def case(tmp_path):
         bad = tmp_path / "maps.ndjson"
         records = [json.loads(text) for text in _lines(GOLDEN / "fig3_maps.ndjson")]
-        records[1]["values"] = change(records[1]["values"])
+        records[line - 1]["values"] = change(records[line - 1]["values"])
         _ndjson(bad, records)
         argv = (["render", "--maps", bad] if command == "render"
                 else ["eval-rank", "--maps-a", GOLDEN / "fig3_maps.ndjson", "--maps-b", bad])
-        return argv, f"{bad}:2: {fault}"
+        return argv, f"{bad}:{line}: {fault}"
     return case
 
 
-def _maps_with_cell(command, value, fault=_NOT_FINITE):
-    """render, or eval-rank (maps b), with one cell of line 2 set to ``value``."""
-    return _maps_with_values(command, lambda values: values[:5] + [value] + values[6:], fault)
+def _maps_with_cell(command, value, fault=_NOT_FINITE, line=2):
+    """render, or eval-rank (maps b), with one cell of ``line`` set to ``value``."""
+    return _maps_with_values(command, lambda values: values[:5] + [value] + values[6:], fault,
+                             line)
+
+
+def _nested_too_deeply(command):
+    """rasterize with a labels line, or mine with a qa.json, of 200,000 '['
+    then 200,000 ']'."""
+    def case(tmp_path):
+        text = "[" * 200_000 + "]" * 200_000
+        fault = "maximum recursion depth exceeded while decoding a JSON array"
+        if command == "rasterize":
+            bad = tmp_path / "labels.ndjson"
+            bad.write_text(text + "\n")
+            return (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"],
+                    f"{bad}:1: {fault}")
+        bad = tmp_path / "qa.json"
+        bad.write_text(text)
+        argv = [str(a) for a in MINE_ARGS]
+        argv[argv.index("--qa") + 1] = str(bad)
+        return argv, f"{bad}: {fault}"
+    return case
 
 
 def _maps_row_not_an_object(tmp_path):
@@ -1315,6 +1335,10 @@ class TestMalformedInput:
         _maps_with_cell("eval-rank", True, _NOT_NUMBERS),
         _maps_with_values("eval-rank", lambda values: [values[:98], values[98:]], _NOT_NUMBERS),
         _maps_with_cell("eval-rank", 10**400),
+        _maps_with_cell("eval-rank", -1.0), _maps_with_cell("eval-rank", -1, line=4),
+        _maps_with_cell("render", -0.5, line=4), _maps_with_cell("eval-rank", float("nan"), line=4),
+        _maps_with_cell("render", float("inf"), line=4),
+        _nested_too_deeply("rasterize"), _nested_too_deeply("mine"),
         _maps_row_not_an_object, _not_an_object("qa", [1, 2]), _not_an_object("entry", 5),
         _not_an_object("regions", 5), _not_an_object("region", [1, 2]),
         _not_an_object("maps", [1, 2]), _not_an_object("labels", 7),
@@ -1359,6 +1383,10 @@ class TestMalformedInput:
             "maps-minus-infinity-cell-render", "maps-string-cells-eval-rank",
             "maps-string-cells-render", "maps-bool-cells-eval-rank", "maps-bool-cell-eval-rank",
             "maps-nested-values-eval-rank", "maps-huge-integer-cell-eval-rank",
+            "maps-negative-cell-eval-rank", "maps-masked-negative-cell-eval-rank",
+            "maps-masked-negative-cell-render", "maps-masked-nan-cell-eval-rank",
+            "maps-masked-infinity-cell-render", "labels-nested-too-deeply",
+            "mine-qa-nested-too-deeply",
             "maps-row-not-an-object-eval-rank", "mine-qa-list-record", "region-int-entry",
             "region-entry-int-regions", "region-list-record", "maps-list-row", "labels-int-line",
             "maps-repeated-row-eval-rank",

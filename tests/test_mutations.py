@@ -66,8 +66,8 @@ ACCEPTED = {
     ("render", "mask"): ({"true"}, "a bool"),
     ("eval-rank", "values"): ({"1.5", "10**30"}, "a cell may be any finite number >= 0"),
     ("render", "values"): ({"1.5", "10**30"}, "a cell may be any finite number >= 0"),
-    ("eval-rank", "masked values"): ({"-1", "1.5", "10**30"},
-                                     "the cells of masked rows are not evaluated"),
+    ("eval-rank", "masked values"): ({"1.5", "10**30"},
+                                     "a masked cell may be any finite number >= 0"),
 }
 
 
