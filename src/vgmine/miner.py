@@ -318,8 +318,7 @@ def label_from_dict(data: dict) -> GroundingLabel:
 
 def write_labels(labels: list[GroundingLabel], path: str | Path) -> None:
     """NDJSON, one label per line, stable field order."""
-    write_lines(path, (json.dumps(label_to_dict(label), separators=(", ", ": ")) + "\n"
-                       for label in labels))
+    write_lines(path, (json.dumps(label_to_dict(label)) + "\n" for label in labels))
 
 
 def read_labels(path: str | Path) -> list[GroundingLabel]:

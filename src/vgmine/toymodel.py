@@ -16,10 +16,17 @@ so each sample gets the same BLAS call it would get on its own.
 
 The four weight arrays are reshaped views of one flat vector, and so are
 the four gradient sums of a pass, so a training step updates every weight
-with one array operation. What does not change from step to step (the
-one-hot answers, the KL weights, the flat indices of the cells KL sums
-and the target mass there) is computed once per training set, in
-``_Batch``.
+in place with one array operation. What does not change from step to step
+(the one-hot answers, the KL weights, the flat indices of the cells KL
+sums and the target mass there) is computed once per training set, in
+``_Batch``. So are the buffers every pass overwrites: the fusion, relu
+and backward-product (N, C, H*W) arrays, the relu gate, the finiteness
+mask of the fusion check, the classifier input (its question columns
+filled once), the KL terms (zero off the KL support, which never
+changes) and the gradient vector with its four views. The arrays a pass
+returns for the metrics (attention, logits, ce and kl) are new at every
+step, because ``train`` keeps a block of steps of them; ``forward`` and
+``loss_and_grads`` build a batch per call, so what they return is theirs.
 """
 
 from __future__ import annotations
@@ -136,15 +143,17 @@ def init_params(cfg: ToyConfig, rng: np.random.Generator) -> ToyModelParams:
     return ToyModelParams.of_vector(rng.uniform(-0.1, 0.1, sum(map(math.prod, shapes))), shapes)
 
 
-def _check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.isfinite(arr).all():
+def _check_finite(name: str, arr: np.ndarray, mask: np.ndarray | None = None) -> None:
+    """Raises ToyModelError unless every value is finite; ``mask``, a bool
+    array of arr's shape, takes the test's result if given."""
+    if not np.isfinite(arr, out=mask).all():
         raise ToyModelError(f"non-finite values in {name}")
 
 
 @dataclass(frozen=True)
 class _Batch:
-    """N samples as arrays, built once: features, answers, and the KL
-    targets with their weights and support."""
+    """N samples as arrays, built once: features, answers, the KL targets
+    with their weights and support, and the buffers a pass overwrites."""
 
     q_feat: np.ndarray        # (N, D)
     img: np.ndarray           # (N, C, H*W)
@@ -156,6 +165,14 @@ class _Batch:
     targets: np.ndarray       # (N, G, H*W), zero where kl_weight is 0
     kl_cells: np.ndarray      # flat indices of targets > 0, the cells KL sums
     kl_mass: np.ndarray       # targets at kl_cells
+    pre_fusion: np.ndarray    # (N, C, H*W) buffers of _forward and _pass
+    fused: np.ndarray         # (N, C, H*W)
+    d_pre: np.ndarray         # (N, C, H*W)
+    gate: np.ndarray          # (N, C, H*W) bool: the relu gate
+    finite: np.ndarray        # (N, C, H*W) bool: the fusion check's mask
+    classifier_in: np.ndarray  # (N, D + G*C), the question columns filled here
+    kl_terms: np.ndarray      # (N, G, H*W), zero off kl_cells
+    grads: ToyModelParams     # the gradient sums, views of one vector
 
 
 def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
@@ -201,8 +218,13 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
     onehot = np.zeros((n, k))
     onehot.put(answer_cells, 1.0)
     kl_cells = np.flatnonzero(targets > 0)
+    q_feat = np.stack([s.q_feat for s in samples])
+    classifier_in = np.empty((n, d + g * c))
+    classifier_in[:, :d] = q_feat
+    shapes = [arr.shape for _, arr in params.named_arrays()]
+    fusion_shape = (n, c, h * w)
     return _Batch(
-        q_feat=np.stack([s.q_feat for s in samples]),
+        q_feat=q_feat,
         img=np.stack([s.img_feat.reshape(-1, h * w) for s in samples]),
         answers=answers,
         answer_cells=answer_cells,
@@ -212,6 +234,14 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
         targets=targets,
         kl_cells=kl_cells,
         kl_mass=targets.take(kl_cells),
+        pre_fusion=np.empty(fusion_shape),
+        fused=np.empty(fusion_shape),
+        d_pre=np.empty(fusion_shape),
+        gate=np.empty(fusion_shape, dtype=bool),
+        finite=np.empty(fusion_shape, dtype=bool),
+        classifier_in=classifier_in,
+        kl_terms=np.zeros(targets.shape),
+        grads=ToyModelParams.of_vector(np.empty(sum(map(math.prod, shapes))), shapes),
     )
 
 
@@ -227,20 +257,20 @@ class _Activations:
 def _forward(params: ToyModelParams, batch: _Batch) -> _Activations:
     img = batch.img
     qproj = (params.w_question @ batch.q_feat[:, :, None])[:, :, 0]      # (N, C)
-    # the bias is added in place: one (N, C, HW) array less per step
-    pre_fusion = qproj[:, :, None] * img
+    pre_fusion = np.multiply(qproj[:, :, None], img, out=batch.pre_fusion)
     pre_fusion += params.fusion_bias[:, None]
-    _check_finite("fusion", pre_fusion)
-    fused = np.maximum(pre_fusion, 0.0)
-    attn_logits = params.w_attention @ fused                              # (N, G, HW)
-    _check_finite("attention logits", attn_logits)
-    attn = attn_logits - attn_logits.max(axis=2, keepdims=True)
+    _check_finite("fusion", pre_fusion, batch.finite)
+    fused = np.maximum(pre_fusion, 0.0, out=batch.fused)
+    attn = params.w_attention @ fused                                     # (N, G, HW)
+    _check_finite("attention logits", attn)
+    # the logits become the softmax in place, in a new array every step
+    attn -= attn.max(axis=2, keepdims=True)
     np.exp(attn, out=attn)
     attn /= attn.sum(axis=2, keepdims=True)
     weighted = attn @ img.transpose(0, 2, 1)                              # (N, G, C)
     _check_finite("weighted features", weighted)
-    classifier_in = np.concatenate(
-        [batch.q_feat, weighted.reshape(len(weighted), -1)], axis=1)
+    classifier_in = batch.classifier_in
+    classifier_in[:, batch.q_feat.shape[1]:] = weighted.reshape(len(weighted), -1)
     logits = (params.w_classifier @ classifier_in[:, :, None])[:, :, 0]   # (N, K)
     _check_finite("classifier logits", logits)
     return _Activations(pre_fusion, fused, attn, classifier_in, logits)
@@ -260,7 +290,7 @@ class _Pass:
 def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     """Forward pass, per-sample cross-entropy and KL toward the supervised
     glimpses, and the exact analytic gradients of ce + alpha * kl, summed
-    over the samples into views of one new vector."""
+    over the samples into the batch's gradient vector."""
     act = _forward(params, batch)
 
     shifted = act.logits - act.logits.max(axis=1, keepdims=True)
@@ -269,7 +299,7 @@ def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     probs = np.exp(shifted - log_z[:, None])
 
     attn = act.attn
-    kl = kl_rows(batch.kl_mass, attn, batch.kl_cells)  # KL(target || attn)
+    kl = kl_rows(batch.kl_mass, attn, batch.kl_cells, batch.kl_terms)  # KL(target || attn)
 
     n, d = batch.q_feat.shape
     g, c = params.w_attention.shape
@@ -284,15 +314,14 @@ def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     d_attn_logits = attn * (d_attn - inner)
     d_attn_logits += (alpha * batch.kl_weight) * (attn - batch.targets)
     g_attention = d_attn_logits @ act.fused.transpose(0, 2, 1)            # (N, G, C)
-    d_pre = params.w_attention.T @ d_attn_logits                          # (N, C, HW)
-    d_pre *= act.pre_fusion > 0
+    d_pre = np.matmul(params.w_attention.T, d_attn_logits, out=batch.d_pre)  # (N, C, HW)
+    d_pre *= np.greater(act.pre_fusion, 0.0, out=batch.gate)
     g_bias = d_pre.sum(axis=2)
     d_pre *= batch.img  # d_pre is not read again: its buffer takes the product
     d_qproj = d_pre.sum(axis=2)
     g_question = d_qproj[:, :, None] * batch.q_feat[:, None, :]
 
-    shapes = [arr.shape for _, arr in params.named_arrays()]
-    grads = ToyModelParams.of_vector(np.empty(sum(map(math.prod, shapes))), shapes)
+    grads = batch.grads
     g_question.sum(axis=0, out=grads.w_question)
     g_bias.sum(axis=0, out=grads.fusion_bias)
     g_attention.sum(axis=0, out=grads.w_attention)
@@ -369,7 +398,9 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
     The rows are made per block of steps, up to ``BLOCK_SIZE`` rank rows
     each, from the losses, attention and logits kept for the block.
     Deterministic given cfg.seed. A numeric failure at step t raises
-    ToyModelError("training diverged at step t: <reason>")."""
+    ToyModelError("training diverged at step t: <reason>"), without numpy
+    warnings: the steps run under ``np.errstate``, and the finiteness checks
+    turn every non-finite value into that error."""
     if not data:
         raise ToyModelError("training data must be nonempty")
     rng = np.random.default_rng(cfg.seed)
@@ -385,21 +416,26 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
     metrics: list[MetricsRow] = []
     pending: list[tuple] = []
 
-    for t in range(cfg.steps + 1):
-        alpha = schedule.alpha(t)
-        try:
-            step = _pass(params, batch, alpha)
-            if not (np.isfinite(step.ce).all() and np.isfinite(step.kl).all()):
-                raise ToyModelError("non-finite loss")
-        except (AttentionError, ToyModelError) as exc:
-            raise ToyModelError(f"training diverged at step {t}: {exc}") from exc
-        pending.append((alpha, step.ce, step.kl, step.act.attn, step.act.logits))
-        if len(pending) == block or t == cfg.steps:
-            metrics += _metrics_rows(len(metrics), pending, batch, target_ranks)
-            pending = []
-        if t == cfg.steps:
-            break
-        weights -= cfg.learning_rate * (step.grads.vector / n)
+    with np.errstate(all="ignore"):
+        for t in range(cfg.steps + 1):
+            alpha = schedule.alpha(t)
+            try:
+                step = _pass(params, batch, alpha)
+                if not (np.isfinite(step.ce).all() and np.isfinite(step.kl).all()):
+                    raise ToyModelError("non-finite loss")
+            except (AttentionError, ToyModelError) as exc:
+                raise ToyModelError(f"training diverged at step {t}: {exc}") from exc
+            pending.append((alpha, step.ce, step.kl, step.act.attn, step.act.logits))
+            if len(pending) == block or t == cfg.steps:
+                metrics += _metrics_rows(len(metrics), pending, batch, target_ranks)
+                pending = []
+            if t == cfg.steps:
+                break
+            # the batch's gradient buffer, scaled in place: the bits of lr * (g / n)
+            grads = step.grads.vector
+            grads /= n
+            grads *= cfg.learning_rate
+            weights -= grads
     return params, metrics
 
 

@@ -120,6 +120,11 @@ class TestL1Normalize:
         with pytest.raises(AttentionError, match="no grounding mass"):
             l1_normalize(AttentionMap(np.zeros((3, 3))))
 
+    def test_cells_whose_total_overflows(self):
+        # the total overflowed to inf: a RuntimeWarning, then "must sum to 1"
+        amap = l1_normalize(AttentionMap([[1e308, 1e308, 0.0], [1.5e308, 5e307, 1e-300]]))
+        assert amap.values.tolist() == [[0.25, 0.25, 0.0], [0.375, 0.125, 0.0]]
+
     def test_idempotent_and_scale_invariant(self):
         rng = np.random.default_rng(13)
         for _ in range(20):

@@ -480,6 +480,16 @@ class TestTrainToy:
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
 
+    def test_overflowing_update_reports_only_the_divergence(self, run_cli, tmp_path):
+        # numpy's "invalid value encountered in matmul" warning came first
+        code, _, err = run_cli("train-toy", "--learning-rate", 1e308, "--steps", 3,
+                               "--metrics-out", tmp_path / "m.csv",
+                               "--params-out", tmp_path / "p.ndjson")
+        assert code == 1
+        assert err == ("error: training diverged at step 1: "
+                       "non-finite values in attention logits\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_invalid_config_exit_2(self, run_cli, tmp_path):
         for rate in (0, "nan", "inf"):
             code, _, err = run_cli("train-toy", "--learning-rate", rate,

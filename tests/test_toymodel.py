@@ -405,6 +405,52 @@ def test_train_equals_single_sample_calls_on_mixed_batch():
         assert np.array_equal(a, b), name
 
 
+def _steps_of_pass(data, cfg, schedule, reuse_batch):
+    """cfg.steps passes and updates on one batch or on a new batch each step;
+    the params and each step's (ce, kl, attention, logits)."""
+    params = init_params(cfg, np.random.default_rng(cfg.seed))
+    batch = toymodel._batch(data, params)
+    results = []
+    for t in range(cfg.steps):
+        if not reuse_batch:
+            batch = toymodel._batch(data, params)
+        step = toymodel._pass(params, batch, schedule.alpha(t))
+        results.append((step.ce, step.kl, step.act.attn, step.act.logits))
+        params.vector -= cfg.learning_rate * (step.grads.vector / len(data))
+    return params, results
+
+
+def test_reused_batch_buffers_equal_new_ones_every_step():
+    # 3 samples and a rate that is no power of 2, so the order of the update's
+    # division and multiplication shows in the bits
+    cfg = ToyConfig(steps=30, learning_rate=0.3)
+    schedule = Schedule(t_max=20, mode="cosine")
+    data = _mixed_batch(cfg)[:3]
+    reused, reused_steps = _steps_of_pass(data, cfg, schedule, True)
+    fresh, fresh_steps = _steps_of_pass(data, cfg, schedule, False)
+    assert reused.vector.tobytes() == fresh.vector.tobytes()
+    for t, (ours, theirs) in enumerate(zip(reused_steps, fresh_steps)):
+        for name, a, b in zip(("ce", "kl", "attention", "logits"), ours, theirs):
+            assert np.array_equal(a, b), (t, name)
+    # train's in-place update: the same bits as the update above
+    trained, _ = train(data, cfg, schedule)
+    assert trained.vector.tobytes() == fresh.vector.tobytes()
+
+
+def test_pass_results_survive_the_next_pass_on_their_batch():
+    cfg = ToyConfig()
+    params = init_params(cfg, np.random.default_rng(24))
+    batch = toymodel._batch(_mixed_batch(cfg), params)
+    first = toymodel._pass(params, batch, 1.0)
+    returned = (first.ce, first.kl, first.act.attn, first.act.logits)
+    kept = [arr.copy() for arr in returned]
+    params.vector -= first.grads.vector
+    second = toymodel._pass(params, batch, 1.0)
+    assert not np.array_equal(second.act.attn, kept[2])
+    for name, arr, copy_ in zip(("ce", "kl", "attention", "logits"), returned, kept):
+        assert np.array_equal(arr, copy_), name
+
+
 def test_unsupervised_batch_over_three_blocks():
     # no supervised sample: 64 steps per block, so 131 rows make three blocks
     cfg = ToyConfig(steps=130)
