@@ -194,23 +194,21 @@ def kl_divergence(p: GlimpseStack, q: GlimpseStack) -> float:
     pv, qv = (np.stack([g.values.ravel() for g in s.glimpses])[None] for s in (p, q))
     mask = np.array(p.supervision_mask, dtype=bool)[None, :, None]
     cells = np.flatnonzero((pv > 0) & mask)
-    return float(kl_rows(pv.take(cells), qv, cells, np.zeros(qv.shape))[0])
+    return float(kl_rows(pv.take(cells), qv, cells)[0])
 
 
-def kl_rows(mass: np.ndarray, q: np.ndarray, cells: np.ndarray,
-            terms: np.ndarray) -> np.ndarray:
+def kl_rows(mass: np.ndarray, q: np.ndarray, cells: np.ndarray) -> np.ndarray:
     """The one KL kernel, used by ``kl_divergence`` and toy-model training:
     for each row i of an (n, G, cells) prediction q, the sum of p*log(p/q)
     over the support of p, the positive cells of its supervised glimpses
     (0*log0 = 0 elsewhere). The support comes as ascending flat indices
     into q, ``cells``, and p as its ``mass`` there. q must be positive on
-    the support. The terms are scattered into ``terms``, an array of q's
-    shape that is zero off the support (a caller whose support does not
-    change may pass the same one again), and summed over the cells, then
-    over the glimpses."""
+    the support. The terms are scattered into zeros of q's shape and summed
+    over the cells, then over the glimpses."""
     predicted = q.take(cells)
     if (predicted <= 0).any():
         raise AttentionError("prediction has zero mass on supervised cells")
+    terms = np.zeros(q.shape)
     terms.put(cells, mass * np.log(mass / predicted))
     return terms.sum(axis=2).sum(axis=1)
 

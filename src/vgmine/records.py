@@ -61,8 +61,9 @@ FIELD_KINDS: dict[str, tuple[set, Callable[[Any], bool] | None, str]] = {
     "list": ({list}, None, "a list"),
     "string": ({str}, None, "a string"),
     "strings": ({list}, lambda v: _typed(v, {str}), "a list of strings"),
-    "boxes": ({list}, lambda v: all(_typed(b, {int}) and len(b) == 4 for b in v),
-              "a list of boxes of 4 integers"),
+    "boxes": ({list}, lambda v: all(_typed(b, {int}) and len(b) == 4 and b[0] <= b[2]
+                                    and b[1] <= b[3] for b in v),
+              "a list of [x_min, y_min, x_max, y_max] integer boxes, each min <= max"),
     "words": ({list}, lambda v: all(_typed(m, {str}) and len(m) == 3 for m in v),
               "a list of 3-string lists"),
     "numbers": ({list}, lambda v: _typed(v, {int, float}), "a flat list of numbers"),

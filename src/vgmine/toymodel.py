@@ -14,19 +14,18 @@ for N samples at once on (N, C, H*W) arrays; ``forward`` and
 training set at every step. Every matrix product is a stacked ``matmul``,
 so each sample gets the same BLAS call it would get on its own.
 
-The four weight arrays are reshaped views of one flat vector, and so are
-the four gradient sums of a pass, so a training step updates every weight
-in place with one array operation. What does not change from step to step
-(the one-hot answers, the KL weights, the flat indices of the cells KL
-sums and the target mass there) is computed once per training set, in
-``_Batch``. So are the buffers every pass overwrites: the fusion, relu
-and backward-product (N, C, H*W) arrays, the relu gate, the finiteness
-mask of the fusion check, the classifier input (its question columns
-filled once), the KL terms (zero off the KL support, which never
-changes) and the gradient vector with its four views. The arrays a pass
-returns for the metrics (attention, logits, ce and kl) are new at every
-step, because ``train`` keeps a block of steps of them; ``forward`` and
-``loss_and_grads`` build a batch per call, so what they return is theirs.
+A training step's state has one owner, ``_Batch``, built once per
+training set. It holds what does not change from step to step (the
+one-hot answers, the KL weights, the flat indices of the cells KL sums
+and the target mass there) and the buffers every pass overwrites: the
+fusion and relu (N, C, H*W) arrays, the classifier input (its question
+columns filled once) and the gradient vector. The four weight arrays are
+reshaped views of one flat vector, and so are the four gradient sums, so
+a training step updates every weight in place with one array operation.
+A pass returns only what it makes new (ce, kl, attention and logits),
+because ``train`` keeps a block of steps of them for the metrics;
+``forward`` and ``loss_and_grads`` build a batch per call, so what they
+return is theirs.
 """
 
 from __future__ import annotations
@@ -81,7 +80,7 @@ class ToyConfig:
 @dataclass
 class ToyModelParams:
     """All trainable weights; also used as the gradient container. Made by
-    ``init_params`` or a pass, the four arrays are reshaped views of one
+    ``init_params`` or ``_batch``, the four arrays are reshaped views of one
     vector, ``vector``, in ``named_arrays`` order; built by hand they may
     be separate arrays, with ``vector`` None."""
 
@@ -122,7 +121,6 @@ class ToySample:
 class ForwardResult:
     attention: GlimpseStack   # G_v glimpses, each summing to 1
     logits: np.ndarray        # (K,)
-    cache: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -143,10 +141,9 @@ def init_params(cfg: ToyConfig, rng: np.random.Generator) -> ToyModelParams:
     return ToyModelParams.of_vector(rng.uniform(-0.1, 0.1, sum(map(math.prod, shapes))), shapes)
 
 
-def _check_finite(name: str, arr: np.ndarray, mask: np.ndarray | None = None) -> None:
-    """Raises ToyModelError unless every value is finite; ``mask``, a bool
-    array of arr's shape, takes the test's result if given."""
-    if not np.isfinite(arr, out=mask).all():
+def _check_finite(name: str, arr: np.ndarray) -> None:
+    """Raises ToyModelError unless every value is finite."""
+    if not np.isfinite(arr).all():
         raise ToyModelError(f"non-finite values in {name}")
 
 
@@ -167,12 +164,8 @@ class _Batch:
     kl_mass: np.ndarray       # targets at kl_cells
     pre_fusion: np.ndarray    # (N, C, H*W) buffers of _forward and _pass
     fused: np.ndarray         # (N, C, H*W)
-    d_pre: np.ndarray         # (N, C, H*W)
-    gate: np.ndarray          # (N, C, H*W) bool: the relu gate
-    finite: np.ndarray        # (N, C, H*W) bool: the fusion check's mask
     classifier_in: np.ndarray  # (N, D + G*C), the question columns filled here
-    kl_terms: np.ndarray      # (N, G, H*W), zero off kl_cells
-    grads: ToyModelParams     # the gradient sums, views of one vector
+    grads: ToyModelParams     # the gradient sums of _pass, views of one vector
 
 
 def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
@@ -236,30 +229,19 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
         kl_mass=targets.take(kl_cells),
         pre_fusion=np.empty(fusion_shape),
         fused=np.empty(fusion_shape),
-        d_pre=np.empty(fusion_shape),
-        gate=np.empty(fusion_shape, dtype=bool),
-        finite=np.empty(fusion_shape, dtype=bool),
         classifier_in=classifier_in,
-        kl_terms=np.zeros(targets.shape),
         grads=ToyModelParams.of_vector(np.empty(sum(map(math.prod, shapes))), shapes),
     )
 
 
-@dataclass
-class _Activations:
-    pre_fusion: np.ndarray     # (N, C, H*W)
-    fused: np.ndarray          # (N, C, H*W)
-    attn: np.ndarray           # (N, G, H*W), rows sum to 1
-    classifier_in: np.ndarray  # (N, D + G*C)
-    logits: np.ndarray         # (N, K)
-
-
-def _forward(params: ToyModelParams, batch: _Batch) -> _Activations:
+def _forward(params: ToyModelParams, batch: _Batch) -> tuple[np.ndarray, np.ndarray]:
+    """(N, G, H*W) attention, each row summing to 1, and (N, K) answer
+    logits; the fusion, relu and classifier input are left in the batch."""
     img = batch.img
     qproj = (params.w_question @ batch.q_feat[:, :, None])[:, :, 0]      # (N, C)
     pre_fusion = np.multiply(qproj[:, :, None], img, out=batch.pre_fusion)
     pre_fusion += params.fusion_bias[:, None]
-    _check_finite("fusion", pre_fusion, batch.finite)
+    _check_finite("fusion", pre_fusion)
     fused = np.maximum(pre_fusion, 0.0, out=batch.fused)
     attn = params.w_attention @ fused                                     # (N, G, HW)
     _check_finite("attention logits", attn)
@@ -273,38 +255,37 @@ def _forward(params: ToyModelParams, batch: _Batch) -> _Activations:
     classifier_in[:, batch.q_feat.shape[1]:] = weighted.reshape(len(weighted), -1)
     logits = (params.w_classifier @ classifier_in[:, :, None])[:, :, 0]   # (N, K)
     _check_finite("classifier logits", logits)
-    return _Activations(pre_fusion, fused, attn, classifier_in, logits)
+    return attn, logits
 
 
 @dataclass
 class _Pass:
-    """Per-sample losses of one forward and backward pass, the forward
-    activations, and the gradients summed over the samples."""
+    """What one forward and backward pass makes new: the per-sample losses,
+    the attention and the logits. Its gradients are in ``batch.grads``."""
 
     ce: np.ndarray      # (N,)
     kl: np.ndarray      # (N,), 0 for samples without supervision
-    act: _Activations
-    grads: ToyModelParams
+    attn: np.ndarray    # (N, G, H*W), rows sum to 1
+    logits: np.ndarray  # (N, K)
 
 
 def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     """Forward pass, per-sample cross-entropy and KL toward the supervised
     glimpses, and the exact analytic gradients of ce + alpha * kl, summed
     over the samples into the batch's gradient vector."""
-    act = _forward(params, batch)
+    attn, logits = _forward(params, batch)
 
-    shifted = act.logits - act.logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     ce = log_z - shifted.take(batch.answer_cells)
     probs = np.exp(shifted - log_z[:, None])
 
-    attn = act.attn
-    kl = kl_rows(batch.kl_mass, attn, batch.kl_cells, batch.kl_terms)  # KL(target || attn)
+    kl = kl_rows(batch.kl_mass, attn, batch.kl_cells)  # KL(target || attn)
 
     n, d = batch.q_feat.shape
     g, c = params.w_attention.shape
     d_logits = probs - batch.onehot
-    g_classifier = d_logits[:, :, None] * act.classifier_in[:, None, :]
+    g_classifier = d_logits[:, :, None] * batch.classifier_in[:, None, :]
     d_weighted = (params.w_classifier.T @ d_logits[:, :, None])[:, d:, 0].reshape(n, g, c)
     d_attn = d_weighted @ batch.img                                       # (N, G, HW)
 
@@ -313,11 +294,11 @@ def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     inner = (d_attn * attn).sum(axis=2, keepdims=True)
     d_attn_logits = attn * (d_attn - inner)
     d_attn_logits += (alpha * batch.kl_weight) * (attn - batch.targets)
-    g_attention = d_attn_logits @ act.fused.transpose(0, 2, 1)            # (N, G, C)
-    d_pre = np.matmul(params.w_attention.T, d_attn_logits, out=batch.d_pre)  # (N, C, HW)
-    d_pre *= np.greater(act.pre_fusion, 0.0, out=batch.gate)
+    g_attention = d_attn_logits @ batch.fused.transpose(0, 2, 1)          # (N, G, C)
+    d_pre = params.w_attention.T @ d_attn_logits                          # (N, C, HW)
+    d_pre *= batch.pre_fusion > 0.0
     g_bias = d_pre.sum(axis=2)
-    d_pre *= batch.img  # d_pre is not read again: its buffer takes the product
+    d_pre *= batch.img  # d_pre is not read again: it takes the product
     d_qproj = d_pre.sum(axis=2)
     g_question = d_qproj[:, :, None] * batch.q_feat[:, None, :]
 
@@ -326,29 +307,27 @@ def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     g_bias.sum(axis=0, out=grads.fusion_bias)
     g_attention.sum(axis=0, out=grads.w_attention)
     g_classifier.sum(axis=0, out=grads.w_classifier)
-    return _Pass(ce=ce, kl=kl, act=act, grads=grads)
+    return _Pass(ce=ce, kl=kl, attn=attn, logits=logits)
 
 
 def forward(params: ToyModelParams, sample: ToySample) -> ForwardResult:
     """Fusion, per-glimpse softmax attention over the grid cells,
     attention-weighted feature pooling, and answer logits."""
-    act = _forward(params, _batch([sample], params))
+    (attn,), (logits,) = _forward(params, _batch([sample], params))
     _, h, w = sample.img_feat.shape
-    attn = act.attn[0]
     stack = GlimpseStack([AttentionMap(row.reshape(h, w), normalized=True) for row in attn],
                          [True] * len(attn))
-    cache = {"pre_fusion": act.pre_fusion[0], "fused": act.fused[0], "attn": attn,
-             "classifier_in": act.classifier_in[0]}
-    return ForwardResult(attention=stack, logits=act.logits[0], cache=cache)
+    return ForwardResult(attention=stack, logits=logits)
 
 
 def loss_and_grads(params: ToyModelParams, sample: ToySample,
                    schedule: Schedule, t: int) -> tuple[LossBreakdown, ToyModelParams]:
     """Loss breakdown and exact analytic gradients for one sample."""
-    step = _pass(params, _batch([sample], params), schedule.alpha(t))
+    batch = _batch([sample], params)
+    step = _pass(params, batch, schedule.alpha(t))
     kl = float(step.kl[0]) if sample.supervision is not None else None
     breakdown = total_loss(float(step.ce[0]), kl, schedule, t)
-    return breakdown, step.grads
+    return breakdown, batch.grads
 
 
 def _sample_metrics(attn0: np.ndarray, target_ranks: np.ndarray) -> np.ndarray:
@@ -407,6 +386,7 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
     params = init_params(cfg, rng)
     weights = params.vector  # the four arrays of params are views of it
     batch = _batch(data, params)
+    grads = batch.grads.vector  # every pass sums its gradients into views of it
     n, cells = len(data), batch.img.shape[2]
     # the rank metric's side that does not change: each supervised sample's glimpse-0 map
     target_ranks = centred_ranks(np.array(
@@ -425,14 +405,13 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
                     raise ToyModelError("non-finite loss")
             except (AttentionError, ToyModelError) as exc:
                 raise ToyModelError(f"training diverged at step {t}: {exc}") from exc
-            pending.append((alpha, step.ce, step.kl, step.act.attn, step.act.logits))
+            pending.append((alpha, step.ce, step.kl, step.attn, step.logits))
             if len(pending) == block or t == cfg.steps:
                 metrics += _metrics_rows(len(metrics), pending, batch, target_ranks)
                 pending = []
             if t == cfg.steps:
                 break
-            # the batch's gradient buffer, scaled in place: the bits of lr * (g / n)
-            grads = step.grads.vector
+            # the gradient buffer, scaled in place: the bits of lr * (g / n)
             grads /= n
             grads *= cfg.learning_rate
             weights -= grads

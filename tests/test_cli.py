@@ -964,6 +964,9 @@ def _annotation_with_field(kind, key, value=None):
     return case
 
 
+_BOXES = "a list of [x_min, y_min, x_max, y_max] integer boxes, each min <= max"
+
+
 def _label_with_float_box(tmp_path):
     bad = tmp_path / "labels.ndjson"
     records = [json.loads(text) for text in _lines(GOLDEN / "fig3_labels.ndjson")]
@@ -971,7 +974,7 @@ def _label_with_float_box(tmp_path):
     boxes = records[1]["object_boxes"]
     _ndjson(bad, records)
     return (["rasterize", "--labels", bad, "--qa", FIG3 / "qa.json"],
-            f"{bad}:2: object_boxes must be a list of boxes of 4 integers, not {boxes!r}")
+            f"{bad}:2: object_boxes must be {_BOXES}, not {boxes!r}")
 
 
 def _label_with(key, value, fault):
@@ -1361,6 +1364,7 @@ class TestMalformedInput:
         _label_with("is_counting", "false", "a bool"),
         _label_with("region_match_count", "two", "an integer >= 0"),
         _label_with("matched_words", [["a"]], "a list of 3-string lists"),
+        _label_with("region_boxes", [[300, 300, 10, 10]], _BOXES),
         _render_with_qa_ids(["../escaped"], "file name '../escaped_g0.pgm' contains '/' or NUL"),
         _render_with_qa_ids([None, None, "a\0b"], "file name 'a\\x00b_g0.pgm' contains '/' or NUL"),
         _render_with_qa_ids([1, None, "1"],
@@ -1404,7 +1408,8 @@ class TestMalformedInput:
             "mine-qa-repeated-qa_id", "rasterize-qa-repeated-qa_id", "mine-qa-float-image_id",
             "region-entry-float-image_id", "object-entry-bool-image_id",
             "labels-string-is_counting", "labels-string-region_match_count",
-            "labels-short-matched_words", "render-qa_id-escapes-out-dir",
+            "labels-short-matched_words", "labels-inverted-region_box",
+            "render-qa_id-escapes-out-dir",
             "render-qa_id-with-nul", "render-file-name-collision", "refs-unmatched-short-row",
             "maps-a-alike-qa_ids", "maps-b-alike-qa_ids", "preds-alike-qa_ids",
             "index-noun-not-utf8", "noun-exc-not-utf8", "aliases-not-utf8",

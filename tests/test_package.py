@@ -1,9 +1,10 @@
 """The package adds nothing to the import of its modules: each name is
 imported from the module that defines it, and the modules that need no
-numpy load none. README's library example runs as written."""
+numpy load none. README's library example and CLI walkthrough run as written."""
 
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -34,3 +35,17 @@ def test_readme_library_example_runs_from_the_repository_root():
                             env={**os.environ, "PYTHONPATH": str(SRC)},
                             capture_output=True, text=True)
     assert result.returncode == 0, result.stderr
+
+
+def test_readme_cli_walkthrough_runs(tmp_path, monkeypatch, capsys):
+    from vgmine import cli
+
+    readme = (ROOT / "README.md").read_text()
+    (block,) = re.findall(r"## CLI walkthrough\n.*?```sh\n(.*?)```", readme, re.S)
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()
+                if line.startswith("vgmine ")]
+    assert len(commands) == 6
+    (tmp_path / "tests").symlink_to(ROOT / "tests")
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert cli.main(argv[1:]) == 0, (argv, capsys.readouterr().err)

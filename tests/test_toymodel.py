@@ -48,6 +48,11 @@ def random_pair(rng, cfg=CFG, supervised=True):
     return random_toy_pair(rng, cfg, supervised)
 
 
+def _attention_rows(result):
+    """A forward result's glimpses stacked as (G, H*W) rows."""
+    return np.stack([g.values.ravel() for g in result.attention.glimpses])
+
+
 class TestForward:
     def test_zero_attention_weights_give_uniform_glimpses(self):
         rng = np.random.default_rng(0)
@@ -73,7 +78,7 @@ class TestForward:
             feature[:, None], CFG.cells, axis=1).reshape(
             CFG.image_channels, CFG.grid_h, CFG.grid_w)
         result = forward(params, sample)
-        weighted = result.cache["attn"] @ sample.img_feat.reshape(
+        weighted = _attention_rows(result) @ sample.img_feat.reshape(
             CFG.image_channels, -1).T
         for g in range(CFG.glimpses):
             assert np.allclose(weighted[g], feature, atol=1e-12)
@@ -144,7 +149,7 @@ class TestLossAndGrads:
         sample = ToySample(q_feat=q_feat, img_feat=img, answer=0, supervision=GlimpseStack(
             [AttentionMap(uniform.copy(), normalized=True) for _ in range(CFG.glimpses)],
             [True] * CFG.glimpses))
-        attn = forward(params, sample).cache["attn"]
+        attn = _attention_rows(forward(params, sample))
         assert 0.0 < attn[0, 1] < 1e-300
         with np.errstate(over="ignore"):  # the KL value itself overflows to inf
             _, grads = loss_and_grads(params, sample, FIXED_1, 0)
@@ -415,8 +420,8 @@ def _steps_of_pass(data, cfg, schedule, reuse_batch):
         if not reuse_batch:
             batch = toymodel._batch(data, params)
         step = toymodel._pass(params, batch, schedule.alpha(t))
-        results.append((step.ce, step.kl, step.act.attn, step.act.logits))
-        params.vector -= cfg.learning_rate * (step.grads.vector / len(data))
+        results.append((step.ce, step.kl, step.attn, step.logits))
+        params.vector -= cfg.learning_rate * (batch.grads.vector / len(data))
     return params, results
 
 
@@ -442,11 +447,11 @@ def test_pass_results_survive_the_next_pass_on_their_batch():
     params = init_params(cfg, np.random.default_rng(24))
     batch = toymodel._batch(_mixed_batch(cfg), params)
     first = toymodel._pass(params, batch, 1.0)
-    returned = (first.ce, first.kl, first.act.attn, first.act.logits)
+    returned = (first.ce, first.kl, first.attn, first.logits)
     kept = [arr.copy() for arr in returned]
-    params.vector -= first.grads.vector
+    params.vector -= batch.grads.vector
     second = toymodel._pass(params, batch, 1.0)
-    assert not np.array_equal(second.act.attn, kept[2])
+    assert not np.array_equal(second.attn, kept[2])
     for name, arr, copy_ in zip(("ce", "kl", "attention", "logits"), returned, kept):
         assert np.array_equal(arr, copy_), name
 
