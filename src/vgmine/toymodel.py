@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import (BLOCK_SIZE, AttentionError, AttentionMap, GlimpseStack, centred_ranks,
-                        kl_rows, pearson_rows, round9_text)
+from .attention import (_SUM_TOL, BLOCK_SIZE, AttentionError, AttentionMap, GlimpseStack,
+                        _check_cells, centred_ranks, kl_rows, pearson_rows, round9_text)
 # The per-sample scalar forms of the batched loss and metric below, importable
 # from here because perfbench/tracing.py wraps them by this module's name.
 from .attention import kl_divergence, rank_correlation  # noqa: F401
@@ -114,7 +114,8 @@ class ToySample:
     q_feat: np.ndarray    # (D,)
     img_feat: np.ndarray  # (C, H, W)
     answer: int
-    supervision: GlimpseStack | None = None
+    # one row of supervision_block: (G, H, W) float glimpses and their (G,) bool mask
+    supervision: tuple[np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
@@ -157,7 +158,7 @@ class _Batch:
     answers: np.ndarray       # (N,)
     answer_cells: np.ndarray  # (N,) flat indices of the answers in an (N, K) array
     onehot: np.ndarray        # (N, K) float: 1 at each sample's answer
-    supervised: np.ndarray    # (N,) bool: the sample has a supervision stack
+    supervised: np.ndarray    # (N,) bool: the sample has a supervision row
     kl_weight: np.ndarray     # (N, G, 1) float: 1 where the glimpse enters KL, else 0
     targets: np.ndarray       # (N, G, H*W), zero where kl_weight is 0
     kl_cells: np.ndarray      # flat indices of targets > 0, the cells KL sums
@@ -191,21 +192,19 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
         raise ToyModelError("classifier shape mismatch")
 
     n = len(samples)
+    supervised = np.array([s.supervision is not None for s in samples])
     kl_mask = np.zeros((n, g), dtype=bool)
-    targets = np.zeros((n, g, h * w))
-    for i, sample in enumerate(samples):
-        stack = sample.supervision
-        if stack is None:
-            continue
-        if len(stack.glimpses) != g:
-            raise AttentionError("glimpse count mismatch")
-        if stack.glimpses[0].shape != (h, w):
-            raise AttentionError("glimpse shape mismatch")
-        kl_mask[i] = stack.supervision_mask
-        for gi in np.flatnonzero(kl_mask[i]):
-            # the closed-form KL gradient in _pass needs targets summing to 1
-            target = AttentionMap(stack.glimpses[gi].values, normalized=True)
-            targets[i, gi] = target.values.ravel()
+    targets = np.zeros((n, g, h, w))
+    rows = [s.supervision for s in samples if s.supervision is not None]
+    if any(np.shape(glimpses) != (g, h, w) or np.shape(mask) != (g,) for glimpses, mask in rows):
+        raise AttentionError(f"supervision must be ({g}, {h}, {w}) glimpses and a ({g},) mask")
+    glimpses = np.array([gl for gl, _ in rows], dtype=np.float64).reshape(-1, g, h, w)
+    masks = np.array([mask for _, mask in rows], dtype=bool).reshape(-1, g)
+    # the closed-form KL gradient in _pass needs targets summing to 1
+    if (abs(_check_cells(glimpses).sum(axis=(2, 3))[masks] - 1.0) > _SUM_TOL).any():
+        raise AttentionError("supervised glimpses must sum to 1")
+    kl_mask[supervised] = masks
+    targets[supervised] = np.where(masks[:, :, None, None], glimpses, 0.0)
     answers = np.array([s.answer for s in samples])
     answer_cells = np.arange(n) * k + answers
     onehot = np.zeros((n, k))
@@ -222,9 +221,9 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
         answers=answers,
         answer_cells=answer_cells,
         onehot=onehot,
-        supervised=np.array([s.supervision is not None for s in samples]),
+        supervised=supervised,
         kl_weight=kl_mask[:, :, None].astype(float),
-        targets=targets,
+        targets=targets.reshape(n, g, h * w),
         kl_cells=kl_cells,
         kl_mass=targets.take(kl_cells),
         pre_fusion=np.empty(fusion_shape),
@@ -390,7 +389,7 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
     n, cells = len(data), batch.img.shape[2]
     # the rank metric's side that does not change: each supervised sample's glimpse-0 map
     target_ranks = centred_ranks(np.array(
-        [s.supervision.glimpses[0].values.ravel() for s in data if s.supervision is not None]
+        [s.supervision[0][0].ravel() for s in data if s.supervision is not None], dtype=np.float64
     ).reshape(-1, cells))
     block = max(1, BLOCK_SIZE // max(len(target_ranks), 1))
     metrics: list[MetricsRow] = []
@@ -418,14 +417,20 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
     return params, metrics
 
 
-def make_synthetic(cfg: ToyConfig, n: int, seed: int) -> list[ToySample]:
-    """Samples whose answer is decodable only from the image cells inside a
-    planted grid box, a random proper sub-grid; supervision is the box's
-    normalized rasterization.
+def _planted(cfg: ToyConfig, rng: np.random.Generator, answer: int, box: np.ndarray
+             ) -> ToySample:
+    """An unsupervised sample whose ``answer`` is decodable only inside ``box``, an (H, W) 0/1
+    grid: over noise, channel 0 marks the box and channel 1+answer carries the class there."""
+    img = rng.normal(0.0, 0.3, (cfg.image_channels, *box.shape))
+    img[0] = box + rng.normal(0.0, 0.05, box.shape)
+    img[1 + answer] += box
+    return ToySample(q_feat=rng.normal(0.0, 1.0, cfg.question_dim), img_feat=img, answer=answer)
 
-    Channel 0 marks the box; channel 1+answer carries the class signal
-    inside the box only.
-    """
+
+def make_synthetic(cfg: ToyConfig, n: int, seed: int) -> list[ToySample]:
+    """Samples planted (``_planted``) in a random grid box, a proper
+    sub-grid; each glimpse of the supervision is the box's normalized
+    rasterization, all unmasked."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if cfg.image_channels < cfg.num_answers + 1:
@@ -446,22 +451,12 @@ def make_synthetic(cfg: ToyConfig, n: int, seed: int) -> list[ToySample]:
             y1 = int(rng.integers(y0, h))
             if not (x0 == 0 and y0 == 0 and x1 == w - 1 and y1 == h - 1):
                 break
-        indicator = np.zeros((h, w))
-        indicator[y0:y1 + 1, x0:x1 + 1] = 1.0
-
-        img = rng.normal(0.0, 0.3, (cfg.image_channels, h, w))
-        img[0] = indicator + rng.normal(0.0, 0.05, (h, w))
-        img[1 + answer] += indicator
-        q_feat = rng.normal(0.0, 1.0, cfg.question_dim)
-
-        target = indicator / indicator.sum()
-        stack = GlimpseStack(
-            [AttentionMap(target.copy(), normalized=True)
-             for _ in range(cfg.glimpses)],
-            [True] * cfg.glimpses,
-        )
-        samples.append(ToySample(q_feat=q_feat, img_feat=img,
-                                 answer=answer, supervision=stack))
+        box = np.zeros((h, w))
+        box[y0:y1 + 1, x0:x1 + 1] = 1.0
+        sample = _planted(cfg, rng, answer, box)
+        sample.supervision = (np.repeat((box / box.sum())[None], cfg.glimpses, axis=0),
+                              np.ones(cfg.glimpses, dtype=bool))
+        samples.append(sample)
     return samples
 
 

@@ -147,3 +147,63 @@ def dense_corpus(rng: np.random.Generator) -> Dataset:
         dataset.triplets.append(QaTriplet(next(ids), image_id, _question(rng), _word(rng),
                                           width, height))
     return dataset
+
+
+# Fixture nouns and -ing verb forms that each match only themselves: no two
+# share a lemma, synset or alias, and no noun has a verb sense.
+PLANTED_NOUNS = ["dog", "cat", "horse", "bird", "ball", "bench", "book", "bus", "chair",
+                 "cup", "door", "hat", "house", "plate", "shirt", "tree"]
+PLANTED_VERBS = ["eating", "drinking", "holding", "jumping", "riding", "standing",
+                 "throwing", "watching", "wearing", "reading", "looking", "playing"]
+
+
+def _sized_box(rng: np.random.Generator, width: int, height: int,
+               lo: float, hi: float) -> BoundingBox:
+    """A box lo..hi of the image's width and of its height, anywhere inside it."""
+    bw, bh = int(width * rng.uniform(lo, hi)), int(height * rng.uniform(lo, hi))
+    x0, y0 = int(rng.integers(0, width - bw + 1)), int(rng.integers(0, height - bh + 1))
+    return BoundingBox(x0, y0, x0 + bw - 1, y0 + bh - 1)
+
+
+def planted_corpus(rng: np.random.Generator, n_images: int, same_name_share: float
+                   ) -> tuple[Dataset, list[BoundingBox]]:
+    """``n_images`` images of one question each whose true grounding is
+    known: the box of a target object named by a noun. Each image holds
+    - the target object, 15-40 % of the image's width and height;
+    - the region "the {noun} {verb} near the {other}", the target's box
+      grown by up to a tenth of the image on each side;
+    - 3-8 distractor objects anywhere, each named {noun} with probability
+      ``same_name_share`` and another noun otherwise;
+    - 3-8 distractor regions "the {a} near the {b}" of two other nouns;
+    - the question "what is the {noun} {verb}?", answered by a word that is
+      not in the lexicon.
+    Returns the dataset and the target boxes, in triplet order."""
+    dataset = Dataset()
+    ids = iter(range(5000, 10**6))
+    truth = []
+    for image_id in range(1, n_images + 1):
+        width, height = int(rng.integers(300, 601)), int(rng.integers(300, 601))
+        noun, other, *nouns = rng.permutation(PLANTED_NOUNS).tolist()
+        verb = PLANTED_VERBS[rng.integers(len(PLANTED_VERBS))]
+        target = _sized_box(rng, width, height, 0.15, 0.4)
+        grow = rng.integers(0, [width // 10 + 1, height // 10 + 1], size=(2, 2))
+        around = BoundingBox(max(target.x_min - int(grow[0, 0]), 0),
+                             max(target.y_min - int(grow[0, 1]), 0),
+                             min(target.x_max + int(grow[1, 0]), width - 1),
+                             min(target.y_max + int(grow[1, 1]), height - 1))
+        regions = [RegionAnnotation(next(ids), f"the {noun} {verb} near the {other}", around)]
+        objects = [ObjectAnnotation(next(ids), (noun,), target)]
+        for _ in range(int(rng.integers(3, 9))):
+            name = noun if rng.random() < same_name_share else nouns[rng.integers(len(nouns))]
+            objects.append(ObjectAnnotation(next(ids), (name,),
+                                            _sized_box(rng, width, height, 0.1, 0.4)))
+        for _ in range(int(rng.integers(3, 9))):
+            a, b = rng.choice(nouns, 2, replace=False).tolist()
+            regions.append(RegionAnnotation(next(ids), f"the {a} near the {b}",
+                                            _sized_box(rng, width, height, 0.1, 0.5)))
+        dataset.regions_by_image[image_id] = regions
+        dataset.objects_by_image[image_id] = objects
+        dataset.triplets.append(QaTriplet(next(ids), image_id, f"what is the {noun} {verb}?",
+                                          "nothing", width, height))
+        truth.append(target)
+    return dataset, truth

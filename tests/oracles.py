@@ -23,7 +23,7 @@ import string
 
 import numpy as np
 
-from vgmine.attention import AttentionMap, GlimpseStack, rank_correlation
+from vgmine.attention import AttentionMap, rank_correlation
 from vgmine.dataset import BoundingBox, Dataset
 from vgmine.lexicon import Lexicon, MatchCondition, Pos, normalize_token
 from vgmine.miner import MinerConfig
@@ -170,9 +170,7 @@ def random_toy_pair(rng: np.random.Generator, cfg: ToyConfig,
     if supervised:
         raw = rng.uniform(0.1, 1.0, (cfg.glimpses, cfg.grid_h, cfg.grid_w))
         raw /= raw.sum(axis=(1, 2), keepdims=True)
-        supervision = GlimpseStack(
-            [AttentionMap(raw[g], normalized=True) for g in range(cfg.glimpses)],
-            [True] * cfg.glimpses)
+        supervision = raw, np.ones(cfg.glimpses, dtype=bool)
     sample = ToySample(
         q_feat=rng.normal(0, 1, cfg.question_dim),
         img_feat=rng.normal(0, 1, (cfg.image_channels, cfg.grid_h, cfg.grid_w)),

@@ -446,14 +446,18 @@ class TestTrainToy:
             outputs.append(metrics.read_bytes() + params.read_bytes())
         assert outputs[0] == outputs[1]
 
-    def test_matches_golden_files_byte_for_byte(self, run_cli, tmp_path):
+    @pytest.mark.parametrize("flags, golden", [
+        (["--steps", 100], "train_toy"),
+        (["--glimpses", 3, "--grid", 5, 6, "--steps", 50], "train_toy_g3_5x6"),
+    ], ids=["defaults", "three-glimpses-5x6"])
+    def test_matches_golden_files_byte_for_byte(self, run_cli, tmp_path, flags, golden):
         # pins the step's arithmetic, not only train() against loss_and_grads()
         metrics, params = tmp_path / "metrics.csv", tmp_path / "params.ndjson"
-        code, _, _ = run_cli("train-toy", "--steps", 100, "--seed", 0, "--data-seed", 1,
+        code, _, _ = run_cli("train-toy", *flags, "--seed", 0, "--data-seed", 1,
                              "--metrics-out", metrics, "--params-out", params)
         assert code == 0
-        assert metrics.read_bytes() == (GOLDEN / "train_toy_metrics.csv").read_bytes()
-        assert params.read_bytes() == (GOLDEN / "train_toy_params.ndjson").read_bytes()
+        assert metrics.read_bytes() == (GOLDEN / f"{golden}_metrics.csv").read_bytes()
+        assert params.read_bytes() == (GOLDEN / f"{golden}_params.ndjson").read_bytes()
 
     def test_zero_steps_initial_metrics_only(self, run_cli, tmp_path):
         metrics = tmp_path / "m.csv"

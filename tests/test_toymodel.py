@@ -53,6 +53,12 @@ def _attention_rows(result):
     return np.stack([g.values.ravel() for g in result.attention.glimpses])
 
 
+def _uniform_supervision(cfg=CFG):
+    """A supervision row of uniform glimpses, every one unmasked."""
+    return (np.full((cfg.glimpses, cfg.grid_h, cfg.grid_w), 1.0 / cfg.cells),
+            np.ones(cfg.glimpses, dtype=bool))
+
+
 class TestForward:
     def test_zero_attention_weights_give_uniform_glimpses(self):
         rng = np.random.default_rng(0)
@@ -109,10 +115,7 @@ class TestLossAndGrads:
         rng = np.random.default_rng(5)
         params, sample = random_pair(rng)
         params.w_attention[:] = 0.0
-        uniform = np.full((CFG.grid_h, CFG.grid_w), 1.0 / CFG.cells)
-        sample.supervision = GlimpseStack(
-            [AttentionMap(uniform.copy(), normalized=True)
-             for _ in range(CFG.glimpses)], [True] * CFG.glimpses)
+        sample.supervision = _uniform_supervision()
         supervised, g_sup = loss_and_grads(params, sample, FIXED_1, 0)
         assert supervised.kl == pytest.approx(0.0, abs=1e-12)
         plain = copy.deepcopy(sample)
@@ -145,10 +148,8 @@ class TestLossAndGrads:
         img[0, 0, 0] = 1.0
         q_feat = np.zeros(CFG.question_dim)
         q_feat[0] = 1.0
-        uniform = np.full((CFG.grid_h, CFG.grid_w), 1.0 / CFG.cells)
-        sample = ToySample(q_feat=q_feat, img_feat=img, answer=0, supervision=GlimpseStack(
-            [AttentionMap(uniform.copy(), normalized=True) for _ in range(CFG.glimpses)],
-            [True] * CFG.glimpses))
+        sample = ToySample(q_feat=q_feat, img_feat=img, answer=0,
+                           supervision=_uniform_supervision())
         attn = _attention_rows(forward(params, sample))
         assert 0.0 < attn[0, 1] < 1e-300
         with np.errstate(over="ignore"):  # the KL value itself overflows to inf
@@ -165,23 +166,25 @@ class TestLossAndGrads:
         rng = np.random.default_rng(9)
         for i in range(300):
             params, sample = random_pair(rng)
-            for glimpse in sample.supervision.glimpses:
+            glimpses, mask = sample.supervision
+            for glimpse in glimpses:
                 keep = rng.random(glimpse.shape) >= 0.6
                 keep[0, 0] = True
-                sparse = glimpse.values * keep
-                glimpse.values = sparse / sparse.sum()
-            sample.supervision.supervision_mask[1] = i % 2 == 0
+                glimpse *= keep
+                glimpse /= glimpse.sum()
+            mask[1] = i % 2 == 0
             breakdown, _ = loss_and_grads(params, sample, FIXED_1, 0)
-            assert breakdown.kl == kl_divergence(sample.supervision,
-                                                 forward(params, sample).attention)
+            stack = GlimpseStack([AttentionMap(glimpse) for glimpse in glimpses], mask.tolist())
+            assert breakdown.kl == kl_divergence(stack, forward(params, sample).attention)
 
     def test_unnormalized_supervised_glimpse_rejected(self):
         rng = np.random.default_rng(8)
         params, sample = random_pair(rng)
-        sample.supervision.glimpses[1].values *= 2.0
+        glimpses, mask = sample.supervision
+        glimpses[1] *= 2.0
         with pytest.raises(AttentionError, match="must sum to 1"):
             loss_and_grads(params, sample, FIXED_1, 0)
-        sample.supervision.supervision_mask[1] = False  # masked glimpses are not used
+        mask[1] = False  # masked glimpses are not used
         loss_and_grads(params, sample, FIXED_1, 0)
 
     def test_invalid_answer_rejected(self):
@@ -223,6 +226,55 @@ def test_shape_mismatch_raises_toy_model_error(mismatch, message):
         loss_and_grads(params, sample, FIXED_1, 0)
 
 
+def _cell(glimpse, value):
+    """The row with one cell of ``glimpse`` set to ``value``."""
+    def corrupt(glimpses, mask):
+        glimpses[glimpse, 3, 4] = value
+        return glimpses, mask
+    return corrupt
+
+
+def _off_by(delta):
+    """The row with glimpse 1's sum moved by ``delta``."""
+    def corrupt(glimpses, mask):
+        glimpses[1, 0, 0] += delta
+        return glimpses, mask
+    return corrupt
+
+
+_BAD_SHAPE = r"supervision must be \(2, 7, 7\) glimpses and a \(2,\) mask"
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda g, m: (g[:1], m), _BAD_SHAPE),
+    (lambda g, m: (g[:, :, :6], m), _BAD_SHAPE),
+    (lambda g, m: (g[..., None], m), _BAD_SHAPE),
+    (lambda g, m: (g, m[:1]), _BAD_SHAPE),
+    (lambda g, m: (g, np.append(m, True)), _BAD_SHAPE),
+    (_off_by(2e-9), "must sum to 1"),
+    (_off_by(-2e-9), "must sum to 1"),
+    (_cell(0, math.nan), "finite numbers >= 0"),
+    (_cell(1, math.inf), "finite numbers >= 0"),
+    (_cell(0, -1e-300), "finite numbers >= 0"),
+    (lambda g, m: _cell(1, math.nan)(g, np.array([True, False])), "finite numbers >= 0"),
+], ids=["glimpse-count", "grid-width", "grid-ndim", "short-mask", "long-mask", "sum-high",
+        "sum-low", "nan", "inf", "negative", "nan-in-masked-glimpse"])
+def test_batch_refuses_a_bad_supervision_row(corrupt, message):
+    params, sample = random_pair(np.random.default_rng(13))
+    loss_and_grads(params, sample, FIXED_1, 0)  # the row as drawn passes
+    sample.supervision = corrupt(*sample.supervision)
+    with pytest.raises(AttentionError, match=message):
+        loss_and_grads(params, sample, FIXED_1, 0)
+    with pytest.raises(AttentionError, match=message):
+        train([sample], ToyConfig(steps=0), FIXED_1)
+
+
+def test_batch_takes_a_glimpse_sum_off_by_at_most_the_tolerance():
+    params, sample = random_pair(np.random.default_rng(13))
+    sample.supervision[0][1, 0, 0] += 5e-10
+    loss_and_grads(params, sample, FIXED_1, 0)
+
+
 class TestParameterVector:
     def test_init_params_equals_one_draw_per_array(self):
         params = init_params(CFG, np.random.default_rng(21))
@@ -256,8 +308,10 @@ class TestParameterVector:
 class TestMakeSynthetic:
     def test_supervision_sums_to_one(self):
         for sample in make_synthetic(CFG, 4, seed=3):
-            for glimpse in sample.supervision.glimpses:
-                assert abs(glimpse.values.sum() - 1.0) < 1e-12
+            glimpses, mask = sample.supervision
+            assert glimpses.shape == (CFG.glimpses, CFG.grid_h, CFG.grid_w) and mask.all()
+            for glimpse in glimpses:
+                assert abs(glimpse.sum() - 1.0) < 1e-12
 
     def test_same_seed_identical(self):
         first = make_synthetic(CFG, 5, seed=11)
@@ -269,7 +323,7 @@ class TestMakeSynthetic:
 
     def test_class_signal_only_inside_box(self):
         sample = make_synthetic(CFG, 1, seed=5)[0]
-        inside = sample.supervision.glimpses[0].values > 0  # the planted box
+        inside = sample.supervision[0][0] > 0  # the planted box
         channel = sample.img_feat[1 + sample.answer]
         # the planted +1 signal shifts in-box cells far above the noise scale
         assert channel[inside].mean() > 0.5
@@ -282,7 +336,7 @@ class TestMakeSynthetic:
             with pytest.raises(ValueError, match=r"grid_h \* grid_w >= 2"):
                 make_synthetic(dataclasses.replace(CFG, grid_h=1, grid_w=1), 1, seed=0)
             sample = make_synthetic(dataclasses.replace(CFG, grid_h=1, grid_w=2), 1, seed=0)[0]
-        assert sorted(sample.supervision.glimpses[0].values.ravel()) == [0.0, 1.0]
+        assert sorted(sample.supervision[0][0].ravel()) == [0.0, 1.0]
 
 
 @pytest.fixture(scope="module")
@@ -356,11 +410,8 @@ def _mixed_batch(cfg):
     which rank correlation is undefined; a plain supervised sample."""
     data = make_synthetic(cfg, 4, seed=9)
     data[0].supervision = None
-    data[1].supervision.supervision_mask[1] = False
-    uniform = np.full((cfg.grid_h, cfg.grid_w), 1.0 / cfg.cells)
-    data[2].supervision = GlimpseStack(
-        [AttentionMap(uniform.copy(), normalized=True) for _ in range(cfg.glimpses)],
-        [True] * cfg.glimpses)
+    data[1].supervision[1][1] = False
+    data[2].supervision = _uniform_supervision(cfg)
     return data
 
 
@@ -382,7 +433,7 @@ def _train_one_sample_at_a_time(data, cfg, schedule):
                 supervised += 1
                 try:
                     corr_sum += rank_correlation(fwd.attention.glimpses[0],
-                                                 sample.supervision.glimpses[0])
+                                                 AttentionMap(sample.supervision[0][0]))
                     corr_count += 1
                 except AttentionError:
                     pass
