@@ -49,6 +49,17 @@ def _check_cells(values: np.ndarray) -> np.ndarray:
     return values
 
 
+def _check_targets(glimpses: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """``glimpses``, the KL targets of shape ``masks.shape`` plus the cells,
+    refused unless every cell passes ``_check_cells`` and each glimpse that
+    its bool mask supervises sums to 1 within ``_SUM_TOL``: the KL is >= 0,
+    and its closed-form gradient exact, only toward normalized targets."""
+    sums = _check_cells(glimpses).sum(axis=tuple(range(masks.ndim, glimpses.ndim)))
+    if (abs(sums[masks] - 1.0) > _SUM_TOL).any():
+        raise AttentionError("supervised glimpses must sum to 1")
+    return glimpses
+
+
 @dataclass
 class AttentionMap:
     """H x W grid of finite cells >= 0; a probability distribution when normalized."""
@@ -183,7 +194,7 @@ def kl_divergence(p: GlimpseStack, q: GlimpseStack) -> float:
     """Sum over p's unmasked glimpses of sum_cells p*log(p/q), 0*log0 = 0.
 
     q must be strictly positive wherever p is positive (softmax outputs);
-    p glimpses must be normalized.
+    p's unmasked glimpses must be normalized (``_check_targets``).
     """
     if len(p.glimpses) != len(q.glimpses):
         raise AttentionError("glimpse count mismatch")
@@ -192,8 +203,8 @@ def kl_divergence(p: GlimpseStack, q: GlimpseStack) -> float:
     if not p.glimpses:
         return 0.0
     pv, qv = (np.stack([g.values.ravel() for g in s.glimpses])[None] for s in (p, q))
-    mask = np.array(p.supervision_mask, dtype=bool)[None, :, None]
-    cells = np.flatnonzero((pv > 0) & mask)
+    mask = np.array(p.supervision_mask, dtype=bool)[None]
+    cells = np.flatnonzero((_check_targets(pv, mask) > 0) & mask[:, :, None])
     return float(kl_rows(pv.take(cells), qv, cells)[0])
 
 

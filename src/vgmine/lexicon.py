@@ -44,14 +44,10 @@ class MatchCondition(enum.Enum):
     ALIAS = 3
     NONE = 4
 
+    @property
+    def matched(self) -> bool:
+        return self is not MatchCondition.NONE
 
-@dataclass(frozen=True)
-class MatchResult:
-    matched: bool
-    condition: MatchCondition
-
-
-NO_MATCH = MatchResult(False, MatchCondition.NONE)
 
 # The WNDB files that ``load_wordnet`` reads from its directory.
 WNDB_FILES = ("index.noun", "index.verb", "noun.exc", "verb.exc")
@@ -180,24 +176,23 @@ class WordSignature:
 
 _EMPTY: frozenset[str] = frozenset()
 _BLANK = WordSignature("", None, None, _EMPTY, (), _EMPTY)
-_RESULTS = {condition: MatchResult(condition is not MatchCondition.NONE, condition)
-            for condition in MatchCondition}
 
 
-def match_signatures(s1: WordSignature, s2: WordSignature) -> MatchResult:
-    """The first satisfied rule in the order RAW < LEMMA < SYNSET < ALIAS."""
+def match_signatures(s1: WordSignature, s2: WordSignature) -> MatchCondition:
+    """The first satisfied rule in the order RAW < LEMMA < SYNSET < ALIAS,
+    NONE when none holds."""
     if not s1.norm or not s2.norm:
-        return NO_MATCH
+        return MatchCondition.NONE
     if s1.norm == s2.norm:
-        return _RESULTS[MatchCondition.RAW]
+        return MatchCondition.RAW
     if ((s1.noun is not None and s1.noun == s2.noun)
             or (s1.verb is not None and s1.verb == s2.verb)):
-        return _RESULTS[MatchCondition.LEMMA]
+        return MatchCondition.LEMMA
     if not s1.synsets.isdisjoint(s2.synsets):
-        return _RESULTS[MatchCondition.SYNSET]
+        return MatchCondition.SYNSET
     if not s1.aliases.isdisjoint(s2.forms):
-        return _RESULTS[MatchCondition.ALIAS]
-    return NO_MATCH
+        return MatchCondition.ALIAS
+    return MatchCondition.NONE
 
 
 @dataclass
@@ -273,10 +268,10 @@ class Lexicon:
             return sig.noun is not None or sig.verb is not None
         return (sig.noun if pos is Pos.NOUN else sig.verb) is not None
 
-    def words_match(self, w1: str, w2: str) -> MatchResult:
+    def words_match(self, w1: str, w2: str) -> MatchCondition:
         """Match two tokens by raw text, lemma, synset overlap, or alias.
 
-        The reported condition is the first satisfied rule in the order
+        The returned condition is the first satisfied rule in the order
         RAW < LEMMA < SYNSET < ALIAS. Symmetric in its arguments.
         """
         return match_signatures(self.signature(w1), self.signature(w2))

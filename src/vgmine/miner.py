@@ -201,7 +201,7 @@ def _matches(query: list[_Word], word: str, sig: WordSignature
     matches, in query order."""
     matches = []
     for query_word, query_sig in query:
-        condition = match_signatures(query_sig, sig).condition
+        condition = match_signatures(query_sig, sig)
         if condition is not MatchCondition.NONE:
             matches.append((condition.value, (query_word, word, _CONDITION_NAMES[condition])))
     return matches

@@ -231,8 +231,10 @@ def read_pair(read: Callable[[Any], Any], first: Any, second: Any) -> tuple[Any,
     return value, result
 
 
-# The open commit block's staged files as (tmp, target), directories it made as (dir, None).
+# The open commit block's staged files as (tmp, target), directories it made as (dir, None),
+# and the absolute paths of its staged files, both names of each.
 _staged: list[tuple[Path, Path | None]] | None = None
+_taken: set[Path] = set()
 
 
 @contextmanager
@@ -254,6 +256,7 @@ def commit() -> Iterator[None]:
         yield
         return
     _staged = staged = []
+    _taken.clear()
     try:
         yield
         for tmp, path in staged:
@@ -275,8 +278,14 @@ def _staging(path: str | Path, mode: str, **kwargs: Any) -> Iterator[IO]:
     with commit(), _naming(path):
         if path.is_dir():  # checked before any rename of the block
             raise InputError(f"cannot write {path}: it is a directory")
-        fp = open(path.with_name(path.name + ".tmp"), mode, **kwargs)
+        tmp = path.with_name(path.name + ".tmp")
+        names = {path.absolute(), tmp.absolute()}
+        if not _taken.isdisjoint(names):  # one rename would overwrite another's file
+            raise InputError(f"cannot write {path}: its name clashes with another output "
+                             "of this command")
+        fp = open(tmp, mode, **kwargs)
         _staged.append((Path(fp.name), path))  # once opened: its name may be unusable
+        _taken.update(names)
         with fp:
             yield fp
 

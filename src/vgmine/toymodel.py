@@ -37,8 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .attention import (_SUM_TOL, BLOCK_SIZE, AttentionError, AttentionMap, GlimpseStack,
-                        _check_cells, centred_ranks, kl_rows, pearson_rows, round9_text)
+from .attention import (BLOCK_SIZE, AttentionError, _check_targets, centred_ranks, kl_rows,
+                        pearson_rows, round9_text)
 # The per-sample scalar forms of the batched loss and metric below, importable
 # from here because perfbench/tracing.py wraps them by this module's name.
 from .attention import kl_divergence, rank_correlation  # noqa: F401
@@ -119,12 +119,6 @@ class ToySample:
 
 
 @dataclass
-class ForwardResult:
-    attention: GlimpseStack   # G_v glimpses, each summing to 1
-    logits: np.ndarray        # (K,)
-
-
-@dataclass
 class MetricsRow:
     step: int
     ce: float
@@ -200,9 +194,7 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
         raise AttentionError(f"supervision must be ({g}, {h}, {w}) glimpses and a ({g},) mask")
     glimpses = np.array([gl for gl, _ in rows], dtype=np.float64).reshape(-1, g, h, w)
     masks = np.array([mask for _, mask in rows], dtype=bool).reshape(-1, g)
-    # the closed-form KL gradient in _pass needs targets summing to 1
-    if (abs(_check_cells(glimpses).sum(axis=(2, 3))[masks] - 1.0) > _SUM_TOL).any():
-        raise AttentionError("supervised glimpses must sum to 1")
+    _check_targets(glimpses, masks)  # the closed-form KL gradient in _pass needs them
     kl_mask[supervised] = masks
     targets[supervised] = np.where(masks[:, :, None, None], glimpses, 0.0)
     answers = np.array([s.answer for s in samples])
@@ -257,21 +249,13 @@ def _forward(params: ToyModelParams, batch: _Batch) -> tuple[np.ndarray, np.ndar
     return attn, logits
 
 
-@dataclass
-class _Pass:
-    """What one forward and backward pass makes new: the per-sample losses,
-    the attention and the logits. Its gradients are in ``batch.grads``."""
-
-    ce: np.ndarray      # (N,)
-    kl: np.ndarray      # (N,), 0 for samples without supervision
-    attn: np.ndarray    # (N, G, H*W), rows sum to 1
-    logits: np.ndarray  # (N, K)
-
-
-def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
+def _pass(params: ToyModelParams, batch: _Batch, alpha: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Forward pass, per-sample cross-entropy and KL toward the supervised
     glimpses, and the exact analytic gradients of ce + alpha * kl, summed
-    over the samples into the batch's gradient vector."""
+    over the samples into the batch's gradient vector. Returns what the pass
+    makes new: the (N,) ce, the (N,) kl (0 for samples without supervision),
+    the (N, G, H*W) attention and the (N, K) logits."""
     attn, logits = _forward(params, batch)
 
     shifted = logits - logits.max(axis=1, keepdims=True)
@@ -306,27 +290,24 @@ def _pass(params: ToyModelParams, batch: _Batch, alpha: float) -> _Pass:
     g_bias.sum(axis=0, out=grads.fusion_bias)
     g_attention.sum(axis=0, out=grads.w_attention)
     g_classifier.sum(axis=0, out=grads.w_classifier)
-    return _Pass(ce=ce, kl=kl, attn=attn, logits=logits)
+    return ce, kl, attn, logits
 
 
-def forward(params: ToyModelParams, sample: ToySample) -> ForwardResult:
+def forward(params: ToyModelParams, sample: ToySample) -> tuple[np.ndarray, np.ndarray]:
     """Fusion, per-glimpse softmax attention over the grid cells,
-    attention-weighted feature pooling, and answer logits."""
+    attention-weighted feature pooling, and answer logits: the (G, H, W)
+    attention, each glimpse summing to 1, and the (K,) logits."""
     (attn,), (logits,) = _forward(params, _batch([sample], params))
-    _, h, w = sample.img_feat.shape
-    stack = GlimpseStack([AttentionMap(row.reshape(h, w), normalized=True) for row in attn],
-                         [True] * len(attn))
-    return ForwardResult(attention=stack, logits=logits)
+    return attn.reshape(len(attn), *sample.img_feat.shape[1:]), logits
 
 
 def loss_and_grads(params: ToyModelParams, sample: ToySample,
                    schedule: Schedule, t: int) -> tuple[LossBreakdown, ToyModelParams]:
     """Loss breakdown and exact analytic gradients for one sample."""
     batch = _batch([sample], params)
-    step = _pass(params, batch, schedule.alpha(t))
-    kl = float(step.kl[0]) if sample.supervision is not None else None
-    breakdown = total_loss(float(step.ce[0]), kl, schedule, t)
-    return breakdown, batch.grads
+    ce, kl, _, _ = _pass(params, batch, schedule.alpha(t))
+    kl0 = float(kl[0]) if sample.supervision is not None else None
+    return total_loss(float(ce[0]), kl0, schedule, t), batch.grads
 
 
 def _sample_metrics(attn0: np.ndarray, target_ranks: np.ndarray) -> np.ndarray:
@@ -399,12 +380,12 @@ def train(data: list[ToySample], cfg: ToyConfig, schedule: Schedule
         for t in range(cfg.steps + 1):
             alpha = schedule.alpha(t)
             try:
-                step = _pass(params, batch, alpha)
-                if not (np.isfinite(step.ce).all() and np.isfinite(step.kl).all()):
+                ce, kl, attn, logits = _pass(params, batch, alpha)
+                if not (np.isfinite(ce).all() and np.isfinite(kl).all()):
                     raise ToyModelError("non-finite loss")
             except (AttentionError, ToyModelError) as exc:
                 raise ToyModelError(f"training diverged at step {t}: {exc}") from exc
-            pending.append((alpha, step.ce, step.kl, step.attn, step.logits))
+            pending.append((alpha, ce, kl, attn, logits))
             if len(pending) == block or t == cfg.steps:
                 metrics += _metrics_rows(len(metrics), pending, batch, target_ranks)
                 pending = []

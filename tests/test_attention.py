@@ -208,6 +208,16 @@ class TestKlDivergence:
         expected = math.log(49)  # only glimpse 0 contributes
         assert kl_divergence(p, uniform) == pytest.approx(expected, abs=1e-9)
 
+    @pytest.mark.parametrize("target", [[[0.3, 0.3]], [[2.0, 0.0]]],
+                             ids=["sum-0.6", "sum-2"])
+    def test_unnormalized_target_is_refused(self, target):
+        # they gave -0.3065 and 2.7726, a negative KL and one above log 2
+        uniform = GlimpseStack([AttentionMap([[0.5, 0.5]], normalized=True)], [True])
+        with pytest.raises(AttentionError, match="supervised glimpses must sum to 1"):
+            kl_divergence(GlimpseStack([AttentionMap(target)], [True]), uniform)
+        # a masked glimpse enters no sum
+        assert kl_divergence(GlimpseStack([AttentionMap(target)], [False]), uniform) == 0.0
+
     def test_shape_mismatch_is_an_error(self):
         with pytest.raises(AttentionError):
             kl_divergence(_uniform_stack(7, 7), _uniform_stack(7, 6))

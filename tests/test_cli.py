@@ -1512,6 +1512,18 @@ class TestNoPartialOutput:
         assert err == f"error: cannot write {tmp_path / manifest}: it is a directory\n"
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("params_out", ["out.csv", "out.csv.manifest.json"],
+                             ids=["metrics", "manifest"])
+    def test_two_outputs_on_one_path_exit_2(self, run_cli, tmp_path, params_out):
+        # the second rename failed: exit 1, a traceback and out.csv holding the params
+        code, out, err = run_cli("train-toy", "--steps", 5, "--metrics-out", tmp_path / "out.csv",
+                                 "--params-out", tmp_path / params_out)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: cannot write {tmp_path / params_out}: its name clashes with "
+                       "another output of this command\n")
+        assert list(tmp_path.iterdir()) == []
+
     @pytest.mark.parametrize("argv", [
         MINE_ARGS,
         ["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", FIG3 / "qa.json"],

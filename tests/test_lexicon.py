@@ -263,13 +263,13 @@ class TestLoadAliases:
 
     def test_loading_aliases_invalidates_compiled_words(self):
         lex = load_wordnet(WORDNET_DIR)
-        assert lex.words_match("people", "men").condition is MatchCondition.NONE
+        assert lex.words_match("people", "men") is MatchCondition.NONE
         load_aliases(lex, ALIASES)
-        assert lex.words_match("people", "men").condition is MatchCondition.ALIAS
+        assert lex.words_match("people", "men") is MatchCondition.ALIAS
         aliases = {word: set(others) for word, others in lex.aliases.items()}
         load_aliases(lex, ALIASES)
         assert lex.aliases == aliases
-        assert lex.words_match("people", "men").condition is MatchCondition.ALIAS
+        assert lex.words_match("people", "men") is MatchCondition.ALIAS
 
     def test_idempotent_on_repeated_load(self):
         a = load_aliases(load_wordnet(WORDNET_DIR), ALIASES).aliases
@@ -336,12 +336,12 @@ class TestWordsMatch:
     ])
     def test_examples(self, lexicon, w1, w2, condition):
         result = lexicon.words_match(w1, w2)
-        assert result.condition is condition
+        assert result is condition
         assert result.matched is (condition is not MatchCondition.NONE)
 
     def test_alias_after_lemmatization(self, lexicon):
         # "men" -> "man", whose aliases contain "people"
-        assert lexicon.words_match("men", "people").condition is MatchCondition.ALIAS
+        assert lexicon.words_match("men", "people") is MatchCondition.ALIAS
 
     @given(w1=VOCAB, w2=VOCAB)
     def test_symmetric(self, lexicon, w1, w2):
@@ -350,14 +350,14 @@ class TestWordsMatch:
     @given(word=st.one_of(VOCAB, st.from_regex(r"[a-z]{1,8}", fullmatch=True)))
     def test_self_match_is_raw(self, lexicon, word):
         result = lexicon.words_match(word, word)
-        assert result.matched and result.condition is MatchCondition.RAW
+        assert result.matched and result is MatchCondition.RAW
 
     @given(w1=st.one_of(VOCAB, PUNCTUATED), w2=st.one_of(VOCAB, PUNCTUATED))
     @settings(max_examples=300)
     def test_agrees_with_reference_predicate(self, lexicon, w1, w2):
         result = lexicon.words_match(w1, w2)
-        assert result.condition is reference_words_match(lexicon, w1, w2)
-        assert result.matched is (result.condition is not MatchCondition.NONE)
+        assert result is reference_words_match(lexicon, w1, w2)
+        assert result.matched is (result is not MatchCondition.NONE)
 
     @given(word=st.one_of(VOCAB, PUNCTUATED), pos=st.sampled_from([None, Pos.NOUN, Pos.VERB]))
     def test_has_entry_agrees_with_morphy(self, lexicon, word, pos):
@@ -377,8 +377,7 @@ class TestWordsMatch:
         )
         before = lexicon.words_match(w1, w2)
         after = stripped.words_match(w1, w2)
-        if before.condition in (MatchCondition.RAW, MatchCondition.LEMMA,
-                                MatchCondition.SYNSET):
+        if before in (MatchCondition.RAW, MatchCondition.LEMMA, MatchCondition.SYNSET):
             assert after == before
 
 

@@ -29,7 +29,7 @@ GAP = 0.2  # the bound of acceptance criterion 6
 def _truth_correlation(params, samples, truth):
     """Mean Spearman coefficient of each sample's glimpse-0 attention
     against its row of ``truth``."""
-    attn = np.stack([forward(params, s).attention.glimpses[0].values.ravel() for s in samples])
+    attn = np.stack([forward(params, s)[0][0].ravel() for s in samples])
     return float(rank_correlations(attn, truth).mean())
 
 

@@ -48,9 +48,10 @@ def random_pair(rng, cfg=CFG, supervised=True):
     return random_toy_pair(rng, cfg, supervised)
 
 
-def _attention_rows(result):
-    """A forward result's glimpses stacked as (G, H*W) rows."""
-    return np.stack([g.values.ravel() for g in result.attention.glimpses])
+def _attention_rows(params, sample):
+    """The sample's forward attention as (G, H*W) rows."""
+    attention, _ = forward(params, sample)
+    return attention.reshape(len(attention), -1)
 
 
 def _uniform_supervision(cfg=CFG):
@@ -64,17 +65,17 @@ class TestForward:
         rng = np.random.default_rng(0)
         params, sample = random_pair(rng)
         params.w_attention[:] = 0.0
-        result = forward(params, sample)
-        for glimpse in result.attention.glimpses:
-            assert np.allclose(glimpse.values, 1.0 / CFG.cells, atol=1e-15)
+        attention, _ = forward(params, sample)
+        assert attention.shape == (CFG.glimpses, CFG.grid_h, CFG.grid_w)
+        assert np.allclose(attention, 1.0 / CFG.cells, atol=1e-15)
 
     def test_glimpses_sum_to_one(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
             params, sample = random_pair(rng)
-            result = forward(params, sample)
-            for glimpse in result.attention.glimpses:
-                assert abs(glimpse.values.sum() - 1.0) <= 1e-9
+            attention, _ = forward(params, sample)
+            for glimpse in attention:
+                assert abs(glimpse.sum() - 1.0) <= 1e-9
 
     def test_constant_image_gives_constant_weighted_features(self):
         rng = np.random.default_rng(2)
@@ -83,8 +84,7 @@ class TestForward:
         sample.img_feat = np.repeat(
             feature[:, None], CFG.cells, axis=1).reshape(
             CFG.image_channels, CFG.grid_h, CFG.grid_w)
-        result = forward(params, sample)
-        weighted = _attention_rows(result) @ sample.img_feat.reshape(
+        weighted = _attention_rows(params, sample) @ sample.img_feat.reshape(
             CFG.image_channels, -1).T
         for g in range(CFG.glimpses):
             assert np.allclose(weighted[g], feature, atol=1e-12)
@@ -150,7 +150,7 @@ class TestLossAndGrads:
         q_feat[0] = 1.0
         sample = ToySample(q_feat=q_feat, img_feat=img, answer=0,
                            supervision=_uniform_supervision())
-        attn = _attention_rows(forward(params, sample))
+        attn = _attention_rows(params, sample)
         assert 0.0 < attn[0, 1] < 1e-300
         with np.errstate(over="ignore"):  # the KL value itself overflows to inf
             _, grads = loss_and_grads(params, sample, FIXED_1, 0)
@@ -175,7 +175,10 @@ class TestLossAndGrads:
             mask[1] = i % 2 == 0
             breakdown, _ = loss_and_grads(params, sample, FIXED_1, 0)
             stack = GlimpseStack([AttentionMap(glimpse) for glimpse in glimpses], mask.tolist())
-            assert breakdown.kl == kl_divergence(stack, forward(params, sample).attention)
+            attention, _ = forward(params, sample)
+            predicted = GlimpseStack([AttentionMap(glimpse) for glimpse in attention],
+                                     [True] * len(attention))
+            assert breakdown.kl == kl_divergence(stack, predicted)
 
     def test_unnormalized_supervised_glimpse_rejected(self):
         rng = np.random.default_rng(8)
@@ -425,14 +428,14 @@ def _train_one_sample_at_a_time(data, cfg, schedule):
         grad_sums = [np.zeros_like(arr) for _, arr in params.named_arrays()]
         for sample in data:
             breakdown, grads = loss_and_grads(params, sample, schedule, t)
-            fwd = forward(params, sample)
+            attention, logits = forward(params, sample)
             ce_sum += breakdown.ce
-            correct += int(np.argmax(fwd.logits)) == sample.answer
+            correct += int(np.argmax(logits)) == sample.answer
             if sample.supervision is not None:
                 kl_sum += breakdown.kl
                 supervised += 1
                 try:
-                    corr_sum += rank_correlation(fwd.attention.glimpses[0],
+                    corr_sum += rank_correlation(AttentionMap(attention[0]),
                                                  AttentionMap(sample.supervision[0][0]))
                     corr_count += 1
                 except AttentionError:
@@ -470,8 +473,7 @@ def _steps_of_pass(data, cfg, schedule, reuse_batch):
     for t in range(cfg.steps):
         if not reuse_batch:
             batch = toymodel._batch(data, params)
-        step = toymodel._pass(params, batch, schedule.alpha(t))
-        results.append((step.ce, step.kl, step.attn, step.logits))
+        results.append(toymodel._pass(params, batch, schedule.alpha(t)))
         params.vector -= cfg.learning_rate * (batch.grads.vector / len(data))
     return params, results
 
@@ -497,12 +499,11 @@ def test_pass_results_survive_the_next_pass_on_their_batch():
     cfg = ToyConfig()
     params = init_params(cfg, np.random.default_rng(24))
     batch = toymodel._batch(_mixed_batch(cfg), params)
-    first = toymodel._pass(params, batch, 1.0)
-    returned = (first.ce, first.kl, first.attn, first.logits)
+    returned = toymodel._pass(params, batch, 1.0)
     kept = [arr.copy() for arr in returned]
     params.vector -= batch.grads.vector
-    second = toymodel._pass(params, batch, 1.0)
-    assert not np.array_equal(second.attn, kept[2])
+    _, _, attn, _ = toymodel._pass(params, batch, 1.0)
+    assert not np.array_equal(attn, kept[2])
     for name, arr, copy_ in zip(("ce", "kl", "attention", "logits"), returned, kept):
         assert np.array_equal(arr, copy_), name
 
