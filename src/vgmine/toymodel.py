@@ -194,7 +194,7 @@ def _batch(samples: list[ToySample], params: ToyModelParams) -> _Batch:
         raise AttentionError(f"supervision must be ({g}, {h}, {w}) glimpses and a ({g},) mask")
     glimpses = np.array([gl for gl, _ in rows], dtype=np.float64).reshape(-1, g, h, w)
     masks = np.array([mask for _, mask in rows], dtype=bool).reshape(-1, g)
-    _check_targets(glimpses, masks)  # the closed-form KL gradient in _pass needs them
+    _check_targets(glimpses, masks)  # the closed-form KL gradient in _pass needs normalized ones
     kl_mask[supervised] = masks
     targets[supervised] = np.where(masks[:, :, None, None], glimpses, 0.0)
     answers = np.array([s.answer for s in samples])
