@@ -9,9 +9,9 @@ The lexicon is built from the plain-text WNDB database files (``index.noun``,
 ``index.verb``, ``noun.exc``, ``verb.exc``) plus an optional alias file with
 one comma-separated equivalence class per line. An index line's counts are
 read from a table of the numerals WordNet writes (int() reads any other
-spelling) and its synset ids are formatted on lookup. A file that is not
-UTF-8 raises ``records.InputError`` naming the line of its first bad byte.
-After loading, a Lexicon is immutable and safe for concurrent reads.
+spelling); only its synset offsets are kept, formatted into ids on lookup.
+A non-UTF-8 file raises ``records.InputError`` naming its first bad byte's
+line. After loading, a Lexicon is immutable and safe for concurrent reads.
 """
 
 from __future__ import annotations
@@ -81,25 +81,25 @@ _DETACHMENT_RULES: dict[Pos, list[tuple[str, str]]] = {
 class _PosTable(NamedTuple):
     """What lemmatization and synset lookup read for one part of speech."""
 
-    index: dict[str, str]  # lowercase lemma -> its checked index line
+    index: dict[str, str]  # lowercase lemma -> its synset offsets, space-separated
     exceptions: dict[str, str]
     rules: list[tuple[str, str]]
     suffixes: tuple[str, ...]  # the rules' suffixes, screened with one endswith
     tag: str  # the synset id suffix, "-n" or "-v"
 
 
-def _line(index: dict[str, str], word: str) -> str | None:
-    """The index line of ``word``, or of ``word`` with spaces as underscores."""
-    line = index.get(word)
-    if line is None and " " in word:
-        line = index.get(word.replace(" ", "_"))
-    return line
+def _offsets(index: dict[str, str], word: str) -> str | None:
+    """The stored offsets of ``word``, or of ``word`` with spaces as underscores."""
+    offsets = index.get(word)
+    if offsets is None and " " in word:
+        offsets = index.get(word.replace(" ", "_"))
+    return offsets
 
 
-def _base_form(table: _PosTable, word: str, line: str | None) -> str | None:
-    """The morphy lemma of a normalized ``word`` whose own index line is
-    ``line``: its exception entry, else the first detachment rule whose
-    candidate is in the index, else the word itself when it has a line."""
+def _base_form(table: _PosTable, word: str, offsets: str | None) -> str | None:
+    """The morphy lemma of a normalized ``word`` whose own stored offsets are
+    ``offsets``: its exception entry, else the first detachment rule whose
+    candidate is in the index, else the word itself when it has an entry."""
     exc = table.exceptions.get(word)
     if exc is not None:
         return exc
@@ -107,29 +107,28 @@ def _base_form(table: _PosTable, word: str, line: str | None) -> str | None:
         for suffix, replacement in table.rules:
             if word.endswith(suffix):
                 candidate = word[: len(word) - len(suffix)] + replacement
-                if candidate and _line(table.index, candidate) is not None:
+                if candidate and _offsets(table.index, candidate) is not None:
                     return candidate
-    return word if line is not None else None
+    return word if offsets is not None else None
 
 
-def _synset_ids(line: str, tag: str) -> list[str]:
-    """The synset ids of one checked index line: an offset of eight ASCII
+def _synset_ids(offsets: str, tag: str) -> list[str]:
+    """The synset ids of one lemma's stored offsets: an offset of eight ASCII
     digits is its own ``08d`` form; int() reads any other spelling."""
-    fields = line.split()
     return [off + tag if len(off) == 8 and off.isascii() and off.isdigit()
-            else f"{int(off):08d}{tag}" for off in fields[6 + int(fields[3]):]]
+            else f"{int(off):08d}{tag}" for off in offsets.split()]
 
 
 def _lemma_and_ids(table: _PosTable, word: str) -> tuple[str | None, list[str]]:
     """The morphy lemma of a normalized ``word`` and the synset ids of the
     word and, when different, of its lemma."""
-    line = _line(table.index, word)
-    lemma = _base_form(table, word, line)
-    ids = _synset_ids(line, table.tag) if line is not None else []
+    offsets = _offsets(table.index, word)
+    lemma = _base_form(table, word, offsets)
+    ids = _synset_ids(offsets, table.tag) if offsets is not None else []
     if lemma is not None and lemma != word:
-        lemma_line = _line(table.index, lemma)
-        if lemma_line is not None:
-            ids += _synset_ids(lemma_line, table.tag)
+        lemma_offsets = _offsets(table.index, lemma)
+        if lemma_offsets is not None:
+            ids += _synset_ids(lemma_offsets, table.tag)
     return lemma, ids
 
 
@@ -155,16 +154,16 @@ class WordSignature:
     """Everything ``words_match`` compares about one word, computed once.
 
     ``norm`` is the normalized word; ``noun`` and ``verb`` its morphy
-    lemmas; ``synsets`` the union of its noun and verb synset ids; ``forms``
-    the words looked up in the alias table (``norm`` and its lemmas);
-    ``aliases`` the union of their alias sets.
+    lemmas; ``synsets`` its noun and verb synset ids, each once, in the order
+    first found; ``forms`` the words looked up in the alias table (``norm``
+    and its lemmas); ``aliases`` the union of their alias sets.
     """
 
     # slot attributes read faster than NamedTuple fields on the match path
     __slots__ = ("norm", "noun", "verb", "synsets", "forms", "aliases")
 
     def __init__(self, norm: str, noun: str | None, verb: str | None,
-                 synsets: frozenset[str], forms: tuple[str, ...],
+                 synsets: tuple[str, ...], forms: tuple[str, ...],
                  aliases: frozenset[str]) -> None:
         self.norm = norm
         self.noun = noun
@@ -175,7 +174,7 @@ class WordSignature:
 
 
 _EMPTY: frozenset[str] = frozenset()
-_BLANK = WordSignature("", None, None, _EMPTY, (), _EMPTY)
+_BLANK = WordSignature("", None, None, (), (), _EMPTY)
 
 
 def match_signatures(s1: WordSignature, s2: WordSignature) -> MatchCondition:
@@ -188,7 +187,7 @@ def match_signatures(s1: WordSignature, s2: WordSignature) -> MatchCondition:
     if ((s1.noun is not None and s1.noun == s2.noun)
             or (s1.verb is not None and s1.verb == s2.verb)):
         return MatchCondition.LEMMA
-    if not s1.synsets.isdisjoint(s2.synsets):
+    if not set(s1.synsets).isdisjoint(s2.synsets):
         return MatchCondition.SYNSET
     if not s1.aliases.isdisjoint(s2.forms):
         return MatchCondition.ALIAS
@@ -203,7 +202,7 @@ class Lexicon:
     offsets never collide. All stored words are lowercase and trimmed.
     """
 
-    # lowercase lemma -> its checked index line, split into ids on lookup
+    # lowercase lemma -> its checked index line's offsets as spelled, space-separated
     noun_index: dict[str, str] = field(default_factory=dict)
     verb_index: dict[str, str] = field(default_factory=dict)
     noun_exceptions: dict[str, str] = field(default_factory=dict)
@@ -232,7 +231,7 @@ class Lexicon:
         itself if it is in the index. None when nothing resolves.
         """
         word, table = normalize_token(word), self._tables[pos]
-        return _base_form(table, word, _line(table.index, word))
+        return _base_form(table, word, _offsets(table.index, word))
 
     def synsets(self, word: str, pos: Pos) -> frozenset[str]:
         """Synset ids of ``word`` and, when different, of its morphy lemma."""
@@ -249,6 +248,7 @@ class Lexicon:
         norm = normalize_token(word)
         if not norm:
             return _BLANK
+        norm = word if norm == word else norm  # one string for the key and the signature
         # the lemmas and synset ids that morphy() and synsets() give for norm
         noun_table, verb_table = self._tables.values()
         noun, noun_ids = _lemma_and_ids(noun_table, norm)
@@ -258,8 +258,8 @@ class Lexicon:
         if verb is not None:
             forms += (verb,)
         aliases = [self.aliases[form] for form in forms if form in self.aliases]
-        return WordSignature(norm, noun, verb, frozenset(ids) if ids else _EMPTY, forms,
-                             _EMPTY.union(*aliases) if aliases else _EMPTY)
+        return WordSignature(norm, noun, verb, tuple(dict.fromkeys(ids) if len(ids) > 1 else ids),
+                             forms, _EMPTY.union(*aliases) if aliases else _EMPTY)
 
     def has_entry(self, word: str, pos: Pos | None = None) -> bool:
         """True when the word (directly or via morphy) is in the index."""
@@ -293,7 +293,7 @@ _COUNTS = {str(n): n for n in range(100)}
 
 
 def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
-    # stores each checked line as text; _synset_ids formats its ids on lookup
+    # stores each checked line's offsets as text; _synset_ids formats ids on lookup
     index = lexicon._tables[pos].index
     skipped = []
     with utf8(path), open(path, encoding="utf-8") as fp:
@@ -310,18 +310,18 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
                 n_synsets, pointers = _COUNTS.get(fields[2]), _COUNTS.get(fields[3])
                 if n_synsets is None or pointers is None:
                     n_synsets, pointers = int(fields[2]), int(fields[3])
-                offsets = fields[6 + pointers:]
-                if n_synsets < 1 or len(offsets) != n_synsets:
-                    raise ValueError("synset count mismatch")
-                digits = offsets[0] if n_synsets == 1 else "".join(offsets)
+                if n_synsets < 1 or pointers < 0 or len(fields) != 6 + pointers + n_synsets:
+                    raise ValueError("synset or pointer count mismatch")
+                offsets = fields[-1] if n_synsets == 1 else " ".join(fields[6 + pointers:])
+                digits = offsets if n_synsets == 1 else offsets.replace(" ", "")
                 # int() parses any run of at most 640 decimal digits (its limit is >= 640)
                 if not (len(digits) <= 640 and digits.isdecimal()):
-                    for off in offsets:
+                    for off in offsets.split():
                         int(off)
             except (IndexError, ValueError):
                 skipped.append(lineno)
                 continue
-            index[fields[0].lower()] = line
+            index[fields[0].lower()] = offsets
     _count_skipped(path, skipped, lexicon)
 
 
@@ -338,7 +338,7 @@ def _parse_exception_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
                 continue
             inflected, bases = terms[0].lower(), [t.lower() for t in terms[1:]]
             # prefer the first base form that has an index entry
-            base = next((b for b in bases if _line(table.index, b) is not None), bases[0])
+            base = next((b for b in bases if _offsets(table.index, b) is not None), bases[0])
             table.exceptions[inflected] = base
     _count_skipped(path, skipped, lexicon)
 

@@ -1,4 +1,5 @@
 import contextlib
+import importlib.util
 import os
 import signal
 import sys
@@ -16,6 +17,15 @@ WORDNET_DIR = FIXTURES / "wordnet"
 ALIASES = FIXTURES / "aliases.txt"
 FIG3 = FIXTURES / "fig3"
 GOLDEN = FIXTURES / "golden"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def load_perfbench(name):
+    """The module ``perfbench/<name>.py``, loaded from its file as it is."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="session")

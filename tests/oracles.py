@@ -6,10 +6,10 @@ pair-enumeration mining instead of the pipeline, plain summation loops
 instead of vectorized math. The word-match predicate is checked against
 ``reference_words_match``, which spells it out from morphy, synsets and the
 alias table instead of the compiled word signatures, and each compiled
-signature against ``reference_signature``, which reads the index lines,
-exception lists and alias table itself. The reference miner shares only
-the Lexicon's tables with the code under test: it reads each word through
-``reference_signature`` and applies the match rules to those tuples.
+signature against ``reference_signature``, which reads the stored synset
+offsets, exception lists and alias table itself. The reference miner shares
+only the Lexicon's tables with the code under test: it reads each word
+through ``reference_signature`` and applies the match rules to those tuples.
 """
 
 from __future__ import annotations
@@ -217,10 +217,10 @@ def finite_difference_check(params, sample, schedule, t):
 def reference_index_file(path, pos: Pos) -> tuple[dict[str, list[str]], int]:
     """Parse an index file eagerly: lowercase lemma -> its synset ids, and the
     number of skipped lines. A line is skipped when it has fewer than four
-    fields, a count is not an int, it has no synset or not as many offsets
-    as it says, or ``int()`` rejects an offset; a later line of the same
-    lemma replaces an earlier one. A header line with one leading space
-    raises InputError."""
+    fields, a count is not an int, the pointer count is negative, it has no
+    synset or not as many offsets as it says, or ``int()`` rejects an
+    offset; a later line of the same lemma replaces an earlier one. A header
+    line with one leading space raises InputError."""
     index: dict[str, list[str]] = {}
     skipped = 0
     with open(path, encoding="utf-8") as fp:
@@ -240,8 +240,8 @@ def reference_index_file(path, pos: Pos) -> tuple[dict[str, list[str]], int]:
                 n_synsets = int(fields[2])
                 n_pointers = int(fields[3])
                 offsets = fields[6 + n_pointers:]
-                if n_synsets < 1 or len(offsets) != n_synsets:
-                    raise ValueError("synset count mismatch")
+                if n_synsets < 1 or n_pointers < 0 or len(offsets) != n_synsets:
+                    raise ValueError("synset or pointer count mismatch")
                 ids = [f"{int(off):08d}-{pos.value}" for off in offsets]
             except (IndexError, ValueError):
                 skipped += 1
@@ -318,7 +318,7 @@ _VERB_RULES = [("s", ""), ("ies", "y"), ("es", "e"), ("es", ""), ("ed", "e"), ("
                ("ing", "e"), ("ing", "")]
 
 
-def _ref_index_line(index: dict[str, str], word: str) -> str | None:
+def _ref_offsets(index: dict[str, str], word: str) -> str | None:
     if word in index:
         return index[word]
     return index.get("_".join(word.split(" ")))
@@ -330,23 +330,21 @@ def _ref_morphy(index: dict[str, str], exceptions: dict[str, str], rules, word: 
     for suffix, replacement in rules:
         if word[-len(suffix):] == suffix:
             candidate = word[:-len(suffix)] + replacement
-            if candidate != "" and _ref_index_line(index, candidate) is not None:
+            if candidate != "" and _ref_offsets(index, candidate) is not None:
                 return candidate
-    return word if _ref_index_line(index, word) is not None else None
+    return word if _ref_offsets(index, word) is not None else None
 
 
 def _ref_ids(index: dict[str, str], word: str, pos: str) -> set[str]:
-    line = _ref_index_line(index, word)
-    if line is None:
+    offsets = _ref_offsets(index, word)
+    if offsets is None:
         return set()
-    fields = line.split()
-    n_synsets = int(fields[2])
-    return {"%08d-%s" % (int(offset), pos) for offset in fields[len(fields) - n_synsets:]}
+    return {"%08d-%s" % (int(offset), pos) for offset in offsets.split(" ")}
 
 
 def reference_signature(lex: Lexicon, word: str) -> tuple:
     """``(norm, noun lemma, verb lemma, synset ids, alias-lookup forms,
-    aliases)`` of ``word``, read from the lexicon's index lines, exception
+    aliases)`` of ``word``, read from the lexicon's stored offsets, exception
     lists and alias table: the lemmas by morphy on the normalized word, the
     synset ids of the word and, when different, of each lemma, the forms
     the word and its lemmas, and the aliases the union of theirs."""

@@ -168,6 +168,18 @@ class TestLoadWordnet:
         assert "dog" in lex.noun_index
         assert lex.skipped_lines == 1
 
+    def test_negative_pointer_count_is_skipped(self, tmp_path):
+        # read as -1 pointers, the line's sense count 0 would become a synset offset
+        (tmp_path / "index.noun").write_text(
+            "dog n 1 0 1 0 02084071\ncat n 2 -1 1 0 02121620\n")
+        for name in ("index.verb", "noun.exc", "verb.exc"):
+            (tmp_path / name).write_text("")
+        lex = load_wordnet(tmp_path)
+        assert lex.noun_index == {"dog": "02084071"}
+        assert lex.skipped_lines == 1
+        assert reference_index_file(tmp_path / "index.noun", Pos.NOUN) \
+            == ({"dog": ["02084071-n"]}, 1)
+
     def test_skipped_lines_warning_names_each_file(self, tmp_path, caplog):
         (tmp_path / "index.noun").write_text(
             "dog n 1 2 @ ~ 1 1 02084071\nbroken\n\ncat n x 0 1 0 02121620\n")
@@ -434,5 +446,11 @@ class TestSignature:
     @settings(max_examples=400)
     def test_equals_reference(self, signature_lexicon, word):
         sig = signature_lexicon.signature(word)
-        assert (sig.norm, sig.noun, sig.verb, sig.synsets, sig.forms, sig.aliases) \
+        assert len(set(sig.synsets)) == len(sig.synsets)
+        assert (sig.norm, sig.noun, sig.verb, frozenset(sig.synsets), sig.forms, sig.aliases) \
             == reference_signature(signature_lexicon, word)
+
+    def test_synset_ids_are_kept_once_in_first_seen_order(self):
+        # "glasses" has its own line and the lemma "glass", which shares a synset
+        lex = Lexicon(noun_index={"glasses": "04272054 03438257", "glass": "03438257 7944050"})
+        assert lex.signature("glasses").synsets == ("04272054-n", "03438257-n", "07944050-n")

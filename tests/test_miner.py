@@ -114,7 +114,7 @@ RULE_PAIRS = [
     ("alias", "tv", "telly", MatchCondition.ALIAS),
 ]
 RULE_LEXICON = Lexicon(
-    noun_index={"car": "car n 1 0 1 0 02958343\n", "auto": "auto n 1 0 1 0 02958343\n"},
+    noun_index={"car": "02958343", "auto": "02958343"},
     noun_exceptions={"children": "child", "childs": "child"},
     verb_exceptions={"went": "go", "gone": "go"},
     aliases={"tv": {"telly"}, "telly": {"tv"}},

@@ -2,19 +2,11 @@
 deleted name fails here, not only in a benchmark run. So does a result
 hook that reads a result field the program no longer returns."""
 
-import importlib.util
-from pathlib import Path
-
-from conftest import ALIASES, FIG3, WORDNET_DIR
-
-TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
+from conftest import ALIASES, FIG3, WORDNET_DIR, load_perfbench
 
 
 def _tracer():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
-    return tracing.Tracer()
+    return load_perfbench("tracing").Tracer()
 
 
 def test_every_traced_name_exists():
