@@ -17,7 +17,7 @@ import json
 import math
 import re
 import string
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -26,7 +26,7 @@ import numpy as np
 
 from .dataset import BoundingBox, QaTriplet
 from .miner import GroundingLabel
-from .records import MAP_RECORD, fields, read_keyed, round9
+from .records import MAP_RECORD, fields, iter_keyed, round9
 
 DEFAULT_GRID = 14
 
@@ -283,22 +283,33 @@ def rank_correlations(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return pearson_rows(ranks[:k], ranks[k:])
 
 
-def correlation_block(maps_a: list[np.ndarray], maps_b: list[np.ndarray]
-                      ) -> tuple[list[float], tuple[int, str] | None]:
-    """Spearman coefficients of a block of map pairs, one ``rank_correlations``
-    call per map shape (usually one), and the index and text of the first
-    faulty pair (a shape mismatch or a constant map), or None."""
-    corr = np.full(len(maps_a), np.nan)
+def _doubled_midranks(maps: list[np.ndarray]) -> np.ndarray:
+    """Twice the ``midranks`` of the flattened ``maps``, one row each: integers up to
+    2 * cells, kept in the smallest unsigned type that holds that bound."""
+    block = np.stack(maps).reshape(len(maps), -1)
+    return (midranks(block) * 2).astype(np.min_scalar_type(2 * block.shape[1]))
+
+
+def ranked_correlations(ranked_a: tuple[dict, dict], ranked_b: tuple[dict, dict],
+                        keys: list) -> tuple[list[float], tuple[int, str] | None]:
+    """Spearman coefficients of the pairs ``keys`` of two ``read_maps(..., ranked=True)``
+    results, one ``pearson_rows`` call per map shape (usually one), and the index and text
+    of the first faulty pair (a shape mismatch or a constant map), or None. Half a doubled
+    midrank minus (cells + 1) / 2 is the float64 row ``centred_ranks`` gives."""
+    (index_a, ranks_a), (index_b, ranks_b) = ranked_a, ranked_b
+    pairs = [(index_a[key], index_b[key]) for key in keys]  # ((shape, row), (shape, row))
+    corr = np.full(len(keys), np.nan)
     groups: dict[tuple, list[int]] = {}  # shape -> the pairs of two maps of that shape
-    for i, (a, b) in enumerate(zip(maps_a, maps_b)):
-        if a.shape == b.shape:
-            groups.setdefault(a.shape, []).append(i)
-    for index in groups.values():
-        a, b = (np.stack([maps[i].ravel() for i in index]) for maps in (maps_a, maps_b))
-        corr[index] = rank_correlations(a, b)
+    for i, (a, b) in enumerate(pairs):
+        if a[0] == b[0]:
+            groups.setdefault(a[0], []).append(i)
+    for shape, group in groups.items():
+        mean = (math.prod(shape) + 1) / 2
+        corr[group] = pearson_rows(ranks_a[shape][[pairs[i][0][1] for i in group]] * 0.5 - mean,
+                                   ranks_b[shape][[pairs[i][1][1] for i in group]] * 0.5 - mean)
     coefficients = corr.tolist()
-    for i, (a, b) in enumerate(zip(maps_a, maps_b)):
-        if a.shape != b.shape:
+    for i, (a, b) in enumerate(pairs):
+        if a[0] != b[0]:
             return coefficients, (i, "map shape mismatch")
         if math.isnan(coefficients[i]):
             return coefficients, (i, "undefined correlation: constant map")
@@ -307,9 +318,11 @@ def correlation_block(maps_a: list[np.ndarray], maps_b: list[np.ndarray]
 
 def rank_correlation(a: AttentionMap, b: AttentionMap) -> float:
     """Spearman coefficient between the flattened cells of two maps."""
-    (corr,), fault = correlation_block([a.values], [b.values])
-    if fault is not None:
-        raise AttentionError(fault[1])
+    if a.shape != b.shape:
+        raise AttentionError("map shape mismatch")
+    (corr,) = rank_correlations(a.values.reshape(1, -1), b.values.reshape(1, -1)).tolist()
+    if math.isnan(corr):
+        raise AttentionError("undefined correlation: constant map")
     return corr
 
 
@@ -387,10 +400,37 @@ def _map_from_row(row: dict) -> tuple[tuple, dict]:
     return (qa_id, glimpse), row
 
 
-def read_maps(path: str | Path, printed: Callable[[tuple], Any] | None = None) -> dict:
+def _ranked(rows: Iterator[tuple[tuple, dict]]) -> tuple[dict, dict]:
+    """The unmasked maps of ``rows`` as ``(index, ranks)``: ``index`` maps each key, in
+    order, to its map's shape and row in ``ranks[shape]``, an array of the doubled
+    midranks of the maps of that shape. Maps are ranked per ``BLOCK_SIZE`` of one shape
+    as they arrive, so no more than one block of float64 maps per shape is held."""
+    index, ranked = {}, {}  # ranked: shape -> (ranked blocks, maps waiting for a block)
+    for key, row in rows:
+        if row["mask"]:
+            values = row["values"]
+            shape = values.shape
+            state = ranked.get(shape)
+            if state is None:
+                state = ranked[shape] = ([], [])
+            done, waiting = state
+            index[key] = shape, len(done) * BLOCK_SIZE + len(waiting)
+            waiting.append(values)
+            if len(waiting) == BLOCK_SIZE:
+                done.append(_doubled_midranks(waiting))
+                waiting.clear()
+    return index, {shape: np.concatenate(done + [_doubled_midranks(waiting)] if waiting else done)
+                   for shape, (done, waiting) in ranked.items()}
+
+
+def read_maps(path: str | Path, printed: Callable[[tuple], Any] | None = None,
+              ranked: bool = False) -> dict | tuple[dict, dict]:
     """Maps rows keyed by (qa_id, glimpse), in file order; ``printed`` as
-    in ``read_keyed``."""
-    return read_keyed(path, _map_from_row, printed)
+    in ``read_keyed``. With ``ranked``, the unmasked maps alone, ranked as
+    they are read (``_ranked``): masked glimpses carry no supervision signal
+    and are not evaluated."""
+    rows = iter_keyed(path, _map_from_row, printed)
+    return _ranked(rows) if ranked else dict(rows)
 
 
 def pgm_bytes(values: np.ndarray) -> bytes:

@@ -7,7 +7,15 @@ manifest (<output>.manifest.json: command name, configuration snapshot, input
 digests, tool version), and prints the command's summary line only once the
 block has completed; equal inputs and flags give byte-identical outputs.
 ``eval-rank`` reads its two maps files concurrently (``records.read_pair``),
-with the same outputs and errors as reading them in turn.
+with the same outputs and errors as reading them in turn; each file arrives
+as the doubled midranks of its unmasked maps (``read_maps(..., ranked=True)``),
+which each block of common pairs correlates (``ranked_correlations``).
+
+While a command runs in the main thread, SIGTERM and SIGHUP raise
+``SystemExit(128 + signal)`` (``records.exit_on_signal``), so the ``commit``
+block unwinds and removes what it staged and ``main`` returns 143 or 129; a
+signal during the block's final renames takes effect once they are done. The
+caller's handlers are restored on every exit.
 
 ``main`` runs the whole command (parse, run, commit) with Python's cyclic
 garbage collector switched off and leaves it on or off as it found it, on
@@ -22,7 +30,9 @@ from __future__ import annotations
 
 import argparse
 import gc
+import signal
 import sys
+import threading
 import traceback
 from dataclasses import asdict
 from pathlib import Path
@@ -33,8 +43,8 @@ from .attention import (
     DEFAULT_GRID,
     REFERENCE_ANSWERS,
     AttentionError,
-    correlation_block,
     pgm_bytes,
+    ranked_correlations,
     read_maps,
     stack_to_rows,
     supervision_block,
@@ -46,9 +56,9 @@ from .attention import build_supervision, rank_correlation  # noqa: F401
 from .dataset import load_dataset, read_qa
 from .lexicon import WNDB_FILES, load_aliases, load_wordnet
 from .miner import MinerConfig, mine, read_labels, write_labels
-from .records import (PREDICTION_RECORD, REFERENCE_RECORD, InputError, commit, fields, fmt9,
-                      make_dir, read_json, read_keyed, read_pair, write_bytes, write_csv,
-                      write_lines, write_manifest)
+from .records import (INTERRUPTS, PREDICTION_RECORD, REFERENCE_RECORD, InputError, commit,
+                      exit_on_signal, fields, fmt9, make_dir, read_json, read_keyed, read_pair,
+                      write_bytes, write_csv, write_lines, write_manifest)
 from .schedule import MODE_COSINE, MODE_FIXED, Schedule
 from .toymodel import (
     ToyConfig,
@@ -170,17 +180,12 @@ def _printed(key: tuple) -> tuple:
     return str(key[0]), key[1]
 
 
-def _unmasked(path: Path) -> dict:
-    """The values of the unmasked rows of a maps file: masked glimpses carry
-    no supervision signal and are not evaluated."""
-    return {key: row["values"] for key, row in read_maps(path, _printed).items() if row["mask"]}
-
-
 def cmd_eval_rank(args: argparse.Namespace) -> tuple:
     path_a = _require_file(args.maps_a, "maps file")
     path_b = _require_file(args.maps_b, "maps file")
-    maps_a, maps_b = read_pair(_unmasked, path_a, path_b)
-    common = sorted(set(maps_a) & set(maps_b), key=_printed)
+    ranked_a, ranked_b = read_pair(lambda path: read_maps(path, _printed, ranked=True),
+                                   path_a, path_b)
+    common = sorted(ranked_a[0].keys() & ranked_b[0].keys(), key=_printed)
     if not common:
         raise InputError("no common (qa_id, glimpse) pairs between map files")
 
@@ -188,7 +193,7 @@ def cmd_eval_rank(args: argparse.Namespace) -> tuple:
     total = 0.0
     for start in range(0, len(common), BLOCK_SIZE):
         keys = common[start:start + BLOCK_SIZE]
-        corrs, fault = correlation_block([maps_a[k] for k in keys], [maps_b[k] for k in keys])
+        corrs, fault = ranked_correlations(ranked_a, ranked_b, keys)
         if fault is not None:
             qa_id, glimpse = keys[fault[0]]
             raise InputError(f"{path_a} and {path_b}: qa_id {qa_id} glimpse {glimpse}: "
@@ -403,6 +408,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     enabled = gc.isenabled()
     gc.disable()
+    previous = {}  # signal -> the caller's handler; only the main thread may set one
+    if threading.current_thread() is threading.main_thread():
+        previous = {signum: signal.signal(signum, exit_on_signal) for signum in INTERRUPTS}
     try:
         args = build_parser().parse_args(_with_config_flags(argv))
         with commit():
@@ -424,6 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         traceback.print_exc()
         return 1
     finally:
+        for signum, handler in previous.items():  # None: a handler not set from Python
+            signal.signal(signum, signal.SIG_DFL if handler is None else handler)
         if enabled:
             gc.enable()
 

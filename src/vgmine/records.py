@@ -5,11 +5,14 @@ alone refuses one; readers raise its message as an ``InputError`` after the
 file and the line (``<path>:<n>``, NDJSON) or the record (``<path>: record
 <n>``, JSON array). Malformed JSON is named by its offset, and a file that is
 not UTF-8 by the line of its first bad byte (``utf8``, which the lexicon uses
-too). Writers write a sibling ``<name>.tmp`` staged in the open ``commit``
-block, which renames them all over their targets only once it completes, so
-a failed command leaves no output. Floats are stored with 9 significant
-digits for stable diffs. ``read_pair`` reads two inputs concurrently, with
-the results and the error of reading them in turn.
+too). Keyed records are decoded as they are taken (``iter_keyed``), so a
+caller can reduce each one before the next is read. Writers write a sibling
+``<name>.tmp`` staged in the open ``commit`` block, which renames them all
+over their targets only once it completes, so a failed command leaves no
+output; ``exit_on_signal`` makes a signal unwind the block, or wait for its
+renames. Inputs are hashed for the manifest in fixed-size chunks. Floats are
+stored with 9 significant digits for stable diffs. ``read_pair`` reads two
+inputs concurrently, with the results and the error of reading them in turn.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 import os
 import pickle
 import re
+import signal
 import sys
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager, suppress
@@ -145,11 +149,11 @@ def read_json(path: str | Path) -> Any:
 
 
 def _keyed(where: Callable[[int], str], earlier: str, items: Iterable[tuple[int, Any]],
-           decode: Callable, printed: Callable | None) -> dict:
+           decode: Callable, printed: Callable | None) -> Iterator[tuple[Any, Any]]:
     """The ``(key, value)`` pairs that ``decode`` makes of the numbered ``items``, in order.
     An item that ``decode`` rejects (ValueError, RecursionError), or whose key an earlier one
     holds or, given ``printed``, prints as an earlier one's, is reported after ``where(n)``."""
-    records, firsts = {}, {}  # firsts: printed key -> (key, n)
+    firsts = {}  # printed key -> (key, n)
     for n, item in items:
         try:
             key, value = decode(item)
@@ -161,22 +165,30 @@ def _keyed(where: Callable[[int], str], earlier: str, items: Iterable[tuple[int,
             fault = (f"repeated key {key!r}, first {earlier} {at}" if first == key
                      else f"key {key!r} prints as the key {first!r} {earlier} {at}")
             raise InputError(f"{where(n)}: {fault}")
-        records[key], firsts[shown] = value, (key, n)
-    return records
+        firsts[shown] = key, n
+        yield key, value
+
+
+def iter_keyed(path: str | Path, decode: Callable[[Any], tuple[Any, Any]],
+               printed: Callable[[Any], Any] | None = None) -> Iterator[tuple[Any, Any]]:
+    """``_keyed`` over the non-blank lines of an NDJSON file, numbered from 1
+    and each read as JSON as the pairs are taken; a line that is not JSON is
+    one ``decode`` rejects."""
+    path = Path(path)
+    try:
+        with utf8(path), open(path, encoding="utf-8") as fp:
+            yield from _keyed(lambda n: f"{path}:{n}", "on line",
+                              ((n, line) for n, line in enumerate(fp, start=1)
+                               if not line.isspace()),
+                              lambda line: decode(json.loads(line)), printed)
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from exc
 
 
 def read_keyed(path: str | Path, decode: Callable[[Any], tuple[Any, Any]],
                printed: Callable[[Any], Any] | None = None) -> dict:
-    """``_keyed`` over the non-blank lines of an NDJSON file, numbered from 1
-    and each read as JSON; a line that is not JSON is one ``decode`` rejects."""
-    path = Path(path)
-    try:
-        with utf8(path), open(path, encoding="utf-8") as fp:
-            return _keyed(lambda n: f"{path}:{n}", "on line",
-                          ((n, line) for n, line in enumerate(fp, start=1) if not line.isspace()),
-                          lambda line: decode(json.loads(line)), printed)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from exc
+    """The pairs of ``iter_keyed`` as a dict in file order."""
+    return dict(iter_keyed(path, decode, printed))
 
 
 def read_array(path: str | Path) -> list:
@@ -188,9 +200,9 @@ def read_array(path: str | Path) -> list:
 
 
 def read_keyed_array(path: str | Path, decode: Callable[[Any], tuple[Any, Any]]) -> dict:
-    """``_keyed`` over the records of a JSON array file, numbered from 0."""
-    return _keyed(lambda n: f"{path}: record {n}", "in record", enumerate(read_array(path)),
-                  decode, None)
+    """``_keyed`` over the records of a JSON array file, numbered from 0, as a dict."""
+    return dict(_keyed(lambda n: f"{path}: record {n}", "in record",
+                       enumerate(read_array(path)), decode, None))
 
 
 def read_pair(read: Callable[[Any], Any], first: Any, second: Any) -> tuple[Any, Any]:
@@ -231,6 +243,24 @@ def read_pair(read: Callable[[Any], Any], first: Any, second: Any) -> tuple[Any,
     return value, result
 
 
+# The signals that end a command by unwinding it: ``cli.main`` handles each with
+# ``exit_on_signal`` while the command runs.
+INTERRUPTS = {getattr(signal, name) for name in ("SIGTERM", "SIGHUP") if hasattr(signal, name)}
+
+# The signals that arrived while the completed commit block renamed its files, or None.
+_held: list[int] | None = None
+
+
+def exit_on_signal(signum: int, frame: Any) -> None:
+    """A signal handler: raises ``SystemExit(128 + signum)``, at once or, while a completed
+    commit block renames its files, once they are renamed. (Masking the signal would not
+    hold it back: another thread, such as one of numpy's BLAS threads, takes it, and its
+    Python handler runs here all the same.)"""
+    if _held is None:
+        raise SystemExit(128 + signum)
+    _held.append(signum)
+
+
 # The open commit block's staged files as (tmp, target), directories it made as (dir, None),
 # and the absolute paths of its staged files, both names of each.
 _staged: list[tuple[Path, Path | None]] | None = None
@@ -251,7 +281,7 @@ def commit() -> Iterator[None]:
     """A block whose writers stage their files: when it completes, each one
     replaces its target; when it fails, they and the directories it made are
     removed. A block opened inside another joins it."""
-    global _staged
+    global _staged, _held
     if _staged is not None:
         yield
         return
@@ -259,9 +289,16 @@ def commit() -> Iterator[None]:
     _taken.clear()
     try:
         yield
-        for tmp, path in staged:
-            if path is not None:
-                os.replace(tmp, path)
+        _held = []  # a signal cannot split the renames
+        try:
+            for tmp, path in staged:
+                if path is not None:
+                    os.replace(tmp, path)
+            staged.clear()
+        finally:
+            held, _held = _held, None
+        if held:
+            raise SystemExit(128 + held[0])
     except BaseException:
         for made, path in reversed(staged):
             with suppress(OSError):
@@ -320,6 +357,18 @@ def write_csv(path: str | Path | None, rows: Iterable[list]) -> None:
         csv.writer(fp).writerows(rows)
 
 
+_HASH_CHUNK = 1 << 16
+
+
+def _sha256(path: Path) -> str:
+    """The sha256 of a file, read in chunks so that no copy of it is held."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as fp:
+        while chunk := fp.read(_HASH_CHUNK):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
 def write_manifest(out_path: Path, command: str, config: dict,
                    inputs: list[Path]) -> None:
     """``<out_path>.manifest.json``: command, configuration snapshot, sha256
@@ -327,8 +376,7 @@ def write_manifest(out_path: Path, command: str, config: dict,
     manifest = {
         "command": command,
         "config": config,
-        "input_digests": {str(p): hashlib.sha256(p.read_bytes()).hexdigest()
-                          for p in sorted(inputs)},
+        "input_digests": {str(p): _sha256(p) for p in sorted(inputs)},
         "tool_version": __version__,
     }
     write_lines(out_path.with_name(out_path.name + ".manifest.json"),

@@ -1,14 +1,16 @@
 """The benchmark checks every run's outputs against the reference miner and
-the brute-force rasterizer in ``perfbench/worker.py``. A change that breaks
-those checks (say, a lexicon storage the reference miner cannot read) fails
-here, not only in a benchmark run."""
+the brute-force rasterizer in ``perfbench/worker.py``, and checks the exits
+and the rank CSV of its commands. A change that breaks those checks (say, a
+lexicon storage the reference miner cannot read) fails here, not only in a
+benchmark run."""
 
+import json
 import shutil
 import sys
 
 import numpy as np
 
-from conftest import ALIASES, FIG3, WORDNET_DIR, load_perfbench
+from conftest import ALIASES, FIG3, GOLDEN, WORDNET_DIR, load_perfbench
 
 
 def test_output_checks_pass_on_fig3(tmp_path, monkeypatch):
@@ -20,11 +22,22 @@ def test_output_checks_pass_on_fig3(tmp_path, monkeypatch):
     shutil.copy(ALIASES, inputs / "wordnet" / "aliases.txt")
     for name in ("regions.json", "objects.json", "qa.json"):
         shutil.copy(FIG3 / name, inputs / name)
+    noise = np.random.default_rng(31)
+    # the reference maps: the golden fig3 maps with noise, so that no map is constant
+    with open(inputs / "reference_maps.ndjson", "w") as fp:
+        for line in (GOLDEN / "fig3_maps.ndjson").read_text().splitlines():
+            row = json.loads(line)
+            row["values"] = (np.array(row["values"])
+                             + noise.uniform(0, 1e-3, len(row["values"]))).tolist()
+            fp.write(json.dumps(row) + "\n")
     out.mkdir()
     workload = worker.Pipeline(inputs, out)
-    for _, argv in workload.commands()[:2]:  # mine, then rasterize --grid 14 14
-        code, err = worker.run_command(argv)
-        assert code == 0, err
+    record = {"exits": {}, "errors": {}}  # one pass: mine, rasterize --grid 14 14, eval-rank
+    for name, argv in workload.commands():
+        record["exits"][name], record["errors"][name] = worker.run_command(argv)
+    assert set(record["exits"].values()) == {0}, record["errors"]
+    assert worker.check_exits(workload, [record]) is None
+    assert worker.check_rank_csv(workload) is None
     rng = np.random.default_rng(7)
     assert worker.check_oracle_mine(workload, rng) is None
     assert worker.check_glimpse_sums(workload, workload.labels_path) is None

@@ -8,9 +8,12 @@ import math
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +21,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import vgmine.cli
 import vgmine.miner
 from vgmine import __version__
-from vgmine.attention import AttentionMap
+from vgmine.attention import BLOCK_SIZE, AttentionMap, read_maps
 from vgmine.dataset import BoundingBox
+from vgmine.records import INTERRUPTS
 
 from conftest import ALIASES, FIG3, GOLDEN, WORDNET_DIR, no_child_left, time_limit
 from corpusgen import dense_corpus
@@ -683,6 +688,49 @@ class TestEvalRankBlocks:
         expected = reference_eval_rank(_as_arrays(rows_a), _as_arrays(rows_b))
         assert out.read_bytes() == expected.encode()
         assert expected.count("\n") > 2 + 64 * 2
+
+    # the doubled midranks of a map of n cells reach 2n: uint16 up to 32,767 cells
+    @pytest.mark.parametrize("count,shapes,dtypes", [
+        (150, ((14, 14), (3, 5)), (np.uint16, np.uint8)),
+        (3, ((1, 32767), (1, 32768)), (np.uint16, np.uint32)),
+    ], ids=["14x14", "uint32"])
+    def test_equals_per_pair_reference_at_each_rank_dtype(self, run_cli, tmp_path, count,
+                                                          shapes, dtypes):
+        rows_a, rows_b = _tie_heavy_maps(np.random.default_rng(50), count, shapes)
+        path_a = _ndjson(tmp_path / "a.ndjson", rows_a)
+        out = tmp_path / "rank.csv"
+        code, _, err = run_cli("eval-rank", "--maps-a", path_a,
+                               "--maps-b", _ndjson(tmp_path / "b.ndjson", rows_b),
+                               "--out", out)
+        assert code == 0, err
+        assert out.read_bytes() == reference_eval_rank(_as_arrays(rows_a),
+                                                       _as_arrays(rows_b)).encode()
+        ranks = read_maps(path_a, ranked=True)[1]
+        assert {shape: ranks[shape].dtype for shape in shapes} == dict(zip(shapes, dtypes))
+
+    def test_heap_peak_stays_near_the_ranks(self, run_cli, tmp_path, cpus):
+        """Each of the two files holds 1,200 14x14 maps in 4.0 MiB of JSON, 1.8 MiB as
+        float64 cells and 0.45 MiB as uint16 doubled midranks. The traced heap peaked at
+        6.0-6.4 MiB when every map was kept as an array and each input was hashed whole,
+        and at 2.1-2.4 MiB with the maps ranked as they are read."""
+        rng = np.random.default_rng(53)
+        paths = []
+        for side in "ab":
+            counts = rng.integers(0, 4, (1200, 196)).astype(float)
+            counts[:, :2] = 0, 1  # never constant
+            values = counts / counts.sum(axis=1, keepdims=True)
+            paths.append(_ndjson(tmp_path / f"{side}.ndjson", [
+                {"qa_id": f"q{i}", "glimpse": 0, "h": 14, "w": 14, "mask": True,
+                 "values": row} for i, row in enumerate(values.tolist())]))
+        tracemalloc.start()
+        try:
+            code, _, err = run_cli("eval-rank", "--maps-a", paths[0], "--maps-b", paths[1],
+                                   "--out", tmp_path / "rank.csv")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0, err
+        assert peak < 3.5 * 2**20
 
     @pytest.mark.parametrize("faults,reported", [
         ([(70, "constant"), (100, "negative")], 100),
@@ -1537,6 +1585,104 @@ class TestNoPartialOutput:
         assert f"cannot write {out}" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []
+
+
+# Runs ``main(argv)`` with a hook that sends the process a signal: on the third call of
+# ``cli.<name>`` or, for ``os.replace``, on the first rename of the completed block.
+_SIGNAL_SCRIPT = """
+import json, os, signal, sys
+from vgmine import cli
+argv, name, signame = json.loads(sys.argv[1])
+owner, at = (os, 1) if name == "replace" else (cli, 3)
+real, calls = getattr(owner, name), []
+def hooked(*args):
+    calls.append(args)
+    if len(calls) == at:
+        os.kill(os.getpid(), getattr(signal, signame))
+    return real(*args)
+setattr(owner, name, hooked)
+sys.exit(cli.main(argv))
+"""
+
+
+class TestSignals:
+    """SIGTERM and SIGHUP unwind a command: its ``commit`` block removes what it staged
+    and ``main`` returns 128 + the signal; a signal during the block's renames waits
+    for them."""
+
+    def _run(self, argv, name, signame):
+        src = Path(__file__).resolve().parents[1] / "src"
+        return subprocess.run([sys.executable, "-c", _SIGNAL_SCRIPT,
+                               json.dumps([[str(a) for a in argv], name, signame])],
+                              env={**os.environ, "PYTHONPATH": str(src)}, capture_output=True,
+                              text=True, timeout=60)
+
+    def _rasterize_inputs(self, tmp_path):
+        """Labels for three rasterize blocks and their QA records."""
+        count = 3 * BLOCK_SIZE
+        labels = _ndjson(tmp_path / "labels.ndjson", [
+            {"qa_id": i, "region_boxes": [[0, 0, 9, 9]], "object_boxes": [[i % 50, 2, 60, 40]],
+             "is_counting": False, "region_match_count": 1, "matched_words": []}
+            for i in range(count)])
+        qa = tmp_path / "qa.json"
+        qa.write_text(json.dumps([{"qa_id": i, "image_id": 1, "question": "q", "answer": "a",
+                                   "image_width": 64, "image_height": 48}
+                                  for i in range(count)]))
+        return ["rasterize", "--labels", labels, "--qa", qa]
+
+    @pytest.mark.parametrize("signame,code", [("SIGTERM", 143), ("SIGHUP", 129)])
+    def test_signal_mid_write_leaves_no_output(self, tmp_path, signame, code):
+        argv = self._rasterize_inputs(tmp_path)
+        done = self._run([*argv, "--out", tmp_path / "maps.ndjson"],
+                         "stack_to_rows", signame)
+        assert (done.returncode, done.stdout, done.stderr) == (code, "", "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["labels.ndjson", "qa.json"]
+
+    def test_signal_mid_render_removes_the_directories_it_made(self, tmp_path):
+        done = self._run(["render", "--maps", GOLDEN / "fig3_maps.ndjson",
+                                    "--out-dir", tmp_path / "pgm" / "maps"],
+                         "pgm_bytes", "SIGTERM")
+        assert (done.returncode, done.stderr) == (143, "")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_signal_during_the_renames_leaves_every_output(self, tmp_path):
+        argv = self._rasterize_inputs(tmp_path)
+        done = self._run([*argv, "--out", tmp_path / "maps.ndjson"],
+                         "replace", "SIGTERM")
+        assert (done.returncode, done.stderr) == (143, "")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "labels.ndjson", "maps.ndjson", "maps.ndjson.manifest.json", "qa.json"]
+        assert len(_lines(tmp_path / "maps.ndjson")) == 2 * 3 * BLOCK_SIZE
+
+    def test_main_restores_the_callers_handlers(self, run_cli, monkeypatch):
+        def caller(signum, frame):
+            pass
+
+        seen = []
+        monkeypatch.setattr(vgmine.cli, "_require_file",
+                            lambda *a: seen.append(signal.getsignal(signal.SIGTERM)) or Path(a[0]))
+        before = {signum: signal.signal(signum, caller) for signum in INTERRUPTS}
+        try:
+            code, _, _ = run_cli("eval-rank", "--maps-a", "missing", "--maps-b", "missing")
+            after = {signum: signal.getsignal(signum) for signum in INTERRUPTS}
+        finally:
+            for signum, handler in before.items():
+                signal.signal(signum, handler)
+        assert code == 2
+        assert seen and seen[0] is not caller
+        assert after == {signum: caller for signum in INTERRUPTS}
+
+    def test_main_in_another_thread_installs_no_handler(self, tmp_path):
+        codes = []
+        thread = threading.Thread(target=lambda: codes.append(vgmine.cli.main(
+            ["eval-rank", "--maps-a", str(GOLDEN / "fig3_maps.ndjson"),
+             "--maps-b", str(GOLDEN / "fig3_maps.ndjson"), "--out", str(tmp_path / "r.csv")])))
+        before = signal.getsignal(signal.SIGTERM)
+        thread.start()
+        thread.join(60)
+        assert not thread.is_alive()
+        assert codes == [0]
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 # --- fuzzed NDJSON inputs --------------------------------------------------

@@ -12,8 +12,8 @@ from vgmine.attention import read_maps
 from vgmine.cli import _reference
 from vgmine.dataset import load_dataset, read_qa
 from vgmine.miner import read_labels
-from vgmine.records import (InputError, commit, make_dir, read_keyed, read_pair, write_bytes,
-                            write_csv, write_lines)
+from vgmine.records import (InputError, commit, exit_on_signal, make_dir, read_keyed, read_pair,
+                            write_bytes, write_csv, write_lines)
 
 
 def test_written_file_mode_follows_umask(tmp_path):
@@ -132,6 +132,24 @@ def test_read_pair_reads_first_here_when_the_child_is_killed(cpus):
         return name, os.getpid()
 
     assert read_pair(read, "a", "b") == (("a", parent), ("b", parent))
+    no_child_left()
+
+
+def test_read_pair_child_signalled_under_the_command_handler_ends_there(cpus):
+    """The child inherits ``exit_on_signal``; its SystemExit must end it through
+    ``os._exit``, not unwind into the caller's code."""
+    parent = os.getpid()
+
+    def read(name):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGTERM)
+        return name, os.getpid()
+
+    previous = signal.signal(signal.SIGTERM, exit_on_signal)
+    try:
+        assert read_pair(read, "a", "b") == (("a", parent), ("b", parent))
+    finally:
+        signal.signal(signal.SIGTERM, previous)
     no_child_left()
 
 
