@@ -6,6 +6,13 @@ runs each command in one ``records.commit`` block, in which it adds the run
 manifest (<output>.manifest.json: command name, configuration snapshot, input
 digests, tool version), and prints the command's summary line only once the
 block has completed; equal inputs and flags give byte-identical outputs.
+
+``mine`` checks that every input file exists (the WordNet directory and its
+four WNDB files, the alias file, then the regions, objects and QA files)
+before it reads any. It then loads the corpus, then the WordNet files for
+the words it can look up (``miner.lookup_words``), so that the lexicon keeps
+only the index entries those words reach, and then the alias file.
+
 ``eval-rank`` reads its two maps files concurrently (``records.read_pair``),
 with the same outputs and errors as reading them in turn; each file arrives
 as the doubled midranks of its unmasked maps (``read_maps(..., ranked=True)``),
@@ -54,8 +61,8 @@ from .attention import (
 # here because perfbench/tracing.py wraps them by this module's name.
 from .attention import build_supervision, rank_correlation  # noqa: F401
 from .dataset import load_dataset, read_qa
-from .lexicon import WNDB_FILES, load_aliases, load_wordnet
-from .miner import MinerConfig, mine, read_labels, write_labels
+from .lexicon import load_aliases, load_wordnet, wndb_paths
+from .miner import MinerConfig, lookup_words, mine, read_labels, write_labels
 from .records import (INTERRUPTS, PREDICTION_RECORD, REFERENCE_RECORD, InputError, commit,
                       exit_on_signal, fields, fmt9, make_dir, read_json, read_keyed, read_pair,
                       write_bytes, write_csv, write_lines, write_manifest)
@@ -119,18 +126,17 @@ def cmd_mine(args: argparse.Namespace) -> tuple:
     wordnet_dir = Path(args.wordnet_dir)
     if not wordnet_dir.is_dir():
         raise InputError(f"wordnet directory not found: {wordnet_dir}")
-    lexicon = load_wordnet(wordnet_dir)
-    inputs = [wordnet_dir / name for name in WNDB_FILES]
-    if args.aliases:
-        alias_path = _require_file(args.aliases, "alias file")
-        load_aliases(lexicon, alias_path)
-        inputs.append(alias_path)
-
+    inputs = wndb_paths(wordnet_dir)
+    alias_path = _require_file(args.aliases, "alias file") if args.aliases else None
     regions = _require_file(args.regions, "regions file")
     objects = _require_file(args.objects, "objects file")
     qa = _require_file(args.qa, "qa file")
-    inputs += [regions, objects, qa]
     dataset, report = load_dataset(regions, objects, qa)
+    lexicon = load_wordnet(wordnet_dir, lookup_words(dataset))
+    if alias_path is not None:
+        load_aliases(lexicon, alias_path)
+        inputs.append(alias_path)
+    inputs += [regions, objects, qa]
     cfg = _miner_config(args)
 
     labels = mine(dataset, lexicon, cfg)

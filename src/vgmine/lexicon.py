@@ -11,7 +11,18 @@ one comma-separated equivalence class per line. An index line's counts are
 read from a table of the numerals WordNet writes (int() reads any other
 spelling); only its synset offsets are kept, formatted into ids on lookup.
 A non-UTF-8 file raises ``records.InputError`` naming its first bad byte's
-line. After loading, a Lexicon is immutable and safe for concurrent reads.
+line.
+
+``load_wordnet(directory, words)`` still checks and counts every line, but
+keeps only the entries that those normalized words can reach: each word's
+exceptions, and the index entries of the word, of its exception bases and of
+its detachment-rule candidates, each also spelled with underscores for
+spaces. A lexicon loaded so raises ``ValueError`` for any other word instead
+of answering from a partial index.
+
+``load_wordnet`` fills the index and exception tables and nothing changes
+them afterwards. ``signature`` caches each word's compiled signature in the
+Lexicon, and ``load_aliases`` adds to the alias table and clears that cache.
 """
 
 from __future__ import annotations
@@ -19,6 +30,7 @@ from __future__ import annotations
 import enum
 import logging
 import re
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -110,6 +122,24 @@ def _base_form(table: _PosTable, word: str, offsets: str | None) -> str | None:
                 if candidate and _offsets(table.index, candidate) is not None:
                     return candidate
     return word if offsets is not None else None
+
+
+def _reachable(table: _PosTable, exceptions: dict[str, list[str]],
+               words: frozenset[str]) -> set[str]:
+    """The index keys that ``_lemma_and_ids`` and the choice of an exception
+    base read for the normalized ``words``: each word, its exception bases
+    (``exceptions`` holds those of ``words`` alone) and the candidate of each
+    detachment rule that ``_base_form`` may try for it, each also as
+    ``_offsets`` spells it with underscores for spaces."""
+    keys = set(words)
+    ending = [word for word in words if word.endswith(table.suffixes)]
+    for suffix, replacement in table.rules:
+        keys.update([word[: len(word) - len(suffix)] + replacement
+                     for word in ending if word.endswith(suffix)])
+    for bases in exceptions.values():
+        keys.update(bases)
+    keys.update([key.replace(" ", "_") for key in keys if " " in key])
+    return keys
 
 
 def _synset_ids(offsets: str, tag: str) -> list[str]:
@@ -209,6 +239,8 @@ class Lexicon:
     verb_exceptions: dict[str, str] = field(default_factory=dict)
     aliases: dict[str, set[str]] = field(default_factory=dict)
     skipped_lines: int = 0
+    # the normalized words load_wordnet kept entries for; None: every word
+    words: frozenset[str] | None = field(default=None, repr=False)
     # word -> its compiled signature; load_aliases clears it, never serialized
     _signatures: dict[str, WordSignature] = field(
         default_factory=dict, repr=False, compare=False)
@@ -223,6 +255,14 @@ class Lexicon:
             suffixes = tuple(dict.fromkeys(suffix for suffix, _ in rules))
             self._tables[pos] = _PosTable(index, exceptions, rules, suffixes, f"-{pos.value}")
 
+    def _normalized(self, word: str) -> str:
+        """``normalize_token(word)``; ValueError when the lexicon was loaded
+        for other words."""
+        norm = normalize_token(word)
+        if norm and self.words is not None and norm not in self.words:
+            raise ValueError(f"{word!r} is not among the words the lexicon was loaded for")
+        return norm
+
     def morphy(self, word: str, pos: Pos) -> str | None:
         """Return the base form of ``word`` for the given part of speech.
 
@@ -230,12 +270,12 @@ class Lexicon:
         detachment rules (first candidate found in the index), then the word
         itself if it is in the index. None when nothing resolves.
         """
-        word, table = normalize_token(word), self._tables[pos]
+        word, table = self._normalized(word), self._tables[pos]
         return _base_form(table, word, _offsets(table.index, word))
 
     def synsets(self, word: str, pos: Pos) -> frozenset[str]:
         """Synset ids of ``word`` and, when different, of its morphy lemma."""
-        return frozenset(_lemma_and_ids(self._tables[pos], normalize_token(word))[1])
+        return frozenset(_lemma_and_ids(self._tables[pos], self._normalized(word))[1])
 
     def signature(self, word: str) -> WordSignature:
         """The compiled signature of ``word``, built on first use."""
@@ -245,7 +285,7 @@ class Lexicon:
         return sig
 
     def _compile(self, word: str) -> WordSignature:
-        norm = normalize_token(word)
+        norm = self._normalized(word)
         if not norm:
             return _BLANK
         norm = word if norm == word else norm  # one string for the key and the signature
@@ -292,8 +332,10 @@ def _count_skipped(path: Path, skipped: list[int], lexicon: Lexicon) -> None:
 _COUNTS = {str(n): n for n in range(100)}
 
 
-def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
-    # stores each checked line's offsets as text; _synset_ids formats ids on lookup
+def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon,
+                      keys: set[str] | None) -> None:
+    # stores each checked line's offsets as text, of the lemmas in keys when
+    # given; _synset_ids formats ids on lookup
     index = lexicon._tables[pos].index
     skipped = []
     with utf8(path), open(path, encoding="utf-8") as fp:
@@ -321,12 +363,18 @@ def _parse_index_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
             except (IndexError, ValueError):
                 skipped.append(lineno)
                 continue
-            index[fields[0].lower()] = offsets
+            lemma = fields[0].lower()
+            if keys is None or lemma in keys:
+                index[lemma] = offsets
     _count_skipped(path, skipped, lexicon)
 
 
-def _parse_exception_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
-    table = lexicon._tables[pos]
+def _read_exception_file(path: Path, words: frozenset[str] | None
+                         ) -> tuple[dict[str, list[str]], list[int]]:
+    """The base forms of each inflected form (of those in ``words`` when
+    given; a later line replaces an earlier one's) and the numbers of the
+    unparseable lines."""
+    bases: dict[str, list[str]] = {}
     skipped = []
     with utf8(path), open(path, encoding="utf-8") as fp:
         for lineno, line in enumerate(fp, start=1):
@@ -336,30 +384,48 @@ def _parse_exception_file(path: Path, pos: Pos, lexicon: Lexicon) -> None:
             if len(terms) < 2:
                 skipped.append(lineno)
                 continue
-            inflected, bases = terms[0].lower(), [t.lower() for t in terms[1:]]
-            # prefer the first base form that has an index entry
-            base = next((b for b in bases if _offsets(table.index, b) is not None), bases[0])
-            table.exceptions[inflected] = base
-    _count_skipped(path, skipped, lexicon)
+            inflected = terms[0].lower()
+            if words is None or inflected in words:
+                bases[inflected] = [t.lower() for t in terms[1:]]
+    return bases, skipped
 
 
-def load_wordnet(directory: str | Path) -> Lexicon:
+def wndb_paths(directory: str | Path) -> list[Path]:
+    """The paths of ``WNDB_FILES`` in ``directory``, in that order; a missing
+    one raises InputError naming it."""
+    paths = [Path(directory) / name for name in WNDB_FILES]
+    for path in paths:
+        if not path.is_file():
+            raise InputError(f"missing WordNet file: {path}")
+    return paths
+
+
+def load_wordnet(directory: str | Path, words: Iterable[str] | None = None) -> Lexicon:
     """Parse WNDB files (index.noun, index.verb, noun.exc, verb.exc).
 
-    Raises InputError naming the file when one is missing or its header
-    is malformed. Unparseable entry lines are skipped and counted in
-    ``Lexicon.skipped_lines``.
+    With ``words``, the normalized words that will be looked up, the
+    lexicon keeps only the entries they reach and raises ValueError for any
+    other word (see the module docstring); without, it keeps every entry.
+    Either way every line is checked: unparseable entry lines are skipped,
+    counted in ``Lexicon.skipped_lines`` and named in one warning per file.
+    The exception files are read first, since their bases are index keys a
+    word reaches. Raises InputError naming the file when one is missing (all
+    four are checked first), its header is malformed or it is not UTF-8.
     """
-    directory = Path(directory)
-    for name in WNDB_FILES:
-        if not (directory / name).is_file():
-            raise InputError(f"missing WordNet file: {directory / name}")
-
-    lexicon = Lexicon()
-    _parse_index_file(directory / "index.noun", Pos.NOUN, lexicon)
-    _parse_index_file(directory / "index.verb", Pos.VERB, lexicon)
-    _parse_exception_file(directory / "noun.exc", Pos.NOUN, lexicon)
-    _parse_exception_file(directory / "verb.exc", Pos.VERB, lexicon)
+    paths = wndb_paths(directory)
+    index_paths, exception_paths = paths[:2], paths[2:]
+    lexicon = Lexicon(words=None if words is None else frozenset(words))
+    exceptions = [_read_exception_file(path, lexicon.words) for path in exception_paths]
+    for (pos, table), path, (bases, _) in zip(lexicon._tables.items(), index_paths, exceptions):
+        keys = None if lexicon.words is None else _reachable(table, bases, lexicon.words)
+        _parse_index_file(path, pos, lexicon, keys)
+    for table, path, (bases, skipped) in zip(lexicon._tables.values(), exception_paths,
+                                             exceptions):
+        for inflected, forms in bases.items():
+            # prefer the first base form that has an index entry
+            table.exceptions[inflected] = next(
+                (b for b in forms if _offsets(table.index, b) is not None), forms[0])
+        _count_skipped(path, skipped, lexicon)
     return lexicon
 
 

@@ -298,6 +298,20 @@ def mine(dataset: Dataset, lexicon: Lexicon, cfg: MinerConfig | None = None
     return labels
 
 
+def lookup_words(dataset: Dataset) -> set[str]:
+    """The words ``mine`` may look up in the lexicon for ``dataset``, for
+    ``load_wordnet``'s ``words``: the tokens of every phrase, question and
+    answer, taken in one pass over their joined text, and every normalized
+    object name."""
+    texts = [r.phrase for regions in dataset.regions_by_image.values() for r in regions]
+    texts += [text for t in dataset.triplets for text in (t.question, t.answer)]
+    words = set(tokenize("\n".join(texts)))  # no token spans a newline
+    names = {name for objects in dataset.objects_by_image.values() for o in objects
+             for name in o.names}
+    words.update(map(normalize_token, names))
+    return words
+
+
 def label_to_dict(label: GroundingLabel) -> dict:
     return {
         "qa_id": label.qa_id,

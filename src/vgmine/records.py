@@ -209,16 +209,18 @@ def read_pair(read: Callable[[Any], Any], first: Any, second: Any) -> tuple[Any,
     """``(read(first), read(second))``. With ``fork`` and a second usable CPU,
     a child reads ``first`` while this process reads ``second``; a child that
     fails sends nothing and ``first`` is read here, so the results and the
-    error (``first``'s before ``second``'s) are those of two reads in turn."""
+    error (``first``'s before ``second``'s) are those of two reads in turn.
+    When the pipe or the child cannot be made, both are read here in turn."""
     probe = getattr(os, "sched_getaffinity", None)
     if not hasattr(os, "fork") or (len(probe(0)) if probe else os.cpu_count() or 1) < 2:
         return read(first), read(second)
-    fd_in, fd_out = os.pipe()
+    fds: tuple[int, ...] = ()
     try:
+        fds = fd_in, fd_out = os.pipe()
         pid = os.fork()
-    except OSError:
-        os.close(fd_in)
-        os.close(fd_out)
+    except OSError:  # no pipe or no fork to spare: read in turn
+        for fd in fds:
+            os.close(fd)
         return read(first), read(second)
     if pid == 0:  # the child never returns into the caller, nor unwinds its commit block
         code = 1

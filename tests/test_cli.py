@@ -94,6 +94,33 @@ class TestMine:
         assert code == 2
         assert "nowhere" in err
 
+    @pytest.mark.parametrize("faults", [("index.verb", "regions.json"), ("noun.exc", "qa.json")],
+                             ids=["missing-index-verb-and-bad-regions",
+                                  "bad-noun-exc-and-missing-qa"])
+    def test_a_missing_input_is_reported_before_a_malformed_one(self, run_cli, tmp_path, faults):
+        """Every input is found before any is read, and the corpus is read
+        before the WordNet files."""
+        wordnet = tmp_path / "wordnet"
+        shutil.copytree(WORDNET_DIR, wordnet)
+        corpus = {name: tmp_path / name for name in ("regions.json", "objects.json", "qa.json")}
+        for name, path in corpus.items():
+            shutil.copyfile(FIG3 / name, path)
+        wordnet_fault, corpus_fault = faults
+        if wordnet_fault == "index.verb":
+            (wordnet / "index.verb").unlink()
+            corpus["regions.json"].write_text("[")
+            expected = f"error: missing WordNet file: {wordnet / 'index.verb'}\n"
+        else:
+            (wordnet / "noun.exc").write_bytes(b"geese goose\n\xe9\n")
+            corpus["qa.json"].unlink()
+            expected = f"error: qa file not found: {corpus['qa.json']}\n"
+        code, out, err = run_cli("mine", "--regions", corpus["regions.json"],
+                                 "--objects", corpus["objects.json"], "--qa", corpus["qa.json"],
+                                 "--wordnet-dir", wordnet, "--aliases", ALIASES,
+                                 "--out", tmp_path / "labels.ndjson")
+        assert (code, out, err) == (2, "", expected)
+        assert not (tmp_path / "labels.ndjson").exists()
+
     def test_determinism_byte_identical_outputs(self, run_cli, tmp_path):
         outs = []
         for name in ("a.ndjson", "b.ndjson"):
@@ -1543,6 +1570,24 @@ class TestNoPartialOutput:
         assert code == 2
         assert out.read_text() == "previous\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["maps.ndjson", "qa.json"]
+
+    def test_rasterize_over_the_staged_files_of_a_killed_run(self, run_cli, tmp_path):
+        """SIGKILL leaves a run's staged ``.tmp`` files behind, since nothing
+        unwinds; the next run writes over them as if they were not there."""
+        argv = ["rasterize", "--labels", GOLDEN / "fig3_labels.ndjson", "--qa", FIG3 / "qa.json",
+                "--out"]
+        clean, stale = tmp_path / "clean", tmp_path / "stale"
+        for directory in (clean, stale):
+            directory.mkdir()
+        names = ["maps.ndjson", "maps.ndjson.manifest.json"]
+        for name in names:  # junk longer than the output, so an untruncated file shows
+            (stale / f"{name}.tmp").write_bytes(b"\x00junk\xff\n" * 10_000)
+        for directory in (clean, stale):
+            code, _, err = run_cli(*argv, directory / "maps.ndjson")
+            assert code == 0, err
+        assert sorted(p.name for p in stale.iterdir()) == names
+        for name in names:
+            assert (stale / name).read_bytes() == (clean / name).read_bytes()
 
     @pytest.mark.parametrize("argv,manifest", [
         ([*MINE_ARGS, "--out", "labels.ndjson"], "labels.ndjson.manifest.json"),

@@ -1,6 +1,8 @@
 import logging
 import os
+import re
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -14,9 +16,11 @@ from vgmine.lexicon import (
     _synset_ids,
     normalize_token,
 )
+from vgmine.miner import lookup_words
 from vgmine.records import InputError
 
 from conftest import ALIASES, WORDNET_DIR
+from corpusgen import random_corpus
 from oracles import (reference_aliases, reference_index_file, reference_normalize,
                      reference_signature, reference_words_match)
 
@@ -402,17 +406,25 @@ _EXTRA_VERBS = ["ice_skate", "bake", "tie", "box", "pick_up", "fly"]
 _EXTRA_EXCEPTIONS = {"noun.exc": "hot_dogs_galore hot_dog\n", "verb.exc": "picked_up pick_up\n"}
 
 
-@pytest.fixture(scope="module")
-def signature_lexicon(tmp_path_factory):
-    directory = tmp_path_factory.mktemp("signature_wordnet")
+def _extended_wordnet(directory, nouns=(), exceptions=""):
+    """The fixture WordNet and aliases with the extra lemmas above, then
+    ``nouns`` and the noun exception lines ``exceptions``, written to
+    ``directory``."""
     offsets = iter(range(9_000_000, 9_100_000))
-    for name, pos, extra in (("index.noun", "n", _EXTRA_NOUNS),
+    for name, pos, extra in (("index.noun", "n", [*_EXTRA_NOUNS, *nouns]),
                              ("index.verb", "v", _EXTRA_VERBS)):
         lines = [f"{lemma} {pos} 1 0 1 0 {next(offsets):08d}\n" for lemma in extra]
         (directory / name).write_text((WORDNET_DIR / name).read_text() + "".join(lines))
     for name, line in _EXTRA_EXCEPTIONS.items():
-        (directory / name).write_text((WORDNET_DIR / name).read_text() + line)
+        more = exceptions if name == "noun.exc" else ""
+        (directory / name).write_text((WORDNET_DIR / name).read_text() + line + more)
     (directory / "aliases.txt").write_text(ALIASES.read_text() + "hot dog, frankfurter\n")
+    return directory
+
+
+@pytest.fixture(scope="module")
+def signature_lexicon(tmp_path_factory):
+    directory = _extended_wordnet(tmp_path_factory.mktemp("signature_wordnet"))
     return load_aliases(load_wordnet(directory), directory / "aliases.txt")
 
 
@@ -454,3 +466,102 @@ class TestSignature:
         # "glasses" has its own line and the lemma "glass", which shares a synset
         lex = Lexicon(noun_index={"glasses": "04272054 03438257", "glass": "03438257 7944050"})
         assert lex.signature("glasses").synsets == ("04272054-n", "03438257-n", "07944050-n")
+
+
+# Words that reach every detachment rule of both parts of speech, multiword
+# lemmas indexed with "_", and "oxen", whose first exception base "oxes" has
+# no index entry and whose second is the index's upper-case lemma "OX".
+_HAND_WORDS = ["dogs", "buses", "wolves", "boxes", "quizes", "churches", "dishes", "firemen",
+               "flies", "talks", "bakes", "baked", "talked", "baking", "walking", "tied",
+               "hot dog", "hot dogs", "fire trucks", "bus stop", "ice skating", "picked up",
+               "oxen", "men", "children", "ran", "people", "qzxv"]
+
+
+def _corpus_words(source, fig3_dataset):
+    if source == "hand":
+        return _HAND_WORDS
+    if source == "fig3":
+        return lookup_words(fig3_dataset)
+    return lookup_words(random_corpus(np.random.default_rng(int(source[-1]))))
+
+
+class TestRestrictedLoad:
+    """``load_wordnet(directory, words)`` answers for each of ``words`` as the
+    full load does, and refuses any other word."""
+
+    @pytest.fixture(scope="class")
+    def directory(self, tmp_path_factory):
+        return _extended_wordnet(tmp_path_factory.mktemp("restricted_wordnet"), ["OX"],
+                                 "oxen oxes ox\n")
+
+    def test_hand_words_reach_every_rule(self, directory):
+        full = load_wordnet(directory)
+        for pos, table in full._tables.items():
+            for suffix, replacement in table.rules:
+                assert any(word.endswith(suffix) and (
+                    word[:len(word) - len(suffix)] + replacement).replace(" ", "_") in table.index
+                    for word in _HAND_WORDS), (pos, suffix, replacement)
+        assert "ox" in full.noun_index and full.noun_exceptions["oxen"] == "ox"
+        assert "oxes" not in full.noun_index and "ox" not in _HAND_WORDS
+
+    @pytest.mark.parametrize("source", ["fig3", "random0", "random1", "random2", "hand"])
+    def test_signatures_equal_the_full_load(self, directory, fig3_dataset, source):
+        words = _corpus_words(source, fig3_dataset)
+        full = load_aliases(load_wordnet(directory), directory / "aliases.txt")
+        part = load_aliases(load_wordnet(directory, words), directory / "aliases.txt")
+        assert len(part.noun_index) < len(full.noun_index)
+        assert part.skipped_lines == full.skipped_lines
+        for word in words:
+            got, expected = part.signature(word), full.signature(word)
+            assert (got.norm, got.noun, got.verb, got.synsets, got.forms, got.aliases) == (
+                expected.norm, expected.noun, expected.verb, expected.synsets, expected.forms,
+                expected.aliases), word
+            for pos in Pos:
+                assert part.morphy(word, pos) == full.morphy(word, pos), (word, pos)
+                assert part.synsets(word, pos) == full.synsets(word, pos), (word, pos)
+
+    def test_other_words_raise(self, directory):
+        part = load_wordnet(directory, ["dog", "talking"])
+        assert part.signature("Dog.").noun == "dog"  # normalizes to a loaded word
+        for lookup in (part.signature, lambda word: part.morphy(word, Pos.NOUN),
+                       lambda word: part.synsets(word, Pos.VERB)):
+            with pytest.raises(ValueError, match="'Cats' is not among the words"):
+                lookup("Cats")
+
+    def test_skipped_lines_and_warnings_equal_the_full_load(self, tmp_path, caplog):
+        (tmp_path / "index.noun").write_text(
+            "dog n 1 2 @ ~ 1 1 02084071\nbroken\n\ncat n x 0 1 0 02121620\n")
+        (tmp_path / "index.verb").write_text("walk v 1 0 1 0 01904930\nwalk\n")
+        (tmp_path / "noun.exc").write_text("geese goose\nlonely\n")
+        (tmp_path / "verb.exc").write_text("ran\n")
+        loads = []
+        for words in (None, ["dog", "geese"]):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING, logger="vgmine.lexicon"):
+                lex = load_wordnet(tmp_path, words)
+            loads.append((lex, [r.getMessage() for r in caplog.records]))
+        (full, full_warnings), (part, part_warnings) = loads
+        assert part.skipped_lines == full.skipped_lines == 5
+        assert part_warnings == full_warnings and len(full_warnings) == 4
+        assert part.noun_index == {"dog": "02084071"} and part.verb_index == {}
+        assert part.noun_exceptions == {"geese": "goose"}
+
+    @given(noun=_INDEX_TEXT, verb=_INDEX_TEXT)
+    @settings(max_examples=100)
+    def test_generated_index_files(self, wordnet_dir, noun, verb):
+        (wordnet_dir / "index.noun").write_bytes(noun.encode("utf-8"))
+        (wordnet_dir / "index.verb").write_bytes(verb.encode("utf-8"))
+        words = ["dog", "dogs", "hot dog", "car", normalize_token("İ")]
+        try:
+            full = load_wordnet(wordnet_dir)
+        except InputError as exc:
+            with pytest.raises(InputError, match=re.escape(str(exc))):
+                load_wordnet(wordnet_dir, words)
+            return
+        part = load_wordnet(wordnet_dir, words)
+        assert part.skipped_lines == full.skipped_lines
+        assert part.noun_index.items() <= full.noun_index.items()
+        assert part.verb_index.items() <= full.verb_index.items()
+        for word in words:
+            assert part.signature(word).synsets == full.signature(word).synsets
+            assert part.signature(word).noun == full.signature(word).noun

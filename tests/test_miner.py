@@ -7,19 +7,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from vgmine.dataset import BoundingBox, Dataset, ObjectAnnotation, QaTriplet, RegionAnnotation
-from vgmine.lexicon import Lexicon, MatchCondition, match_signatures, normalize_token, tokenize
+from vgmine.lexicon import (Lexicon, MatchCondition, load_aliases, load_wordnet, match_signatures,
+                             normalize_token, tokenize)
 from vgmine.miner import (
     MinerConfig,
     _masks,
     informative_words,
     is_counting_question,
     label_to_dict,
+    lookup_words,
     mine,
     read_labels,
     write_labels,
 )
 
-from conftest import ALIASES
+from conftest import ALIASES, WORDNET_DIR
 from corpusgen import JUNK, NOUNS, STOPS, VERBS, dense_corpus, random_corpus
 from oracles import _ref_tokens, reference_mine, reference_words_match
 
@@ -311,6 +313,21 @@ class TestMineProperties:
             dataset = dense_corpus(rng)
             ours = [label_to_dict(lab) for lab in mine(dataset, lexicon, cfg)]
             assert ours == reference_mine(dataset, lexicon, cfg)
+
+    def test_lexicon_loaded_for_lookup_words_mines_the_same(self, lexicon):
+        """``lookup_words`` lists every word ``mine`` looks up: a lexicon loaded
+        for them alone raises for any other and mines the same labels."""
+        rng = np.random.default_rng(13)
+        odd = Dataset(
+            triplets=[_triplet("Where's the DOG-walker?", "On the grass.")],
+            regions_by_image={1: [_region(1, "dog,cat on\ngrass"), _region(2, "Men  talking")]},
+            objects_by_image={1: [ObjectAnnotation(2, (". ' dog", "Hot  Dog", "?"),
+                                                   BoundingBox(0, 0, 9, 9))]},
+        )
+        for dataset in [odd, *(random_corpus(rng) for _ in range(20)),
+                        *(dense_corpus(rng) for _ in range(3))]:
+            part = load_aliases(load_wordnet(WORDNET_DIR, lookup_words(dataset)), ALIASES)
+            assert mine(dataset, part, CFG) == mine(dataset, lexicon, CFG)
 
     def test_agrees_with_reference_on_padded_object_name(self, lexicon):
         for name in (" . dog", ". ' dog"):

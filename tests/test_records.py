@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import signal
@@ -109,6 +110,18 @@ def test_read_pair_reads_both_here_when_fork_fails(monkeypatch):
     monkeypatch.setattr(os, "fork", no_fork)
     parent = os.getpid()
     assert read_pair(lambda name: (name, os.getpid()), "a", "b") == (("a", parent), ("b", parent))
+
+
+def test_read_pair_reads_both_here_when_no_pipe_can_be_made(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+    def no_pipe():
+        raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    parent = os.getpid()
+    assert read_pair(lambda name: (name, os.getpid()), "a", "b") == (("a", parent), ("b", parent))
+    no_child_left()
 
 
 @pytest.mark.parametrize("bad", ["a", "b", "ab"])
